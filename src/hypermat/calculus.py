@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,52 +41,88 @@ _TRANSFORM_MIN_PIVOT = 1e-3
 _GENERATION_ATTEMPTS = 100
 
 
-@dataclass
-class PochhammerChain:
-    """Grow-only cache of (A)_n and optionally (A)_n^{-1}.
+class _Stack:
+    """Contiguous (k, r, r) array of matrices that grows by doubling."""
 
-    products[n] is the ordered product (A)_n; when inverses are enabled,
-    inverse_products[n] satisfies products[n] @ inverse_products[n] = I to
-    working precision. Confined to a single evaluation; not thread safe.
+    def __init__(self, first: Matrix):
+        self.data = first[np.newaxis].copy()
+        self.size = 1
+
+    def push(self, matrix: Matrix) -> None:
+        if self.size == len(self.data):
+            grown = np.empty((2 * self.size,) + self.data.shape[1:], dtype=complex)
+            grown[: self.size] = self.data
+            self.data = grown
+        self.data[self.size] = matrix
+        self.size += 1
+
+    @property
+    def view(self) -> np.ndarray:
+        return self.data[: self.size]
+
+
+class PochhammerChain:
+    """Grow-only cache of (A)_k and optionally (A)_k^{-1}.
+
+    products[k] is the ordered product (A)_k; when inverses are enabled,
+    inverse_products[k] satisfies products[k] @ inverse_products[k] = I to
+    working precision. Both are views of contiguous (k, r, r) buffers, so a
+    series can slice a whole run of indices at once. Confined to a single
+    evaluation; not thread safe.
     """
 
-    base: Matrix
-    products: list[Matrix] = field(default_factory=list)
-    inverse_products: list[Matrix] | None = None
+    def __init__(self, base: Matrix, track_inverses: bool):
+        self.base = base
+        self._eye = linalg.identity(base.shape[0])
+        self._products = _Stack(self._eye)
+        self._inverses = _Stack(self._eye) if track_inverses else None
 
     @classmethod
     def for_products(cls, base: Matrix) -> "PochhammerChain":
-        base = linalg.as_matrix(base)
-        return cls(base=base, products=[linalg.identity(base.shape[0])])
+        return cls(linalg.as_matrix(base), track_inverses=False)
 
     @classmethod
     def for_inverses(cls, base: Matrix) -> "PochhammerChain":
-        chain = cls.for_products(base)
-        chain.inverse_products = [linalg.identity(base.shape[0])]
-        return chain
+        return cls(linalg.as_matrix(base), track_inverses=True)
 
     @property
     def order(self) -> int:
         return self.base.shape[0]
 
-    def product(self, n: int) -> Matrix:
-        """(A)_n, extending the cache as needed."""
+    @property
+    def products(self) -> np.ndarray:
+        return self._products.view
+
+    @property
+    def inverse_products(self) -> np.ndarray | None:
+        return None if self._inverses is None else self._inverses.view
+
+    def products_through(self, n: int) -> np.ndarray:
+        """(A)_0, ..., (A)_n as one (n + 1, r, r) view, extending the cache."""
         if n < 0:
             raise ValueError("Pochhammer index must be nonnegative")
-        eye = linalg.identity(self.order)
-        while len(self.products) <= n:
-            k = len(self.products) - 1
-            self.products.append(self.products[k] @ (self.base + k * eye))
-        return self.products[n]
+        stack = self._products
+        while stack.size <= n:
+            k = stack.size - 1
+            stack.push(stack.data[k] @ (self.base + k * self._eye))
+        return stack.data[: n + 1]
+
+    def inverses_through(self, n: int) -> np.ndarray:
+        """(A)_0^{-1}, ..., (A)_n^{-1} as one view, one solve per new index."""
+        if self._inverses is None:
+            raise ValueError("chain was created without inverse tracking")
+        stack = self._inverses
+        while stack.size <= n:
+            stack.push(pochhammer_inverse_step(self, stack.size))
+        return stack.data[: n + 1]
+
+    def product(self, n: int) -> Matrix:
+        """(A)_n, extending the cache as needed."""
+        return self.products_through(n)[n]
 
     def inverse(self, n: int) -> Matrix:
         """(A)_n^{-1}, extending the inverse cache as needed."""
-        if self.inverse_products is None:
-            raise ValueError("chain was created without inverse tracking")
-        while len(self.inverse_products) <= n:
-            grown = pochhammer_inverse_step(self, len(self.inverse_products))
-            self.inverse_products.append(grown)
-        return self.inverse_products[n]
+        return self.inverses_through(n)[n]
 
 
 def pochhammer(a: Matrix, n: int) -> Matrix:
@@ -276,8 +312,8 @@ def random_commuting_family(
     [0.5, 3.0] and imaginary parts in [-0.5, 0.5]. Identical seeds yield
     bit-identical families.
     """
-    if order > 8:
-        raise ValueError("families are generated at desk scale, order <= 8")
+    if not 1 <= order <= 8:
+        raise ValueError("families are generated at desk scale, 1 <= order <= 8")
     rng = random.Random(seed)
     transform = None
     factored = None

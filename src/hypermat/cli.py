@@ -112,11 +112,15 @@ def _cmd_eval(args) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    cfg = SeriesConfig(
-        tol=args.tol,
-        max_degree=args.max_degree,
-        enforce_domain=not args.allow_boundary,
-    )
+    try:
+        cfg = SeriesConfig(
+            tol=args.tol,
+            max_degree=args.max_degree,
+            enforce_domain=not args.allow_boundary,
+        )
+    except ValueError as exc:
+        print(f"bad arguments: {exc}", file=sys.stderr)
+        return _EXIT_USAGE
     try:
         report = evaluate(data.params, data.point, cfg)
     except DomainViolation as exc:
@@ -149,8 +153,8 @@ def _cmd_verify(args) -> int:
     if args.trials < 1:
         print("trials must be positive", file=sys.stderr)
         return _EXIT_USAGE
-    cfg = SeriesConfig(tol=args.tol, max_degree=args.max_degree)
     try:
+        cfg = SeriesConfig(tol=args.tol, max_degree=args.max_degree)
         reports = run_campaign(
             ids=ids,
             trials=args.trials,
@@ -162,6 +166,9 @@ def _cmd_verify(args) -> int:
         )
     except UnknownIdentity as exc:
         print(str(exc), file=sys.stderr)
+        return _EXIT_USAGE
+    except ValueError as exc:
+        print(f"bad arguments: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     config_echo = {
         "ids": sorted(ids) if ids is not None else "all",

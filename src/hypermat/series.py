@@ -10,14 +10,18 @@ of one common order r:
     F4(A, B; C, C')          sum   (A)_{m+n} (B)_{m+n} (C)_m^{-1} (C')_n^{-1}
 
 with the two-variable kinds weighted by x^m y^n / (m! n!). The parameters do
-not commute in general, so each term is assembled by fresh left-to-right
-multiplication of cached Pochhammer chain entries in exactly the order the
-definitions above display; nothing is ever algebraically reordered.
+not commute in general, so these rows are kept as one term table (_TERMS):
+per kind, the ordered factors (parameter, inverse?, index) with index m, n or
+N = m + n. One evaluator serves all five kinds. It builds each diagonal
+m + n = N as one left-to-right batched product of stacked Pochhammer chain
+slices in exactly the printed order, then one weighted sum over m; nothing is
+ever algebraically reordered. 2F1 is the single-variable case, whose only
+index pair on diagonal N is (N, 0).
 
-Double series are summed diagonal by diagonal (total degree m + n), and
-truncation stops once a configured number of consecutive diagonal sums fall
-below tol * (1 + ||partial sum||_F). A hard max_degree cap guards divergence;
-hitting it raises NotConverged with the partial report attached.
+Series are summed diagonal by diagonal, and truncation stops once three
+consecutive diagonal sums fall below tol * (1 + ||partial sum||_F). A hard
+max_degree cap guards divergence; hitting it raises NotConverged with the
+partial report attached.
 """
 
 from __future__ import annotations
@@ -45,22 +49,38 @@ class FunctionKind(enum.Enum):
 
     @property
     def parameter_names(self) -> tuple[str, ...]:
-        return _PARAMETER_NAMES[self]
+        return tuple(name for name, _, _ in _TERMS[self])
 
     @property
     def is_two_variable(self) -> bool:
         return self is not FunctionKind.GAUSS_2F1
 
 
+# Each kind's term as the paper prints it, one (parameter, inverse?, index)
+# entry per factor, multiplied left to right. The index is m, n or N = m + n;
+# 2F1 is the single-variable case, summed over the one pair (m, n) = (N, 0).
 # Primed parameters are spelled with a trailing "p" so names survive JSON,
 # CLI arguments and file systems unscathed.
-_PARAMETER_NAMES = {
-    FunctionKind.GAUSS_2F1: ("A", "B", "C"),
-    FunctionKind.APPELL_F1: ("A", "B", "Bp", "C"),
-    FunctionKind.APPELL_F2: ("A", "B", "Bp", "C", "Cp"),
-    FunctionKind.APPELL_F3: ("A", "Ap", "B", "Bp", "C"),
-    FunctionKind.APPELL_F4: ("A", "B", "C", "Cp"),
+_TERMS = {
+    FunctionKind.GAUSS_2F1: (("A", False, "N"), ("B", False, "N"), ("C", True, "N")),
+    FunctionKind.APPELL_F1: (
+        ("A", False, "N"), ("B", False, "m"), ("Bp", False, "n"), ("C", True, "N"),
+    ),
+    FunctionKind.APPELL_F2: (
+        ("A", False, "N"), ("B", False, "m"), ("Bp", False, "n"),
+        ("C", True, "m"), ("Cp", True, "n"),
+    ),
+    FunctionKind.APPELL_F3: (
+        ("A", False, "m"), ("Ap", False, "n"), ("B", False, "m"), ("Bp", False, "n"),
+        ("C", True, "N"),
+    ),
+    FunctionKind.APPELL_F4: (
+        ("A", False, "N"), ("B", False, "N"), ("C", True, "m"), ("Cp", True, "n"),
+    ),
 }
+
+#: Truncation stops after this many consecutive small diagonals.
+_CONSECUTIVE_SMALL = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +140,6 @@ class SeriesConfig:
 
     tol: float = 1e-12
     max_degree: int = 500
-    consecutive_small: int = 3
     enforce_domain: bool = True
 
     def __post_init__(self):
@@ -128,8 +147,6 @@ class SeriesConfig:
             raise ValueError("tol must lie in (0, 1)")
         if self.max_degree < 1:
             raise ValueError("max_degree must be at least 1")
-        if self.consecutive_small < 1:
-            raise ValueError("consecutive_small must be at least 1")
 
     def with_tol(self, tol: float) -> "SeriesConfig":
         return replace(self, tol=tol)
@@ -174,207 +191,73 @@ def _check_point(params: ParameterSet, point: EvalPoint, cfg: SeriesConfig) -> N
         )
 
 
-def _sum_indexed(increment_at, order: int, cfg: SeriesConfig, label: str) -> EvalReport:
-    """Accumulate degree increments under the consecutive-small stopping rule.
+def _diagonal(factors, degree: int, weights: np.ndarray) -> Matrix:
+    """Sum of the terms with m + n = degree, weighted in order of rising m.
 
-    Overflowing increments (possible when a series is pushed toward the edge
-    of its region) fail immediately instead of spinning to max_degree.
+    Each factor contributes one stacked slice of its chain: a single matrix
+    for index N, (P)_0..(P)_N for m and (P)_N..(P)_0 for n = N - m. The slices
+    are multiplied left to right in the printed order, then weighted.
     """
-    total = linalg.zeros(order)
-    small_run = 0
-    last_norm = math.inf
-    degrees = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(cfg.max_degree + 1):
-            increment = increment_at(n)
-            total = total + increment
-            degrees = n
-            last_norm = linalg.frobenius_norm(increment)
-            if not math.isfinite(last_norm):
-                raise NotConverged(
-                    f"{label} overflowed at degree {n}",
-                    report=EvalReport(total, degrees, last_norm, False),
-                )
-            if last_norm <= cfg.tol * (1.0 + linalg.frobenius_norm(total)):
-                small_run += 1
-                if small_run >= cfg.consecutive_small:
-                    return EvalReport(total, degrees, last_norm, True)
-            else:
-                small_run = 0
-    report = EvalReport(total, degrees, last_norm, False)
-    raise NotConverged(
-        f"{label} still moving at degree {cfg.max_degree}", report=report
-    )
-
-
-def _sum_single(term_at, order: int, cfg: SeriesConfig) -> EvalReport:
-    return _sum_indexed(term_at, order, cfg, "series")
-
-
-def _sum_diagonals(diagonal_at, order: int, cfg: SeriesConfig) -> EvalReport:
-    return _sum_indexed(diagonal_at, order, cfg, "double series")
-
-
-class _PowerWeights:
-    """Incrementally extended x^m / m! coefficients."""
-
-    def __init__(self, x: complex):
-        self.x = complex(x)
-        self.values = [1.0 + 0.0j]
-
-    def __getitem__(self, m: int) -> complex:
-        while len(self.values) <= m:
-            k = len(self.values)
-            self.values.append(self.values[k - 1] * self.x / k)
-        return self.values[m]
-
-
-def _eval_gauss(params: ParameterSet, point: EvalPoint, cfg: SeriesConfig) -> EvalReport:
-    a = PochhammerChain.for_products(params["A"])
-    b = PochhammerChain.for_products(params["B"])
-    c = PochhammerChain.for_inverses(params["C"])
-    xs = _PowerWeights(point.x)
-
-    def term(n: int) -> Matrix:
-        return a.product(n) @ b.product(n) @ c.inverse(n) * xs[n]
-
-    return _sum_single(term, params.order, cfg)
-
-
-def _eval_f1(params: ParameterSet, point: EvalPoint, cfg: SeriesConfig) -> EvalReport:
-    a = PochhammerChain.for_products(params["A"])
-    b = PochhammerChain.for_products(params["B"])
-    bp = PochhammerChain.for_products(params["Bp"])
-    c = PochhammerChain.for_inverses(params["C"])
-    xs, ys = _PowerWeights(point.x), _PowerWeights(point.y)
-
-    def diagonal(total_degree: int) -> Matrix:
-        block = linalg.zeros(params.order)
-        for m in range(total_degree + 1):
-            n = total_degree - m
-            block = block + (
-                a.product(total_degree)
-                @ b.product(m)
-                @ bp.product(n)
-                @ c.inverse(total_degree)
-            ) * (xs[m] * ys[n])
-        return block
-
-    return _sum_diagonals(diagonal, params.order, cfg)
-
-
-def _eval_f2(params: ParameterSet, point: EvalPoint, cfg: SeriesConfig) -> EvalReport:
-    a = PochhammerChain.for_products(params["A"])
-    b = PochhammerChain.for_products(params["B"])
-    bp = PochhammerChain.for_products(params["Bp"])
-    c = PochhammerChain.for_inverses(params["C"])
-    cp = PochhammerChain.for_inverses(params["Cp"])
-    xs, ys = _PowerWeights(point.x), _PowerWeights(point.y)
-
-    def diagonal(total_degree: int) -> Matrix:
-        block = linalg.zeros(params.order)
-        for m in range(total_degree + 1):
-            n = total_degree - m
-            block = block + (
-                a.product(total_degree)
-                @ b.product(m)
-                @ bp.product(n)
-                @ c.inverse(m)
-                @ cp.inverse(n)
-            ) * (xs[m] * ys[n])
-        return block
-
-    return _sum_diagonals(diagonal, params.order, cfg)
-
-
-def _eval_f3(params: ParameterSet, point: EvalPoint, cfg: SeriesConfig) -> EvalReport:
-    a = PochhammerChain.for_products(params["A"])
-    ap = PochhammerChain.for_products(params["Ap"])
-    b = PochhammerChain.for_products(params["B"])
-    bp = PochhammerChain.for_products(params["Bp"])
-    c = PochhammerChain.for_inverses(params["C"])
-    xs, ys = _PowerWeights(point.x), _PowerWeights(point.y)
-
-    def diagonal(total_degree: int) -> Matrix:
-        block = linalg.zeros(params.order)
-        for m in range(total_degree + 1):
-            n = total_degree - m
-            block = block + (
-                a.product(m)
-                @ ap.product(n)
-                @ b.product(m)
-                @ bp.product(n)
-                @ c.inverse(total_degree)
-            ) * (xs[m] * ys[n])
-        return block
-
-    return _sum_diagonals(diagonal, params.order, cfg)
-
-
-def _eval_f4(params: ParameterSet, point: EvalPoint, cfg: SeriesConfig) -> EvalReport:
-    a = PochhammerChain.for_products(params["A"])
-    b = PochhammerChain.for_products(params["B"])
-    c = PochhammerChain.for_inverses(params["C"])
-    cp = PochhammerChain.for_inverses(params["Cp"])
-    xs, ys = _PowerWeights(point.x), _PowerWeights(point.y)
-
-    def diagonal(total_degree: int) -> Matrix:
-        block = linalg.zeros(params.order)
-        for m in range(total_degree + 1):
-            n = total_degree - m
-            block = block + (
-                a.product(total_degree)
-                @ b.product(total_degree)
-                @ c.inverse(m)
-                @ cp.inverse(n)
-            ) * (xs[m] * ys[n])
-        return block
-
-    return _sum_diagonals(diagonal, params.order, cfg)
-
-
-_EVALUATORS = {
-    FunctionKind.GAUSS_2F1: _eval_gauss,
-    FunctionKind.APPELL_F1: _eval_f1,
-    FunctionKind.APPELL_F2: _eval_f2,
-    FunctionKind.APPELL_F3: _eval_f3,
-    FunctionKind.APPELL_F4: _eval_f4,
-}
+    term = None
+    for through, index in factors:
+        stack = through(degree)
+        if index == "N":
+            block = stack[degree]
+        else:
+            block = stack if index == "m" else stack[::-1]
+        term = block if term is None else term @ block
+    return (term * weights[:, np.newaxis, np.newaxis]).sum(axis=0)
 
 
 def evaluate(
     params: ParameterSet, point: EvalPoint, cfg: SeriesConfig = DEFAULT_CONFIG
 ) -> EvalReport:
-    """Evaluate any supported kind at a point, honoring the domain guard."""
+    """Evaluate any supported kind at a point, honoring the domain guard.
+
+    Overflowing increments (possible when a series is pushed toward the edge
+    of its region) fail immediately instead of spinning to max_degree.
+    """
     _check_point(params, point, cfg)
-    return _EVALUATORS[params.kind](params, point, cfg)
-
-
-def gauss_2f1(params, point, cfg=DEFAULT_CONFIG) -> EvalReport:
-    if params.kind is not FunctionKind.GAUSS_2F1:
-        raise ValueError("parameter set is not for 2F1")
-    return evaluate(params, point, cfg)
-
-
-def appell_f1(params, point, cfg=DEFAULT_CONFIG) -> EvalReport:
-    if params.kind is not FunctionKind.APPELL_F1:
-        raise ValueError("parameter set is not for F1")
-    return evaluate(params, point, cfg)
-
-
-def appell_f2(params, point, cfg=DEFAULT_CONFIG) -> EvalReport:
-    if params.kind is not FunctionKind.APPELL_F2:
-        raise ValueError("parameter set is not for F2")
-    return evaluate(params, point, cfg)
-
-
-def appell_f3(params, point, cfg=DEFAULT_CONFIG) -> EvalReport:
-    if params.kind is not FunctionKind.APPELL_F3:
-        raise ValueError("parameter set is not for F3")
-    return evaluate(params, point, cfg)
-
-
-def appell_f4(params, point, cfg=DEFAULT_CONFIG) -> EvalReport:
-    if params.kind is not FunctionKind.APPELL_F4:
-        raise ValueError("parameter set is not for F4")
-    return evaluate(params, point, cfg)
+    kind = params.kind
+    factors = [
+        (
+            PochhammerChain.for_inverses(params[name]).inverses_through
+            if inverse
+            else PochhammerChain.for_products(params[name]).products_through,
+            index,
+        )
+        for name, inverse, index in _TERMS[kind]
+    ]
+    label = "double series" if kind.is_two_variable else "series"
+    x = complex(point.x)
+    y = complex(point.y) if kind.is_two_variable else 0j
+    xs, ys = [1.0 + 0.0j], [1.0 + 0.0j]  # x^m / m!, y^n / n!
+    total = linalg.zeros(params.order)
+    small_run = 0
+    last_norm = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for degree in range(cfg.max_degree + 1):
+            if degree:
+                xs.append(xs[-1] * x / degree)
+                ys.append(ys[-1] * y / degree)
+            # m over the index pairs (m, degree - m); 2F1 has only (N, 0).
+            ms = range(degree + 1) if kind.is_two_variable else (degree,)
+            weights = np.array([xs[m] * ys[degree - m] for m in ms])
+            increment = _diagonal(factors, degree, weights)
+            total = total + increment
+            last_norm = linalg.frobenius_norm(increment)
+            if not math.isfinite(last_norm):
+                raise NotConverged(
+                    f"{label} overflowed at degree {degree}",
+                    report=EvalReport(total, degree, last_norm, False),
+                )
+            if last_norm <= cfg.tol * (1.0 + linalg.frobenius_norm(total)):
+                small_run += 1
+                if small_run >= _CONSECUTIVE_SMALL:
+                    return EvalReport(total, degree, last_norm, True)
+            else:
+                small_run = 0
+    report = EvalReport(total, cfg.max_degree, last_norm, False)
+    raise NotConverged(
+        f"{label} still moving at degree {cfg.max_degree}", report=report
+    )

@@ -1,11 +1,13 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is written straight from the series definitions with scalar
-arithmetic and naive loops, sharing no code with the package under test, so
+arithmetic or plain matrix products and naive loops, sharing no code with the package under test, so
 agreement between the two is evidence rather than tautology.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -135,3 +137,60 @@ def scalar_value(kind_tag: str, spectra: dict[str, complex], x, y=None) -> compl
     if kind_tag == "2F1":
         return oracle(*args, x)
     return oracle(*args, x, y)
+
+
+#: The five term rows written out again from the definitions, independently
+#: of the package: per kind, the factors (parameter, inverted, index) in the
+#: printed order, index "m", "n" or "N" = m + n.
+PRINTED_TERMS = {
+    "2F1": (("A", False, "N"), ("B", False, "N"), ("C", True, "N")),
+    "F1": (("A", False, "N"), ("B", False, "m"), ("Bp", False, "n"), ("C", True, "N")),
+    "F2": (
+        ("A", False, "N"),
+        ("B", False, "m"),
+        ("Bp", False, "n"),
+        ("C", True, "m"),
+        ("Cp", True, "n"),
+    ),
+    "F3": (
+        ("A", False, "m"),
+        ("Ap", False, "n"),
+        ("B", False, "m"),
+        ("Bp", False, "n"),
+        ("C", True, "N"),
+    ),
+    "F4": (("A", False, "N"), ("B", False, "N"), ("C", True, "m"), ("Cp", True, "n")),
+}
+
+
+def printed_order_sum(factors, matrices, x, y=None, degree_cap: int = 60):
+    """Term-by-term matrix series with each term multiplied in factor order.
+
+    Sums prod(factors) x^m y^n / (m! n!) over m + n <= degree_cap, or
+    x^N / N! alone when y is None. Shifted factorials are plain products
+    (P)(P + I)...(P + (k-1)I) and their inverses are dense inverses of those
+    products, so nothing is shared with the package's chains.
+    """
+    order = next(iter(matrices.values())).shape[0]
+    eye = np.eye(order, dtype=complex)
+    tables = {}
+    for name, inverted, _ in factors:
+        rising = [eye]
+        for k in range(degree_cap):
+            rising.append(rising[-1] @ (matrices[name] + k * eye))
+        tables[name, inverted] = (
+            [np.linalg.inv(p) for p in rising] if inverted else rising
+        )
+    total = np.zeros((order, order), dtype=complex)
+    for degree in range(degree_cap + 1):
+        for m in range(degree + 1) if y is not None else (degree,):
+            n = degree - m
+            index = {"m": m, "n": n, "N": degree}
+            term = eye
+            for name, inverted, which in factors:
+                term = term @ tables[name, inverted][index[which]]
+            weight = x**m / math.factorial(m)
+            if y is not None:
+                weight *= y**n / math.factorial(n)
+            total += term * weight
+    return total

@@ -33,7 +33,7 @@ from hypermat.recursions import (
     get,
     verify_identity,
 )
-from hypermat.series import EvalPoint, FunctionKind, ParameterSet, evaluate, gauss_2f1
+from hypermat.series import EvalPoint, FunctionKind, ParameterSet, evaluate
 
 from oracles import scalar_value
 
@@ -172,14 +172,14 @@ def test_criterion_3_closed_form_spot_checks():
         {name: np.array([[v]], dtype=complex) for name, v in
          {"A": 1.0, "B": 1.0, "C": 2.0}.items()},
     )
-    log_value = gauss_2f1(log_params, EvalPoint(0.5)).value[0, 0]
+    log_value = evaluate(log_params, EvalPoint(0.5)).value[0, 0]
     assert abs(log_value - TWO_LN_TWO) <= 1e-10
     geom_params = ParameterSet(
         FunctionKind.GAUSS_2F1,
         {name: np.array([[v]], dtype=complex) for name, v in
          {"A": 2.0, "B": 1.0, "C": 2.0}.items()},
     )
-    geom_value = gauss_2f1(geom_params, EvalPoint(0.3)).value[0, 0]
+    geom_value = evaluate(geom_params, EvalPoint(0.3)).value[0, 0]
     assert abs(geom_value - 1.0 / 0.7) <= 1e-10
     verdict(3, "2F1(1,1;2;1/2) = 2 ln 2 and 2F1(2,1;2;0.3) = 1/0.7, both to 1e-10")
 

@@ -93,6 +93,33 @@ def test_eval_nonconvergence_exit_three(tmp_path, capsys):
     assert "converge" in capsys.readouterr().err
 
 
+def test_eval_singular_shift_exit_three(tmp_path, capsys):
+    doc = gauss_document()
+    doc["matrices"]["C"] = [[[-2.0, 0.0]]]  # C + 2I is singular
+    path = write_doc(tmp_path / "doc.json", doc)
+    code = main(["eval", path])
+    assert code == 3
+    assert "SingularShift" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--tol", "0"],
+        ["verify", "--orders", "9", "--ids", "G-A+1-contig", "--trials", "1"],
+        ["verify", "--orders", "0", "--ids", "G-A+1-contig", "--trials", "1"],
+        ["eval", "DOC", "--max-degree", "0"],
+    ],
+)
+def test_out_of_range_arguments_exit_one(args, tmp_path, capsys):
+    path = write_doc(tmp_path / "doc.json", gauss_document())
+    code = main([path if arg == "DOC" else arg for arg in args])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_eval_kind_mismatch(tmp_path, capsys):
     path = write_doc(tmp_path / "doc.json", gauss_document())
     code = main(["eval", path, "--kind", "F4"])

@@ -6,23 +6,18 @@ import numpy as np
 import pytest
 
 from hypermat import linalg
-from hypermat.calculus import PochhammerChain, random_commuting_family
-from hypermat.errors import DomainViolation, NotConverged
+from hypermat.calculus import random_commuting_family
+from hypermat.errors import DomainViolation, NotConverged, SingularShift
 from hypermat.series import (
     EvalPoint,
     FunctionKind,
     ParameterSet,
     SeriesConfig,
-    appell_f1,
-    appell_f2,
-    appell_f3,
-    appell_f4,
     check_domain,
     evaluate,
-    gauss_2f1,
 )
 
-from oracles import scalar_value
+from oracles import PRINTED_TERMS, printed_order_sum, scalar_value
 
 TWO_LN_TWO = 1.3862943611198906
 
@@ -77,7 +72,7 @@ def test_domain_examples():
 
 def test_gauss_at_zero_is_identity():
     fam = random_commuting_family(3, FunctionKind.GAUSS_2F1.parameter_names, seed=1)
-    report = gauss_2f1(family_params(FunctionKind.GAUSS_2F1, fam), EvalPoint(0.0))
+    report = evaluate(family_params(FunctionKind.GAUSS_2F1, fam), EvalPoint(0.0))
     assert np.array_equal(report.value, np.eye(3))
     assert report.converged
 
@@ -87,38 +82,38 @@ def test_gauss_zero_numerator_parameter():
         FunctionKind.GAUSS_2F1,
         {"A": scal(1.0), "B": linalg.zeros(1), "C": scal(2.0)},
     )
-    report = gauss_2f1(params, EvalPoint(0.7))
+    report = evaluate(params, EvalPoint(0.7))
     assert np.array_equal(report.value, np.eye(1))
 
 
 def test_gauss_closed_form_log():
     params = scalar_params(FunctionKind.GAUSS_2F1, {"A": 1.0, "B": 1.0, "C": 2.0})
-    value = gauss_2f1(params, EvalPoint(0.5)).value[0, 0]
+    value = evaluate(params, EvalPoint(0.5)).value[0, 0]
     assert abs(value - TWO_LN_TWO) <= 1e-10
 
 
 def test_gauss_closed_form_geometric():
     params = scalar_params(FunctionKind.GAUSS_2F1, {"A": 2.0, "B": 1.0, "C": 2.0})
-    value = gauss_2f1(params, EvalPoint(0.3)).value[0, 0]
+    value = evaluate(params, EvalPoint(0.3)).value[0, 0]
     assert abs(value - 1.0 / 0.7) <= 1e-10
 
 
 @pytest.mark.parametrize(
-    "fn,kind,values,point,expected",
+    "name,kind,values,point,expected",
     [
-        (appell_f1, FunctionKind.APPELL_F1,
+        ("appell_f1", FunctionKind.APPELL_F1,
          {"A": 1.0, "B": 1.0, "Bp": 1.0, "C": 2.0}, (0.3, 0.4), F1_SPOT),
-        (appell_f2, FunctionKind.APPELL_F2,
+        ("appell_f2", FunctionKind.APPELL_F2,
          {"A": 1.0, "B": 1.0, "Bp": 1.0, "C": 2.0, "Cp": 2.0}, (0.25, 0.2), F2_SPOT),
-        (appell_f3, FunctionKind.APPELL_F3,
+        ("appell_f3", FunctionKind.APPELL_F3,
          {"A": 1.0, "Ap": 1.0, "B": 1.0, "Bp": 1.0, "C": 2.0}, (0.3, 0.4), F3_SPOT),
-        (appell_f4, FunctionKind.APPELL_F4,
+        ("appell_f4", FunctionKind.APPELL_F4,
          {"A": 1.0, "B": 1.0, "C": 2.0, "Cp": 2.0}, (0.15, 0.1), F4_SPOT),
     ],
 )
-def test_appell_frozen_spot_values(fn, kind, values, point, expected):
-    report = fn(scalar_params(kind, values), EvalPoint(*point))
-    assert abs(report.value[0, 0] - expected) <= 1e-10
+def test_appell_frozen_spot_values(name, kind, values, point, expected):
+    report = evaluate(scalar_params(kind, values), EvalPoint(*point))
+    assert abs(report.value[0, 0] - expected) <= 1e-10, name
 
 
 @pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k.is_two_variable])
@@ -134,7 +129,7 @@ def test_appell_y_zero_reduces_to_gauss(kind):
         2, ("A", "Ap", "B", "Bp", "C", "Cp"), seed=3
     )
     x = 0.23 + 0.08j
-    gauss = gauss_2f1(
+    gauss = evaluate(
         ParameterSet(
             FunctionKind.GAUSS_2F1,
             {"A": fam.realize("A"), "B": fam.realize("B"), "C": fam.realize("C")},
@@ -182,31 +177,68 @@ def test_diagonal_oracle(kind):
         )
 
 
-def test_printed_order_is_load_bearing():
-    # With a non-commuting (B, C) pair, swapping (B)_n (C)_n^{-1} into
-    # (C)_n^{-1} (B)_n must visibly change the sum; this guards against any
-    # future "simplification" that assumes commutativity.
-    a = 1.2 * np.eye(2, dtype=complex)
-    b = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
-    c = np.array([[2.0, 0.0], [1.0, 3.0]], dtype=complex)
-    assert linalg.commutator_norm(b, c) > 0.1
-    x = 0.4
-    cfg = SeriesConfig()
-    params = ParameterSet(FunctionKind.GAUSS_2F1, {"A": a, "B": b, "C": c})
-    printed = gauss_2f1(params, EvalPoint(x), cfg).value
+# Points well inside each region, so 60 diagonals of the reference leave a
+# tail far below the 1e-12 comparison.
+ORDER_POINTS = {
+    FunctionKind.GAUSS_2F1: EvalPoint(0.3 + 0.1j),
+    FunctionKind.APPELL_F1: EvalPoint(0.25, -0.2 + 0.05j),
+    FunctionKind.APPELL_F2: EvalPoint(0.2, 0.15j),
+    FunctionKind.APPELL_F3: EvalPoint(-0.25, 0.2),
+    FunctionKind.APPELL_F4: EvalPoint(0.06, 0.04 - 0.02j),
+}
 
-    chain_a = PochhammerChain.for_products(a)
-    chain_b = PochhammerChain.for_products(b)
-    chain_c = PochhammerChain.for_inverses(c)
-    reversed_total = np.zeros((2, 2), dtype=complex)
-    coeff = 1.0
-    for n in range(80):
-        if n:
-            coeff *= x / n
-        reversed_total += (
-            chain_a.product(n) @ chain_c.inverse(n) @ chain_b.product(n)
-        ) * coeff
-    assert np.linalg.norm(printed - reversed_total) > 10 * cfg.tol
+
+def non_commuting_matrix(rng, order):
+    """P diag(spectrum) P^-1 with its own well-conditioned P."""
+    p = np.eye(order) + 0.4 * (
+        rng.standard_normal((order, order)) + 1j * rng.standard_normal((order, order))
+    )
+    spectrum = rng.uniform(0.8, 2.5, order) + 1j * rng.uniform(-0.3, 0.3, order)
+    return p @ np.diag(spectrum) @ np.linalg.inv(p)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_printed_order_is_load_bearing(kind):
+    # With pairwise non-commuting parameters, the series must multiply each
+    # term exactly as printed: it matches a term-by-term printed-order sum,
+    # and swapping any adjacent pair of factors visibly moves that sum. This
+    # guards against any "simplification" that assumes commutativity.
+    rng = np.random.default_rng(5)
+    names = kind.parameter_names
+    matrices = {name: non_commuting_matrix(rng, 3) for name in names}
+    for i, first in enumerate(names):
+        for second in names[i + 1:]:
+            assert linalg.commutator_norm(matrices[first], matrices[second]) > 0.1
+    point = ORDER_POINTS[kind]
+    cfg = SeriesConfig()
+    value = evaluate(ParameterSet(kind, matrices), point, cfg).value
+
+    printed = PRINTED_TERMS[kind.value]
+    reference = printed_order_sum(printed, matrices, point.x, point.y)
+    scale = np.linalg.norm(reference)
+    assert np.linalg.norm(value - reference) <= 1e-12 * scale
+    for i in range(len(printed) - 1):
+        swapped = printed[:i] + (printed[i + 1], printed[i]) + printed[i + 2:]
+        moved = printed_order_sum(swapped, matrices, point.x, point.y)
+        assert np.linalg.norm(moved - reference) > 10 * cfg.tol * scale
+
+
+# Each denominator with eigenvalue -2: its shift C + 2I is singular, which the
+# inverse chain meets at (C)_3^-1.
+SINGULAR_DENOMINATORS = [(kind, "C") for kind in ALL_KINDS] + [
+    (FunctionKind.APPELL_F2, "Cp"),
+    (FunctionKind.APPELL_F4, "Cp"),
+]
+
+
+@pytest.mark.parametrize("kind,name", SINGULAR_DENOMINATORS)
+def test_singular_denominator_reports_shift(kind, name):
+    matrices = {p: np.diag([1.5, 2.0]).astype(complex) for p in kind.parameter_names}
+    matrices[name] = np.diag([-2.0, 1.0]).astype(complex)
+    point = EvalPoint(0.1, 0.05) if kind.is_two_variable else EvalPoint(0.1)
+    with pytest.raises(SingularShift) as err:
+        evaluate(ParameterSet(kind, matrices), point)
+    assert err.value.shift == 3
 
 
 def test_symmetry_under_commutation():
@@ -216,10 +248,10 @@ def test_symmetry_under_commutation():
         linalg.frobenius_norm(a) * linalg.frobenius_norm(b)
     )
     x = EvalPoint(0.27 - 0.05j)
-    direct = gauss_2f1(
+    direct = evaluate(
         ParameterSet(FunctionKind.GAUSS_2F1, {"A": a, "B": b, "C": c}), x
     ).value
-    swapped = gauss_2f1(
+    swapped = evaluate(
         ParameterSet(FunctionKind.GAUSS_2F1, {"A": b, "B": a, "C": c}), x
     ).value
     assert np.linalg.norm(direct - swapped) <= 1e-10 * (1.0 + np.linalg.norm(direct))
@@ -229,7 +261,7 @@ def test_truncation_monotone_in_tol():
     params = scalar_params(FunctionKind.GAUSS_2F1, {"A": 1.3, "B": 0.7, "C": 2.1})
     tols = [1e-4, 1e-6, 1e-8, 1e-10, 1e-12]
     degrees = [
-        gauss_2f1(params, EvalPoint(0.45), SeriesConfig(tol=t)).degrees_used
+        evaluate(params, EvalPoint(0.45), SeriesConfig(tol=t)).degrees_used
         for t in tols
     ]
     assert degrees == sorted(degrees)
@@ -248,21 +280,21 @@ def test_report_invariant_on_convergence():
 def test_domain_violation_raised():
     params = scalar_params(FunctionKind.GAUSS_2F1, {"A": 1.0, "B": 1.0, "C": 2.0})
     with pytest.raises(DomainViolation):
-        gauss_2f1(params, EvalPoint(1.0))
+        evaluate(params, EvalPoint(1.0))
 
 
 def test_domain_guard_can_be_disabled():
     params = scalar_params(FunctionKind.GAUSS_2F1, {"A": 1.0, "B": -3.0, "C": 2.0})
     # Terminating series: (B)_n vanishes past n = 3, so |x| = 1 is harmless.
     cfg = SeriesConfig(enforce_domain=False)
-    report = gauss_2f1(params, EvalPoint(1.0), cfg)
+    report = evaluate(params, EvalPoint(1.0), cfg)
     assert report.converged
 
 
 def test_not_converged_carries_partial_report():
     params = scalar_params(FunctionKind.GAUSS_2F1, {"A": 1.0, "B": 1.0, "C": 2.0})
     with pytest.raises(NotConverged) as err:
-        gauss_2f1(params, EvalPoint(0.95), SeriesConfig(max_degree=10))
+        evaluate(params, EvalPoint(0.95), SeriesConfig(max_degree=10))
     assert err.value.report is not None
     assert not err.value.report.converged
 
@@ -280,7 +312,7 @@ def test_parameter_set_validation():
 def test_point_arity_enforced():
     params = scalar_params(FunctionKind.GAUSS_2F1, {"A": 1.0, "B": 1.0, "C": 2.0})
     with pytest.raises(ValueError):
-        gauss_2f1(params, EvalPoint(0.1, 0.1))
+        evaluate(params, EvalPoint(0.1, 0.1))
     fam = random_commuting_family(1, FunctionKind.APPELL_F1.parameter_names, seed=4)
     with pytest.raises(ValueError):
-        appell_f1(family_params(FunctionKind.APPELL_F1, fam), EvalPoint(0.1))
+        evaluate(family_params(FunctionKind.APPELL_F1, fam), EvalPoint(0.1))
