@@ -5,11 +5,12 @@ The rising factorial of a square matrix A is the ordered product
     (A)_0 = I,    (A)_n = A (A + I) (A + 2I) ... (A + (n-1)I),
 
 and every series in this package is built from such products together with
-inverse chains (C)_n^{-1}, grown one solve at a time rather than by inverting
-the accumulated product. This module also provides the limit formula for the
-gamma function of a positive stable matrix, the reciprocal-gamma shift
-residual used for verification, multinomial coefficients, and a generator of
-families of simultaneously diagonalized (hence commuting) parameter matrices.
+inverse chains (C)_n^{-1}, whose shifts C + kI are solved in stacked blocks
+and folded in one factor at a time rather than by inverting the accumulated
+product. This module also provides the limit formula for the gamma function
+of a positive stable matrix, the reciprocal-gamma shift residual used for
+verification, multinomial coefficients, and a generator of families of
+simultaneously diagonalized (hence commuting) parameter matrices.
 """
 
 from __future__ import annotations
@@ -37,8 +38,10 @@ from .linalg import Matrix
 SPECTRUM_REAL_RANGE = (0.5, 3.0)
 SPECTRUM_IMAG_RANGE = (-0.5, 0.5)
 
-_TRANSFORM_MIN_PIVOT = 1e-3
+#: Generated transforms need cond(P) <= 1000.
+_TRANSFORM_MIN_RCOND = 1e-3
 _GENERATION_ATTEMPTS = 100
+_GAMMA_BLOCK = 128
 
 
 class _Stack:
@@ -108,12 +111,23 @@ class PochhammerChain:
         return stack.data[: n + 1]
 
     def inverses_through(self, n: int) -> np.ndarray:
-        """(A)_0^{-1}, ..., (A)_n^{-1} as one view, one solve per new index."""
+        """(A)_0^{-1}, ..., (A)_n^{-1} as one view, extending the cache.
+
+        The cache grows by a block at least as long as what it holds, solved
+        in one stacked call and folded in as (A)_{k+1}^{-1} =
+        (A + kI)^{-1} (A)_k^{-1}. A singular shift inside the block cuts it
+        short; SingularShift is raised only when index n needs that shift.
+        """
         if self._inverses is None:
             raise ValueError("chain was created without inverse tracking")
         stack = self._inverses
-        while stack.size <= n:
-            stack.push(pochhammer_inverse_step(self, stack.size))
+        if stack.size <= n:
+            shifts = np.arange(stack.size - 1, max(n, 2 * stack.size - 1))
+            for factor in linalg.shift_inverses(self.base, shifts):
+                stack.push(factor @ stack.data[stack.size - 1])
+            if stack.size <= n:
+                k = stack.size - 1
+                raise SingularShift(f"base + {k}*I is singular", shift=k + 1)
         return stack.data[: n + 1]
 
     def product(self, n: int) -> Matrix:
@@ -128,24 +142,6 @@ class PochhammerChain:
 def pochhammer(a: Matrix, n: int) -> Matrix:
     """The ordered product (a)_n; identity for n = 0."""
     return PochhammerChain.for_products(a).product(n)
-
-
-def pochhammer_inverse_step(chain: PochhammerChain, n: int) -> Matrix:
-    """Compute (A)_n^{-1} from (A)_{n-1}^{-1} by one left solve.
-
-    Uses (A)_n^{-1} = (A + (n-1)I)^{-1} (A)_{n-1}^{-1}; the full product is
-    never inverted densely. Raises SingularShift with the offending index
-    when A + (n-1)I is singular.
-    """
-    if n == 0:
-        return linalg.identity(chain.order)
-    if chain.inverse_products is None or len(chain.inverse_products) < n:
-        raise ValueError(f"chain holds inverses only up to {n - 1}")
-    shifted = chain.base + (n - 1) * linalg.identity(chain.order)
-    factored = linalg.lu_factor(shifted)
-    if not factored.is_invertible():
-        raise SingularShift(f"base + {n - 1}*I is singular", shift=n)
-    return linalg.solve(factored, chain.inverse_products[n - 1])
 
 
 def pochhammer_inverse(a: Matrix, n: int) -> Matrix:
@@ -177,26 +173,28 @@ def pochhammer_c_decrement_residual(c: Matrix, n: int) -> float:
 def gamma_limit(a: Matrix, n: int) -> Matrix:
     """Gamma function of a positive stable matrix via the factorial limit.
 
-    Returns (n-1)! (A)_n^{-1} n^A for the given n. The factorial is folded
-    into the inverse chain one factor k (A + kI)^{-1} at a time, keeping the
-    running product near unit scale; a naive (n-1)! overflows long before
-    the interesting n. The power n^A is exp(ln(n) A).
+    Returns (n-1)! (A)_n^{-1} n^A for the given n. The shifts A + kI are
+    inverted in stacked blocks of _GAMMA_BLOCK and folded in one factor
+    k (A + kI)^{-1} at a time, keeping the running product near unit scale;
+    a naive (n-1)! overflows long before the interesting n. The power n^A is
+    exp(ln(n) A).
     """
     a = linalg.as_matrix(a)
     if n < 1:
         raise ValueError("n must be positive")
     if not linalg.is_positive_stable(a):
         raise ValueError("gamma limit requires a positive stable matrix")
-    eye = linalg.identity(a.shape[0])
-    factored = linalg.lu_factor(a)
-    if not factored.is_invertible():
-        raise SingularShift("matrix itself is singular", shift=0)
-    acc = linalg.solve(factored, eye)
-    for k in range(1, n):
-        factored = linalg.lu_factor(a + k * eye)
-        if not factored.is_invertible():
-            raise SingularShift(f"matrix + {k}*I is singular", shift=k)
-        acc = k * linalg.solve(factored, acc)
+    acc = linalg.identity(a.shape[0])
+    for start in range(0, n, _GAMMA_BLOCK):
+        shifts = np.arange(start, min(n, start + _GAMMA_BLOCK))
+        factors = linalg.shift_inverses(a, shifts)
+        if len(factors) < len(shifts):
+            k = start + len(factors)
+            where = "matrix itself" if k == 0 else f"matrix + {k}*I"
+            raise SingularShift(f"{where} is singular", shift=k)
+        for k, factor in zip(range(start, n), factors):
+            # A^{-1} (k = 0) enters with weight 1; (n-1)! is the product of the rest.
+            acc = max(k, 1) * (factor @ acc)
     try:
         power = linalg.mat_exp(math.log(n) * a)
     except NonConvergent as exc:  # pragma: no cover - extreme norms
@@ -307,8 +305,8 @@ def random_commuting_family(
     """Draw a deterministic commuting family for the given parameter names.
 
     The transform P has entries uniform in the complex unit square and is
-    redrawn until its smallest LU pivot is at least 1e-3 (at most 100 tries,
-    then GenerationFailed). Spectra are sampled with real parts in
+    redrawn until its reciprocal condition number is at least 1e-3 (at most
+    100 tries, then GenerationFailed). Spectra are sampled with real parts in
     [0.5, 3.0] and imaginary parts in [-0.5, 0.5]. Identical seeds yield
     bit-identical families.
     """
@@ -326,7 +324,7 @@ def random_commuting_family(
             dtype=complex,
         )
         factored = linalg.lu_factor(candidate)
-        if factored.min_pivot_magnitude >= _TRANSFORM_MIN_PIVOT:
+        if factored.rcond >= _TRANSFORM_MIN_RCOND:
             transform = candidate
             break
     if transform is None:

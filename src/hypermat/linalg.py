@@ -5,11 +5,14 @@ Everything downstream (Pochhammer chains, series evaluation, identity
 verification) consumes this module and nothing else for linear algebra.
 Products are never reordered: ``matmul(a, b)`` is a*b, full stop.
 
-Factorizations are LU with partial pivoting; singularity is reported via the
-minimum pivot magnitude rather than by raising, so callers decide. The matrix
-exponential uses scaling and squaring around a truncated Taylor core, and
-eigenvalues come from a Hessenberg reduction followed by a shifted QR
-iteration with deflation, which is plenty for orders up to 8.
+Solves and eigenvalues are LAPACK through ``numpy.linalg``, with no order
+cap. Invertibility has one contract: a matrix is singular when its
+reciprocal condition number sigma_min / sigma_max, from one batched singular
+value call, is below SINGULARITY_RTOL (a zero matrix counts as singular).
+``lu_factor`` returns the matrix with that verdict so callers decide before
+``solve`` raises, and ``shift_inverses`` inverts a whole run of shifts
+base + kI in one stacked call, stopping at the first singular shift. The
+matrix exponential uses scaling and squaring around a truncated Taylor core.
 """
 
 from __future__ import annotations
@@ -23,10 +26,9 @@ from .errors import DimensionMismatch, NonConvergent, SingularMatrix
 
 Matrix = np.ndarray
 
-#: Relative pivot threshold below which a matrix is treated as singular.
+#: Reciprocal condition number below which a matrix is treated as singular.
 SINGULARITY_RTOL = 1e-12
 
-_SUBDIAG_EPS = 1e-14
 _EXP_NORM_LIMIT = 600.0
 
 
@@ -68,82 +70,86 @@ def commutator_norm(a: Matrix, b: Matrix) -> float:
     return frobenius_norm(a @ b - b @ a)
 
 
-@dataclass(frozen=True, eq=False)
-class LuFactorization:
-    """Packed LU factors with partial pivoting.
+def reciprocal_condition(m: np.ndarray) -> np.ndarray:
+    """sigma_min / sigma_max of a matrix or of each matrix in a stack.
 
-    ``lu`` holds U on and above the diagonal and the unit-lower-triangular
-    multipliers strictly below it. ``pivots[i]`` is the source row placed at
-    position i, so lu reconstructs m[pivots]. ``min_pivot_magnitude`` is the
-    smallest |U[k,k]| seen, the singularity signal. ``source_norm`` is the
-    Frobenius norm of the factored matrix, kept for scale-aware thresholds.
+    One batched singular-value call; a zero matrix gets 0. This is the single
+    invertibility measure of the package: a matrix counts as singular when
+    its value is below SINGULARITY_RTOL.
+    """
+    sigma = np.linalg.svd(m, compute_uv=False)
+    top = sigma[..., 0]
+    return np.where(top > 0.0, sigma[..., -1] / np.where(top > 0.0, top, 1.0), 0.0)
+
+
+@dataclass(frozen=True, eq=False)
+class CheckedMatrix:
+    """A square matrix together with its reciprocal condition number.
+
+    LAPACK factors the matrix inside ``solve``; the handle only carries the
+    invertibility verdict so callers can decide before solving.
     """
 
-    lu: Matrix
-    pivots: np.ndarray
-    min_pivot_magnitude: float
-    source_norm: float
+    matrix: Matrix
+    rcond: float
 
     @property
     def order(self) -> int:
-        return self.lu.shape[0]
+        return self.matrix.shape[0]
 
     def is_invertible(self) -> bool:
-        threshold = SINGULARITY_RTOL * max(1.0, self.source_norm)
-        return self.min_pivot_magnitude >= threshold
+        return self.rcond >= SINGULARITY_RTOL
 
 
-def lu_factor(m: Matrix) -> LuFactorization:
-    """Partial-pivoting LU. Never raises; inspect min_pivot_magnitude."""
+def lu_factor(m: Matrix) -> CheckedMatrix:
+    """Check ``m`` for invertibility. Never raises on singular input."""
     a = np.array(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    pivots = np.arange(n)
-    min_pivot = math.inf
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            pivots[[k, p]] = pivots[[p, k]]
-        pivot = a[k, k]
-        min_pivot = min(min_pivot, abs(pivot))
-        if pivot != 0 and k + 1 < n:
-            a[k + 1:, k] /= pivot
-            a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
-    return LuFactorization(a, pivots, float(min_pivot), frobenius_norm(m))
+    return CheckedMatrix(a, float(reciprocal_condition(a)))
 
 
-def is_invertible(m: Matrix | LuFactorization) -> bool:
-    if isinstance(m, LuFactorization):
+def is_invertible(m: Matrix | CheckedMatrix) -> bool:
+    """True when the matrix, or every matrix of a stack, passes the rcond test."""
+    if isinstance(m, CheckedMatrix):
         return m.is_invertible()
-    return lu_factor(m).is_invertible()
+    return bool(np.all(reciprocal_condition(m) >= SINGULARITY_RTOL))
 
 
-def solve(f: LuFactorization, rhs: Matrix) -> Matrix:
-    """Solve M*X = rhs given f = lu_factor(M)."""
+def solve(f: CheckedMatrix, rhs: Matrix) -> Matrix:
+    """Solve M*X = rhs given f = lu_factor(M), by LAPACK gesv."""
     if rhs.shape[0] != f.order:
         raise DimensionMismatch(f"rhs has {rhs.shape[0]} rows, expected {f.order}")
     if not f.is_invertible():
         raise SingularMatrix(
-            f"matrix is singular to working precision "
-            f"(min pivot {f.min_pivot_magnitude:.3e})"
+            f"matrix is singular to working precision (rcond {f.rcond:.3e})"
         )
-    lu = f.lu
-    n = f.order
-    x = np.array(rhs[f.pivots], dtype=complex)
-    for i in range(1, n):
-        x[i] -= lu[i, :i] @ x[:i]
-    for i in range(n - 1, -1, -1):
-        if i + 1 < n:
-            x[i] -= lu[i, i + 1:] @ x[i + 1:]
-        x[i] /= lu[i, i]
-    return x
+    return np.linalg.solve(f.matrix, rhs)
 
 
 def inverse(m: Matrix) -> Matrix:
-    """M^-1 via LU solve against the identity."""
+    """M^-1 via a checked solve against the identity."""
     return solve(lu_factor(m), identity(m.shape[0]))
+
+
+def shifted(base: Matrix, shifts) -> np.ndarray:
+    """The stack of base + k I over the shifts k, in order."""
+    ks = np.asarray(shifts, dtype=float)
+    return base + ks[:, np.newaxis, np.newaxis] * identity(base.shape[0])
+
+
+def shift_inverses(base: Matrix, shifts: np.ndarray) -> np.ndarray:
+    """(base + k I)^{-1} for the shifts k in order, up to the first singular one.
+
+    One batched rcond test judges every shift and one stacked solve inverts
+    the run that precedes the first singular shift. The result has one
+    matrix per shift of that run, so a result shorter than ``shifts`` means
+    ``shifts[len(result)]`` is singular.
+    """
+    stack = shifted(base, shifts)
+    singular = np.flatnonzero(reciprocal_condition(stack) < SINGULARITY_RTOL)
+    stack = stack[: singular[0]] if singular.size else stack
+    return np.linalg.solve(stack, np.broadcast_to(identity(base.shape[0]), stack.shape))
 
 
 def mat_exp(m: Matrix) -> Matrix:
@@ -181,114 +187,13 @@ def mat_exp(m: Matrix) -> Matrix:
     return result
 
 
-def _hessenberg(a: Matrix) -> Matrix:
-    """Unitary similarity reduction to upper Hessenberg form (Householder)."""
-    h = np.array(a, dtype=complex)
-    n = h.shape[0]
-    for k in range(n - 2):
-        x = h[k + 1:, k]
-        nx = float(np.linalg.norm(x))
-        if nx <= 1e-300:
-            continue
-        v = x.copy()
-        phase = x[0] / abs(x[0]) if x[0] != 0 else 1.0
-        v[0] += phase * nx
-        v /= np.linalg.norm(v)
-        h[k + 1:, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1:, k:])
-        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, v.conj())
-    return h
-
-
-def _eig2x2(block: Matrix) -> tuple[complex, complex]:
-    p, q = block[0, 0], block[0, 1]
-    u, v = block[1, 0], block[1, 1]
-    tr = p + v
-    det = p * v - q * u
-    disc = np.sqrt(complex(tr * tr - 4.0 * det))
-    return complex((tr + disc) / 2.0), complex((tr - disc) / 2.0)
-
-
-def _wilkinson_shift(block: Matrix) -> complex:
-    lam1, lam2 = _eig2x2(block)
-    corner = block[1, 1]
-    return lam1 if abs(lam1 - corner) <= abs(lam2 - corner) else lam2
-
-
-def _qr_step(h: Matrix, shift: complex) -> None:
-    """One shifted QR sweep on the Hessenberg block ``h``, in place."""
-    n = h.shape[0]
-    for i in range(n):
-        h[i, i] -= shift
-    rotations = []
-    for i in range(n - 1):
-        a, b = h[i, i], h[i + 1, i]
-        r = math.hypot(abs(a), abs(b))
-        if r == 0.0:
-            c, s = 1.0 + 0.0j, 0.0 + 0.0j
-        else:
-            c, s = a / r, b / r
-        rotations.append((c, s))
-        top = np.conj(c) * h[i, i:] + np.conj(s) * h[i + 1, i:]
-        bot = -s * h[i, i:] + c * h[i + 1, i:]
-        h[i, i:] = top
-        h[i + 1, i:] = bot
-    for i, (c, s) in enumerate(rotations):
-        left = c * h[: i + 2, i] + s * h[: i + 2, i + 1]
-        right = -np.conj(s) * h[: i + 2, i] + np.conj(c) * h[: i + 2, i + 1]
-        h[: i + 2, i] = left
-        h[: i + 2, i + 1] = right
-    for i in range(n):
-        h[i, i] += shift
-
-
-def spectrum(m: Matrix, max_iterations: int | None = None) -> list[complex]:
-    """Eigenvalues of a small dense complex matrix.
-
-    Hessenberg reduction followed by Wilkinson-shifted QR with deflation;
-    trailing 2x2 blocks are solved in closed form. Intended for order <= 8.
-    """
-    a = as_matrix(m)
-    n = a.shape[0]
-    if n > 8:
-        raise ValueError(f"spectrum supports order <= 8, got {n}")
-    if n == 1:
-        return [complex(a[0, 0])]
-    h = _hessenberg(a)
-    cap = max_iterations if max_iterations is not None else 200 * n
-    eigenvalues: list[complex] = []
-    hi = n
-    iterations = 0
-    while hi > 0:
-        for i in range(1, hi):
-            if abs(h[i, i - 1]) <= _SUBDIAG_EPS * (
-                abs(h[i - 1, i - 1]) + abs(h[i, i]) + 1e-300
-            ):
-                h[i, i - 1] = 0.0
-        if hi == 1:
-            eigenvalues.append(complex(h[0, 0]))
-            hi = 0
-            continue
-        if h[hi - 1, hi - 2] == 0.0:
-            eigenvalues.append(complex(h[hi - 1, hi - 1]))
-            hi -= 1
-            continue
-        lo = hi - 1
-        while lo > 0 and h[lo, lo - 1] != 0.0:
-            lo -= 1
-        if hi - lo == 2:
-            lam1, lam2 = _eig2x2(h[lo:hi, lo:hi])
-            eigenvalues.extend([lam1, lam2])
-            hi = lo
-            continue
-        iterations += 1
-        if iterations > cap:
-            raise NonConvergent(f"QR iteration exceeded {cap} sweeps")
-        shift = _wilkinson_shift(h[hi - 2:hi, hi - 2:hi])
-        if iterations % 16 == 0:
-            # exceptional shift to break rare symmetric stalls
-            shift = shift + 0.5 * abs(h[hi - 1, hi - 2])
-        _qr_step(h[lo:hi, lo:hi], shift)
-    return eigenvalues
+def spectrum(m: Matrix) -> list[complex]:
+    """Eigenvalues of a dense complex matrix of any order (LAPACK geev)."""
+    try:
+        values = np.linalg.eigvals(as_matrix(m))
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergent(f"eigenvalue iteration failed: {exc}") from exc
+    return [complex(z) for z in values]
 
 
 def is_positive_stable(m: Matrix) -> bool:

@@ -1303,13 +1303,9 @@ def check_hypotheses(d: IdentityDescriptor, params: ParameterSet, s: int) -> boo
         scale = max(1.0, linalg.frobenius_norm(a) * linalg.frobenius_norm(b))
         if linalg.commutator_norm(a, b) > COMMUTATION_RTOL * scale:
             return False
-    moved = params[d.shifted_parameter]
-    eye = linalg.identity(params.order)
     step = 1 if d.direction == DIRECTION_INCREMENT else -1
-    for k in range(0, s_eff + 1):
-        if not linalg.is_invertible(moved + step * k * eye):
-            return False
-    return True
+    shifts = range(0, step * (s_eff + 1), step)
+    return linalg.is_invertible(linalg.shifted(params[d.shifted_parameter], shifts))
 
 
 def _lhs_parameters(d: IdentityDescriptor, params: ParameterSet, s_eff: int) -> ParameterSet:
@@ -1460,7 +1456,8 @@ def run_campaign(
     Each (identity, trial) pair derives its own seed, draws an order and a
     shift count from the supplied pools, then a commuting family and an
     in-region point, and verifies. Failures become failed reports, never
-    exceptions.
+    exceptions; only bad arguments (empty pools, a shift below 1, a
+    campaign_tol that is not positive) raise ValueError.
     """
     if ids is None:
         descriptors = list(catalog())
@@ -1468,6 +1465,10 @@ def run_campaign(
         descriptors = [get(identity_id) for identity_id in ids]
     if not orders or not s_values:
         raise ValueError("orders and s_values must be non-empty")
+    if min(s_values) <= 0:
+        raise ValueError(f"shifts must be positive, got {list(s_values)}")
+    if not campaign_tol > 0.0:
+        raise ValueError(f"campaign_tol must be positive, got {campaign_tol}")
     reports = []
     for d in descriptors:
         for trial in range(trials):

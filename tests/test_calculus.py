@@ -16,7 +16,6 @@ from hypermat.calculus import (
     pochhammer,
     pochhammer_c_decrement_residual,
     pochhammer_inverse,
-    pochhammer_inverse_step,
     pochhammer_shift_identity_residual,
     random_commuting_family,
     reciprocal_gamma_shift_residual,
@@ -69,10 +68,9 @@ def test_pochhammer_chain_recurrence_order():
         assert np.linalg.norm(actual - expected) <= 1e-12 * np.linalg.norm(actual)
 
 
-def test_pochhammer_inverse_step_base_cases():
+def test_pochhammer_inverse_base_cases():
     c = np.array([[2.0]], dtype=complex)
-    chain = PochhammerChain.for_inverses(c)
-    assert np.array_equal(pochhammer_inverse_step(chain, 0), np.eye(1))
+    assert np.array_equal(pochhammer_inverse(c, 0), np.eye(1))
     assert np.allclose(pochhammer_inverse(c, 2), np.array([[1.0 / 6.0]]), atol=1e-16)
 
 
@@ -91,6 +89,47 @@ def test_pochhammer_inverse_singular_shift_reports_index():
     with pytest.raises(SingularShift) as err:
         pochhammer_inverse(c, 4)  # C + 2I is singular
     assert err.value.shift == 3
+
+
+def _with_eigenvalue_minus_five():
+    """A non-normal 3x3 C whose spectrum is {-5, 1.5, 2.2}: C + 5I is singular."""
+    p = np.array([[1.0, 0.4, 0.2j], [0.3, 1.0, 0.5], [0.1j, 0.2, 1.0]])
+    return p @ np.diag([-5.0, 1.5, 2.2 + 0.3j]) @ np.linalg.inv(p)
+
+
+def test_inverse_chain_lookahead_raises_only_when_asked():
+    c = _with_eigenvalue_minus_five()
+    stepwise = PochhammerChain.for_inverses(c)
+    for n in range(6):  # the block grown at n = 4 reaches C + 5I and must not raise
+        assert len(stepwise.inverses_through(n)) == n + 1
+    grown = PochhammerChain.for_inverses(c)
+    assert len(grown.inverses_through(3)) == 4
+    for chain in (stepwise, grown, PochhammerChain.for_inverses(c)):
+        with pytest.raises(SingularShift) as err:
+            chain.inverses_through(8)
+        assert err.value.shift == 6
+        assert np.array_equal(chain.inverses_through(5), stepwise.inverses_through(5))
+
+
+def well_conditioned_member(order, seed, max_cond=100.0):
+    """P diag(spectrum) P^-1 with cond(P) <= max_cond and a generated-band spectrum."""
+    rng = np.random.default_rng(seed)
+    while True:
+        p = rng.uniform(-1, 1, (order, order)) + 1j * rng.uniform(-1, 1, (order, order))
+        if np.linalg.cond(p) <= max_cond:
+            break
+    spectrum = rng.uniform(0.5, 3.0, order) + 1j * rng.uniform(-0.5, 0.5, order)
+    return p, spectrum, p @ np.diag(spectrum) @ np.linalg.inv(p)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_inverse_chain_blocks_stay_inverse_at_order_eight(seed):
+    # The defect grows with cond(P)^2; cond(P) <= 50 keeps it below 1e-10.
+    _, _, c = well_conditioned_member(8, seed, max_cond=50.0)
+    products = PochhammerChain.for_products(c).products_through(64)
+    inverses = PochhammerChain.for_inverses(c).inverses_through(64)
+    residuals = np.linalg.norm(products @ inverses - np.eye(8), axis=(1, 2))
+    assert residuals.max() <= 1e-10
 
 
 def test_shift_identity_scalar_case():
@@ -187,6 +226,20 @@ def test_gamma_limit_error_shrinks_with_n():
     err_n = np.linalg.norm(gamma_limit(m, 4000) - target)
     err_2n = np.linalg.norm(gamma_limit(m, 8000) - target)
     assert err_2n < err_n
+
+
+def test_gamma_limit_above_order_eight():
+    mpmath = pytest.importorskip("mpmath")
+    p, spectrum, a = well_conditioned_member(12, seed=12)
+    n = 250
+    mpmath.mp.dps = 30
+    finite = [
+        complex(mpmath.gamma(n) * mpmath.gamma(z) * mpmath.power(n, z) / mpmath.gamma(z + n))
+        for z in map(mpmath.mpc, spectrum)
+    ]
+    expected = p @ np.diag(finite) @ np.linalg.inv(p)
+    value = gamma_limit(a, n)
+    assert np.linalg.norm(value - expected) <= 1e-5 * np.linalg.norm(expected)
 
 
 def test_gamma_limit_requires_positive_stable():
