@@ -141,6 +141,9 @@ def _cmd_verify(args) -> int:
     ids = None
     if args.ids is not None:
         ids = [part.strip() for part in args.ids.split(",") if part.strip()]
+        if not ids:
+            print(f"bad arguments: --ids names no identity: {args.ids!r}", file=sys.stderr)
+            return _EXIT_USAGE
         known = {d.id for d in catalog()}
         bad = [identity_id for identity_id in ids if identity_id not in known]
         if bad:
@@ -209,7 +212,7 @@ def _cmd_list(args) -> int:
             d.shifted_parameter,
             d.direction,
             d.form,
-            _hypotheses_text(d),
+            d.hypotheses,
             d.formula,
         )
         for d in catalog()
@@ -225,13 +228,6 @@ def _cmd_list(args) -> int:
         body = "  ".join(cell.ljust(w) for cell, w in zip(row[:-1], widths))
         print(f"{body}  {row[-1]}")
     return _EXIT_OK
-
-
-def _hypotheses_text(d) -> str:
-    parts = [f"{a}{b}={b}{a}" for a, b in d.commuting_pairs]
-    sign = "+" if d.direction == "increment" else "-"
-    parts.append(f"{d.shifted_parameter}{sign}kI invertible, k<=s")
-    return "; ".join(parts)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,22 +1,21 @@
 """Catalog of shift recursions for the matrix hypergeometric functions.
 
-Every entry links a function kind with one shifted parameter and a
-right-hand-side recipe expressing the shifted function value through
-unshifted or singly shifted values. Four recipe shapes occur:
+Every right-hand side in the catalog, for 2F1 and F1-F4 alike, is a sum over
+an index set of terms
 
-* contiguous-single-step: one parameter moved by a single I,
-* telescoping-sum: the shifted value as the base value plus a sum of s
-  singly incremented inner values,
-* binomial-sum / multinomial-sum: the shifted value as a weighted sum over
-  fully shifted inner values with binomial or trinomial weights,
-* c-shift: a denominator parameter lowered by sI, paid for with products of
-  two shifted resolvent factors per step.
+    weight * left coefficients * F(shifted parameters) * right coefficients
 
-Matrix coefficients multiply on the side on which the identity places them;
-with non-commuting parameters the side matters, so the recipes below never
-move a factor across a bracket. Identities for B (and B', for F3) shifts are
-realized by transposing the parameter set into the corresponding A-shift
-identity; their hypotheses are transposed the same way.
+with a weight of sign, C(s,k) or M(s,k1,k2) and powers of x and y, and
+coefficients built from P, (P)_j, (P)_j^-1 and (P - jI)^-1, j affine in the
+index. _TABLE holds them as data in catalog order: a base row gives its index
+set and terms (the base value F(P) names no index and is not summed), a swap
+row is a base row on the renamed parameter set, and a contiguous row pins
+the shift to 1. One interpreter (_rhs) serves eval_rhs and verify_identity:
+it builds each coefficient once per right-hand side (one Pochhammer chain per
+parameter, one stacked solve for all (P - jI)^-1 of a parameter) and keeps
+every factor list in printed order, since non-commuting factors never cross
+the inner value. One renderer writes each formula and hypothesis text from
+the same table at import.
 
 Each identity is verified numerically: both sides are evaluated through the
 series engine and compared in the scaled Frobenius metric
@@ -26,29 +25,24 @@ and in-region points deterministically from a seed.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
+import re
 import zlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from . import calculus, linalg
-from .calculus import CommutingFamily, multinomial, random_commuting_family
-from .errors import (
-    GenerationFailed,
-    HypermatError,
-    HypothesisViolated,
-    UnknownIdentity,
-)
+import numpy as np
+
+from . import linalg
+from .calculus import CommutingFamily, PochhammerChain, multinomial, random_commuting_family
+from .errors import GenerationFailed, HypermatError, HypothesisViolated, SingularMatrix
+from .errors import UnknownIdentity
 from .linalg import Matrix
-from .series import (
-    DEFAULT_CONFIG,
-    EvalPoint,
-    EvalReport,
-    FunctionKind,
-    ParameterSet,
-    SeriesConfig,
-    evaluate,
-)
+from .series import DEFAULT_CONFIG, EvalPoint, EvalReport, FunctionKind, ParameterSet
+from .series import SeriesConfig, evaluate
 
 #: Commutation defect above this multiple of the operand norms fails a
 #: hypothesis check.
@@ -73,15 +67,15 @@ FORM_C_SHIFT = "c-shift"
 
 @dataclass(frozen=True)
 class IdentityDescriptor:
-    """One catalogued recursion: its shape, hypotheses and RHS recipe.
+    """One catalogued recursion: its shape, hypotheses and rendered formula.
 
     ``commuting_pairs`` lists the parameter pairs that must commute;
     invertibility requirements follow from ``shifted_parameter`` and
     ``direction`` (all shifts by 0..s of the moved parameter, in the moving
-    direction). ``formula`` is a plain-text rendering of the identity used
-    in listings. ``swap_of``/``swap_map`` mark entries realized by argument
-    transposition of another entry. Contiguous entries carry
-    ``fixed_shift = 1``; campaign shift counts do not apply to them.
+    direction). ``formula`` and ``hypotheses`` are plain-text renderings of
+    the term table, used in listings. ``swap_of``/``swap_map`` mark entries
+    realized by argument transposition of another entry. Contiguous entries
+    carry ``fixed_shift = 1``; campaign shift counts do not apply to them.
     """
 
     id: str
@@ -94,6 +88,7 @@ class IdentityDescriptor:
     swap_of: str | None = None
     swap_map: tuple[tuple[str, str], ...] | None = None
     fixed_shift: int | None = None
+    hypotheses: str = ""
 
     def effective_shift(self, s: int) -> int:
         """The shift count actually applied; contiguous entries cap it at 1."""
@@ -117,1150 +112,412 @@ class VerificationReport:
     error: str | None = None
 
 
-class _SeriesProbe:
-    """Evaluate inner series while recording the deepest truncation degree."""
-
-    def __init__(self, point: EvalPoint, cfg: SeriesConfig):
-        self.point = point
-        self.cfg = cfg
-        self.max_degrees = 0
-
-    def __call__(self, params: ParameterSet) -> Matrix:
-        report = evaluate(params, self.point, self.cfg)
-        self.max_degrees = max(self.max_degrees, report.degrees_used)
-        return report.value
-
-
-def _inv(m: Matrix) -> Matrix:
-    return linalg.inverse(m)
-
-
-def _poch(m: Matrix, k: int) -> Matrix:
-    return calculus.pochhammer(m, k)
-
-
-def _poch_inv(m: Matrix, k: int) -> Matrix:
-    return calculus.pochhammer_inverse(m, k)
-
-
-# ---------------------------------------------------------------------------
-# RHS recipes. Argument order inside every expression mirrors the identity
-# it implements; resist any urge to "simplify" across matrix factors.
-# ---------------------------------------------------------------------------
-
-
-def _rhs_g_inc_sum(p, s, pt, ev):
-    base = ev(p)
-    if s == 0:
-        return base
-    acc = linalg.zeros(p.order)
-    for k in range(1, s + 1):
-        acc = acc + ev(p.shifted("A", k).shifted("B", 1).shifted("C", 1))
-    return base + pt.x * (acc @ p["B"] @ _inv(p["C"]))
-
-
-def _rhs_g_dec_sum(p, s, pt, ev):
-    base = ev(p)
-    if s == 0:
-        return base
-    acc = linalg.zeros(p.order)
-    for k in range(0, s):
-        acc = acc + ev(p.shifted("A", -k).shifted("B", 1).shifted("C", 1))
-    return base - pt.x * (acc @ p["B"] @ _inv(p["C"]))
-
-
-def _rhs_g_inc_binom(p, s, pt, ev):
-    total = linalg.zeros(p.order)
-    for k in range(0, s + 1):
-        inner = ev(p.shifted("A", k).shifted("B", k).shifted("C", k))
-        weight = math.comb(s, k) * pt.x**k
-        total = total + weight * (inner @ _poch(p["B"], k) @ _poch_inv(p["C"], k))
-    return total
-
-
-def _rhs_g_dec_binom(p, s, pt, ev):
-    total = linalg.zeros(p.order)
-    for k in range(0, s + 1):
-        inner = ev(p.shifted("B", k).shifted("C", k))
-        weight = math.comb(s, k) * (-pt.x) ** k
-        total = total + weight * (inner @ _poch(p["B"], k) @ _poch_inv(p["C"], k))
-    return total
-
-
-def _rhs_g_c_dec_sum(p, s, pt, ev):
-    base = ev(p)
-    if s == 0:
-        return base
-    eye = linalg.identity(p.order)
-    acc = linalg.zeros(p.order)
-    for k in range(1, s + 1):
-        inner = ev(p.shifted("A", 1).shifted("B", 1).shifted("C", 2 - k))
-        acc = acc + inner @ p["B"] @ _inv(p["C"] - k * eye) @ _inv(
-            p["C"] - (k - 1) * eye
-        )
-    return base + pt.x * (p["A"] @ acc)
-
-
-def _rhs_g_inc_contig(p, s, pt, ev):
-    if s == 0:
-        return ev(p)
-    inner = ev(p.shifted("A", 1).shifted("B", 1).shifted("C", 1))
-    return ev(p) + pt.x * (inner @ p["B"] @ _inv(p["C"]))
-
-
-def _rhs_g_dec_contig(p, s, pt, ev):
-    if s == 0:
-        return ev(p)
-    inner = ev(p.shifted("B", 1).shifted("C", 1))
-    return ev(p) - pt.x * (inner @ p["B"] @ _inv(p["C"]))
-
-
-def _rhs_g_c_dec_contig(p, s, pt, ev):
-    if s == 0:
-        return ev(p)
-    eye = linalg.identity(p.order)
-    inner = ev(p.shifted("A", 1).shifted("B", 1).shifted("C", 1))
-    return ev(p) + pt.x * (
-        p["A"] @ inner @ p["B"] @ _inv(p["C"]) @ _inv(p["C"] - eye)
-    )
-
-
-def _rhs_f1_inc_sum(p, s, pt, ev):
-    base = ev(p)
-    if s == 0:
-        return base
-    c_inv = _inv(p["C"])
-    acc_x = linalg.zeros(p.order)
-    acc_y = linalg.zeros(p.order)
-    for k in range(1, s + 1):
-        acc_x = acc_x + ev(p.shifted("A", k).shifted("B", 1).shifted("C", 1))
-        acc_y = acc_y + ev(p.shifted("A", k).shifted("Bp", 1).shifted("C", 1))
-    return (
-        base
-        + pt.x * (p["B"] @ acc_x @ c_inv)
-        + pt.y * (acc_y @ p["Bp"] @ c_inv)
-    )
-
-
-def _rhs_f1_dec_sum(p, s, pt, ev):
-    base = ev(p)
-    if s == 0:
-        return base
-    c_inv = _inv(p["C"])
-    acc_x = linalg.zeros(p.order)
-    acc_y = linalg.zeros(p.order)
-    for k in range(0, s):
-        acc_x = acc_x + ev(p.shifted("A", -k).shifted("B", 1).shifted("C", 1))
-        acc_y = acc_y + ev(p.shifted("A", -k).shifted("Bp", 1).shifted("C", 1))
-    return (
-        base
-        - pt.x * (p["B"] @ acc_x @ c_inv)
-        - pt.y * (acc_y @ p["Bp"] @ c_inv)
-    )
-
-
-def _rhs_f1_inc_multinom(p, s, pt, ev):
-    total = linalg.zeros(p.order)
-    for k1 in range(0, s + 1):
-        for k2 in range(0, s - k1 + 1):
-            inner = ev(
-                p.shifted("A", k1 + k2)
-                .shifted("B", k1)
-                .shifted("Bp", k2)
-                .shifted("C", k1 + k2)
-            )
-            weight = multinomial(s, k1, k2) * pt.x**k1 * pt.y**k2
-            total = total + weight * (
-                _poch(p["B"], k1)
-                @ inner
-                @ _poch(p["Bp"], k2)
-                @ _poch_inv(p["C"], k1 + k2)
-            )
-    return total
-
-
-def _rhs_f1_dec_multinom(p, s, pt, ev):
-    total = linalg.zeros(p.order)
-    for k1 in range(0, s + 1):
-        for k2 in range(0, s - k1 + 1):
-            inner = ev(
-                p.shifted("B", k1).shifted("Bp", k2).shifted("C", k1 + k2)
-            )
-            weight = multinomial(s, k1, k2) * (-pt.x) ** k1 * (-pt.y) ** k2
-            total = total + weight * (
-                _poch(p["B"], k1)
-                @ inner
-                @ _poch(p["Bp"], k2)
-                @ _poch_inv(p["C"], k1 + k2)
-            )
-    return total
-
-
-def _numerator_shift_sum(p, s, pt, ev, name, var, denominator):
-    """Telescoping shift of B or B' for F1/F2: the denominator partner and
-    the series variable change with the shifted slot, the shape does not."""
-    base = ev(p)
-    if s == 0:
-        return base
-    z = pt.x if var == "x" else pt.y
-    acc = linalg.zeros(p.order)
-    for k in range(1, s + 1):
-        acc = acc + ev(p.shifted("A", 1).shifted(name, k).shifted(denominator, 1))
-    return base + z * (p["A"] @ acc @ _inv(p[denominator]))
-
-
-def _numerator_shift_sum_dec(p, s, pt, ev, name, var, denominator):
-    base = ev(p)
-    if s == 0:
-        return base
-    z = pt.x if var == "x" else pt.y
-    acc = linalg.zeros(p.order)
-    for k in range(0, s):
-        acc = acc + ev(p.shifted("A", 1).shifted(name, -k).shifted(denominator, 1))
-    return base - z * (p["A"] @ acc @ _inv(p[denominator]))
-
-
-def _numerator_shift_binom(p, s, pt, ev, name, var, denominator):
-    z = pt.x if var == "x" else pt.y
-    total = linalg.zeros(p.order)
-    for k in range(0, s + 1):
-        inner = ev(p.shifted("A", k).shifted(name, k).shifted(denominator, k))
-        weight = math.comb(s, k) * z**k
-        total = total + weight * (
-            _poch(p["A"], k) @ inner @ _poch_inv(p[denominator], k)
-        )
-    return total
-
-
-def _numerator_shift_binom_dec(p, s, pt, ev, name, var, denominator):
-    # The inner value keeps the lowered parameter at its base position; only
-    # A and the denominator move.
-    z = pt.x if var == "x" else pt.y
-    total = linalg.zeros(p.order)
-    for k in range(0, s + 1):
-        inner = ev(p.shifted("A", k).shifted(denominator, k))
-        weight = math.comb(s, k) * (-z) ** k
-        total = total + weight * (
-            _poch(p["A"], k) @ inner @ _poch_inv(p[denominator], k)
-        )
-    return total
-
-
-def _rhs_f1_c_dec_sum(p, s, pt, ev):
-    base = ev(p)
-    if s == 0:
-        return base
-    eye = linalg.identity(p.order)
-    acc_x = linalg.zeros(p.order)
-    acc_y = linalg.zeros(p.order)
-    for k in range(1, s + 1):
-        pair = _inv(p["C"] - k * eye) @ _inv(p["C"] - (k - 1) * eye)
-        acc_x = acc_x + ev(
-            p.shifted("A", 1).shifted("B", 1).shifted("C", 2 - k)
-        ) @ pair
-        acc_y = acc_y + ev(
-            p.shifted("A", 1).shifted("Bp", 1).shifted("C", 2 - k)
-        ) @ p["Bp"] @ pair
-    return base + pt.x * (p["A"] @ p["B"] @ acc_x) + pt.y * (p["A"] @ acc_y)
-
-
-def _rhs_f1_inc_contig(p, s, pt, ev):
-    return _rhs_f1_inc_sum(p, min(s, 1), pt, ev)
-
-
-def _rhs_f1_dec_contig(p, s, pt, ev):
-    return _rhs_f1_dec_sum(p, min(s, 1), pt, ev)
-
-
-def _rhs_f1_c_dec_contig(p, s, pt, ev):
-    if s == 0:
-        return ev(p)
-    eye = linalg.identity(p.order)
-    pair = _inv(p["C"]) @ _inv(p["C"] - eye)
-    inner_x = ev(p.shifted("A", 1).shifted("B", 1).shifted("C", 1))
-    inner_y = ev(p.shifted("A", 1).shifted("Bp", 1).shifted("C", 1))
-    return (
-        ev(p)
-        + pt.x * (p["A"] @ p["B"] @ inner_x @ pair)
-        + pt.y * (p["A"] @ inner_y @ p["Bp"] @ pair)
-    )
-
-
-def _rhs_f2_inc_sum(p, s, pt, ev):
-    base = ev(p)
-    if s == 0:
-        return base
-    acc_x = linalg.zeros(p.order)
-    acc_y = linalg.zeros(p.order)
-    for k in range(1, s + 1):
-        acc_x = acc_x + ev(p.shifted("A", k).shifted("B", 1).shifted("C", 1))
-        acc_y = acc_y + ev(p.shifted("A", k).shifted("Bp", 1).shifted("Cp", 1))
-    return (
-        base
-        + pt.x * (p["B"] @ acc_x @ _inv(p["C"]))
-        + pt.y * (acc_y @ p["Bp"] @ _inv(p["Cp"]))
-    )
-
-
-def _rhs_f2_dec_sum(p, s, pt, ev):
-    base = ev(p)
-    if s == 0:
-        return base
-    acc_x = linalg.zeros(p.order)
-    acc_y = linalg.zeros(p.order)
-    for k in range(0, s):
-        acc_x = acc_x + ev(p.shifted("A", -k).shifted("B", 1).shifted("C", 1))
-        acc_y = acc_y + ev(p.shifted("A", -k).shifted("Bp", 1).shifted("Cp", 1))
-    return (
-        base
-        - pt.x * (p["B"] @ acc_x @ _inv(p["C"]))
-        - pt.y * (acc_y @ p["Bp"] @ _inv(p["Cp"]))
-    )
-
-
-def _rhs_f2_inc_multinom(p, s, pt, ev):
-    total = linalg.zeros(p.order)
-    for k1 in range(0, s + 1):
-        for k2 in range(0, s - k1 + 1):
-            inner = ev(
-                p.shifted("A", k1 + k2)
-                .shifted("B", k1)
-                .shifted("Bp", k2)
-                .shifted("C", k1)
-                .shifted("Cp", k2)
-            )
-            weight = multinomial(s, k1, k2) * pt.x**k1 * pt.y**k2
-            total = total + weight * (
-                _poch(p["B"], k1)
-                @ inner
-                @ _poch(p["Bp"], k2)
-                @ _poch_inv(p["C"], k1)
-                @ _poch_inv(p["Cp"], k2)
-            )
-    return total
-
-
-def _rhs_f2_dec_multinom(p, s, pt, ev):
-    total = linalg.zeros(p.order)
-    for k1 in range(0, s + 1):
-        for k2 in range(0, s - k1 + 1):
-            inner = ev(
-                p.shifted("B", k1).shifted("Bp", k2).shifted("C", k1).shifted("Cp", k2)
-            )
-            weight = multinomial(s, k1, k2) * (-pt.x) ** k1 * (-pt.y) ** k2
-            total = total + weight * (
-                _poch(p["B"], k1)
-                @ inner
-                @ _poch(p["Bp"], k2)
-                @ _poch_inv(p["C"], k1)
-                @ _poch_inv(p["Cp"], k2)
-            )
-    return total
-
-
-def _rhs_f2_c_dec_sum(p, s, pt, ev):
-    base = ev(p)
-    if s == 0:
-        return base
-    eye = linalg.identity(p.order)
-    acc = linalg.zeros(p.order)
-    for k in range(1, s + 1):
-        acc = acc + ev(
-            p.shifted("A", 1).shifted("B", 1).shifted("C", 2 - k)
-        ) @ _inv(p["C"] - k * eye) @ _inv(p["C"] - (k - 1) * eye)
-    return base + pt.x * (p["A"] @ p["B"] @ acc)
-
-
-def _rhs_f2_cp_dec_sum(p, s, pt, ev):
-    # The B' coefficient trails the whole bracket here.
-    base = ev(p)
-    if s == 0:
-        return base
-    eye = linalg.identity(p.order)
-    acc = linalg.zeros(p.order)
-    for k in range(1, s + 1):
-        acc = acc + ev(
-            p.shifted("A", 1).shifted("Bp", 1).shifted("Cp", 2 - k)
-        ) @ _inv(p["Cp"] - k * eye) @ _inv(p["Cp"] - (k - 1) * eye)
-    return base + pt.y * (p["A"] @ acc @ p["Bp"])
-
-
-def _rhs_f3_a_inc_sum(p, s, pt, ev):
-    base = ev(p)
-    if s == 0:
-        return base
-    acc = linalg.zeros(p.order)
-    for k in range(1, s + 1):
-        acc = acc + ev(p.shifted("A", k).shifted("B", 1).shifted("C", 1))
-    return base + pt.x * (p["B"] @ acc @ _inv(p["C"]))
-
-
-def _rhs_f3_ap_inc_sum(p, s, pt, ev):
-    base = ev(p)
-    if s == 0:
-        return base
-    acc = linalg.zeros(p.order)
-    for k in range(1, s + 1):
-        acc = acc + ev(p.shifted("Ap", k).shifted("Bp", 1).shifted("C", 1))
-    return base + pt.y * (acc @ p["Bp"] @ _inv(p["C"]))
-
-
-def _rhs_f3_a_dec_sum(p, s, pt, ev):
-    base = ev(p)
-    if s == 0:
-        return base
-    acc = linalg.zeros(p.order)
-    for k in range(0, s):
-        acc = acc + ev(p.shifted("A", -k).shifted("B", 1).shifted("C", 1))
-    return base - pt.x * (p["B"] @ acc @ _inv(p["C"]))
-
-
-def _rhs_f3_ap_dec_sum(p, s, pt, ev):
-    base = ev(p)
-    if s == 0:
-        return base
-    acc = linalg.zeros(p.order)
-    for k in range(0, s):
-        acc = acc + ev(p.shifted("Ap", -k).shifted("Bp", 1).shifted("C", 1))
-    return base - pt.y * (acc @ p["Bp"] @ _inv(p["C"]))
-
-
-def _rhs_f3_a_inc_binom(p, s, pt, ev):
-    total = linalg.zeros(p.order)
-    for k in range(0, s + 1):
-        inner = ev(p.shifted("A", k).shifted("B", k).shifted("C", k))
-        weight = math.comb(s, k) * pt.x**k
-        total = total + weight * (
-            _poch(p["B"], k) @ inner @ _poch_inv(p["C"], k)
-        )
-    return total
-
-
-def _rhs_f3_ap_inc_binom(p, s, pt, ev):
-    total = linalg.zeros(p.order)
-    for k in range(0, s + 1):
-        inner = ev(p.shifted("Ap", k).shifted("Bp", k).shifted("C", k))
-        weight = math.comb(s, k) * pt.y**k
-        total = total + weight * (
-            inner @ _poch(p["Bp"], k) @ _poch_inv(p["C"], k)
-        )
-    return total
-
-
-def _rhs_f3_a_dec_binom(p, s, pt, ev):
-    total = linalg.zeros(p.order)
-    for k in range(0, s + 1):
-        inner = ev(p.shifted("B", k).shifted("C", k))
-        weight = math.comb(s, k) * (-pt.x) ** k
-        total = total + weight * (
-            _poch(p["B"], k) @ inner @ _poch_inv(p["C"], k)
-        )
-    return total
-
-
-def _rhs_f3_ap_dec_binom(p, s, pt, ev):
-    total = linalg.zeros(p.order)
-    for k in range(0, s + 1):
-        inner = ev(p.shifted("Bp", k).shifted("C", k))
-        weight = math.comb(s, k) * (-pt.y) ** k
-        total = total + weight * (
-            inner @ _poch(p["Bp"], k) @ _poch_inv(p["C"], k)
-        )
-    return total
-
-
-def _rhs_f3_c_dec_sum(p, s, pt, ev):
-    base = ev(p)
-    if s == 0:
-        return base
-    eye = linalg.identity(p.order)
-    acc_x = linalg.zeros(p.order)
-    acc_y = linalg.zeros(p.order)
-    for k in range(1, s + 1):
-        pair = _inv(p["C"] - k * eye) @ _inv(p["C"] - (k - 1) * eye)
-        acc_x = acc_x + ev(
-            p.shifted("A", 1).shifted("B", 1).shifted("C", 2 - k)
-        ) @ pair
-        acc_y = acc_y + ev(
-            p.shifted("Ap", 1).shifted("Bp", 1).shifted("C", 2 - k)
-        ) @ pair
-    return (
-        base
-        + pt.x * (p["A"] @ p["B"] @ acc_x)
-        + pt.y * (p["Ap"] @ acc_y @ p["Bp"])
-    )
-
-
-def _rhs_f4_inc_sum(p, s, pt, ev):
-    base = ev(p)
-    if s == 0:
-        return base
-    acc_x = linalg.zeros(p.order)
-    acc_y = linalg.zeros(p.order)
-    for k in range(1, s + 1):
-        acc_x = acc_x + ev(p.shifted("A", k).shifted("B", 1).shifted("C", 1))
-        acc_y = acc_y + ev(p.shifted("A", k).shifted("B", 1).shifted("Cp", 1))
-    return (
-        base
-        + pt.x * (p["B"] @ acc_x @ _inv(p["C"]))
-        + pt.y * (p["B"] @ acc_y @ _inv(p["Cp"]))
-    )
-
-
-def _rhs_f4_dec_sum(p, s, pt, ev):
-    base = ev(p)
-    if s == 0:
-        return base
-    acc_x = linalg.zeros(p.order)
-    acc_y = linalg.zeros(p.order)
-    for k in range(0, s):
-        acc_x = acc_x + ev(p.shifted("A", -k).shifted("B", 1).shifted("C", 1))
-        acc_y = acc_y + ev(p.shifted("A", -k).shifted("B", 1).shifted("Cp", 1))
-    return (
-        base
-        - pt.x * (p["B"] @ acc_x @ _inv(p["C"]))
-        - pt.y * (p["B"] @ acc_y @ _inv(p["Cp"]))
-    )
-
-
-def _rhs_f4_inc_multinom(p, s, pt, ev):
-    total = linalg.zeros(p.order)
-    for k1 in range(0, s + 1):
-        for k2 in range(0, s - k1 + 1):
-            inner = ev(
-                p.shifted("A", k1 + k2)
-                .shifted("B", k1 + k2)
-                .shifted("C", k1)
-                .shifted("Cp", k2)
-            )
-            weight = multinomial(s, k1, k2) * pt.x**k1 * pt.y**k2
-            total = total + weight * (
-                _poch(p["B"], k1 + k2)
-                @ inner
-                @ _poch_inv(p["C"], k1)
-                @ _poch_inv(p["Cp"], k2)
-            )
-    return total
-
-
-def _rhs_f4_dec_multinom(p, s, pt, ev):
-    total = linalg.zeros(p.order)
-    for k1 in range(0, s + 1):
-        for k2 in range(0, s - k1 + 1):
-            inner = ev(
-                p.shifted("B", k1 + k2).shifted("C", k1).shifted("Cp", k2)
-            )
-            weight = multinomial(s, k1, k2) * (-pt.x) ** k1 * (-pt.y) ** k2
-            total = total + weight * (
-                _poch(p["B"], k1 + k2)
-                @ inner
-                @ _poch_inv(p["C"], k1)
-                @ _poch_inv(p["Cp"], k2)
-            )
-    return total
-
-
-def _rhs_f4_c_dec_sum(p, s, pt, ev):
-    base = ev(p)
-    if s == 0:
-        return base
-    eye = linalg.identity(p.order)
-    acc = linalg.zeros(p.order)
-    for k in range(1, s + 1):
-        acc = acc + ev(
-            p.shifted("A", 1).shifted("B", 1).shifted("C", 2 - k)
-        ) @ _inv(p["C"] - k * eye) @ _inv(p["C"] - (k - 1) * eye)
-    return base + pt.x * (p["A"] @ p["B"] @ acc)
-
-
-def _rhs_f4_cp_dec_sum(p, s, pt, ev):
-    base = ev(p)
-    if s == 0:
-        return base
-    eye = linalg.identity(p.order)
-    acc = linalg.zeros(p.order)
-    for k in range(1, s + 1):
-        acc = acc + ev(
-            p.shifted("A", 1).shifted("B", 1).shifted("Cp", 2 - k)
-        ) @ _inv(p["Cp"] - k * eye) @ _inv(p["Cp"] - (k - 1) * eye)
-    return base + pt.y * (p["A"] @ p["B"] @ acc)
-
-
-def _rhs_f1_b_inc_sum(p, s, pt, ev):
-    return _numerator_shift_sum(p, s, pt, ev, "B", "x", "C")
-
-
-def _rhs_f1_b_dec_sum(p, s, pt, ev):
-    return _numerator_shift_sum_dec(p, s, pt, ev, "B", "x", "C")
-
-
-def _rhs_f1_bp_inc_sum(p, s, pt, ev):
-    return _numerator_shift_sum(p, s, pt, ev, "Bp", "y", "C")
-
-
-def _rhs_f1_bp_dec_sum(p, s, pt, ev):
-    return _numerator_shift_sum_dec(p, s, pt, ev, "Bp", "y", "C")
-
-
-def _rhs_f1_b_inc_binom(p, s, pt, ev):
-    return _numerator_shift_binom(p, s, pt, ev, "B", "x", "C")
-
-
-def _rhs_f1_b_dec_binom(p, s, pt, ev):
-    return _numerator_shift_binom_dec(p, s, pt, ev, "B", "x", "C")
-
-
-def _rhs_f1_bp_inc_binom(p, s, pt, ev):
-    return _numerator_shift_binom(p, s, pt, ev, "Bp", "y", "C")
-
-
-def _rhs_f1_bp_dec_binom(p, s, pt, ev):
-    return _numerator_shift_binom_dec(p, s, pt, ev, "Bp", "y", "C")
-
-
-def _rhs_f2_b_inc_sum(p, s, pt, ev):
-    return _numerator_shift_sum(p, s, pt, ev, "B", "x", "C")
-
-
-def _rhs_f2_b_dec_sum(p, s, pt, ev):
-    return _numerator_shift_sum_dec(p, s, pt, ev, "B", "x", "C")
-
-
-def _rhs_f2_bp_inc_sum(p, s, pt, ev):
-    return _numerator_shift_sum(p, s, pt, ev, "Bp", "y", "Cp")
-
-
-def _rhs_f2_bp_dec_sum(p, s, pt, ev):
-    return _numerator_shift_sum_dec(p, s, pt, ev, "Bp", "y", "Cp")
-
-
-def _rhs_f2_b_inc_binom(p, s, pt, ev):
-    return _numerator_shift_binom(p, s, pt, ev, "B", "x", "C")
-
-
-def _rhs_f2_b_dec_binom(p, s, pt, ev):
-    return _numerator_shift_binom_dec(p, s, pt, ev, "B", "x", "C")
-
-
-def _rhs_f2_bp_inc_binom(p, s, pt, ev):
-    return _numerator_shift_binom(p, s, pt, ev, "Bp", "y", "Cp")
-
-
-def _rhs_f2_bp_dec_binom(p, s, pt, ev):
-    return _numerator_shift_binom_dec(p, s, pt, ev, "Bp", "y", "Cp")
-
-
-_RECIPES = {
-    "G-A+s-sum": _rhs_g_inc_sum,
-    "G-A-s-sum": _rhs_g_dec_sum,
-    "G-A+s-binom": _rhs_g_inc_binom,
-    "G-A-s-binom": _rhs_g_dec_binom,
-    "G-C-s-sum": _rhs_g_c_dec_sum,
-    "G-A+1-contig": _rhs_g_inc_contig,
-    "G-A-1-contig": _rhs_g_dec_contig,
-    "G-C-1-contig": _rhs_g_c_dec_contig,
-    "F1-A+s-sum": _rhs_f1_inc_sum,
-    "F1-A-s-sum": _rhs_f1_dec_sum,
-    "F1-A+s-multinom": _rhs_f1_inc_multinom,
-    "F1-A-s-multinom": _rhs_f1_dec_multinom,
-    "F1-A+1-contig": _rhs_f1_inc_contig,
-    "F1-A-1-contig": _rhs_f1_dec_contig,
-    "F1-B+s-sum": _rhs_f1_b_inc_sum,
-    "F1-B-s-sum": _rhs_f1_b_dec_sum,
-    "F1-Bp+s-sum": _rhs_f1_bp_inc_sum,
-    "F1-Bp-s-sum": _rhs_f1_bp_dec_sum,
-    "F1-B+s-binom": _rhs_f1_b_inc_binom,
-    "F1-B-s-binom": _rhs_f1_b_dec_binom,
-    "F1-Bp+s-binom": _rhs_f1_bp_inc_binom,
-    "F1-Bp-s-binom": _rhs_f1_bp_dec_binom,
-    "F1-C-1-contig": _rhs_f1_c_dec_contig,
-    "F1-C-s-sum": _rhs_f1_c_dec_sum,
-    "F2-A+s-sum": _rhs_f2_inc_sum,
-    "F2-A-s-sum": _rhs_f2_dec_sum,
-    "F2-A+s-multinom": _rhs_f2_inc_multinom,
-    "F2-A-s-multinom": _rhs_f2_dec_multinom,
-    "F2-B+s-sum": _rhs_f2_b_inc_sum,
-    "F2-B-s-sum": _rhs_f2_b_dec_sum,
-    "F2-Bp+s-sum": _rhs_f2_bp_inc_sum,
-    "F2-Bp-s-sum": _rhs_f2_bp_dec_sum,
-    "F2-B+s-binom": _rhs_f2_b_inc_binom,
-    "F2-B-s-binom": _rhs_f2_b_dec_binom,
-    "F2-Bp+s-binom": _rhs_f2_bp_inc_binom,
-    "F2-Bp-s-binom": _rhs_f2_bp_dec_binom,
-    "F2-C-s-sum": _rhs_f2_c_dec_sum,
-    "F2-Cp-s-sum": _rhs_f2_cp_dec_sum,
-    "F3-A+s-sum": _rhs_f3_a_inc_sum,
-    "F3-A-s-sum": _rhs_f3_a_dec_sum,
-    "F3-Ap+s-sum": _rhs_f3_ap_inc_sum,
-    "F3-Ap-s-sum": _rhs_f3_ap_dec_sum,
-    "F3-A+s-binom": _rhs_f3_a_inc_binom,
-    "F3-A-s-binom": _rhs_f3_a_dec_binom,
-    "F3-Ap+s-binom": _rhs_f3_ap_inc_binom,
-    "F3-Ap-s-binom": _rhs_f3_ap_dec_binom,
-    "F3-C-s-sum": _rhs_f3_c_dec_sum,
-    "F4-A+s-sum": _rhs_f4_inc_sum,
-    "F4-A-s-sum": _rhs_f4_dec_sum,
-    "F4-A+s-multinom": _rhs_f4_inc_multinom,
-    "F4-A-s-multinom": _rhs_f4_dec_multinom,
-    "F4-C-s-sum": _rhs_f4_c_dec_sum,
-    "F4-Cp-s-sum": _rhs_f4_cp_dec_sum,
+# -- The term table: types and constructors ---------------------------------
+
+# Index set -> the index values at shift count s, in summation order.
+_INDEX_SETS = {
+    "k=1..s": lambda s: [{"k": k} for k in range(1, s + 1)],
+    "k=0..s-1": lambda s: [{"k": k} for k in range(s)],
+    "k=0..s": lambda s: [{"k": k} for k in range(s + 1)],
+    "k1+k2<=s": lambda s: [
+        {"k1": k1, "k2": k2} for k1 in range(s + 1) for k2 in range(s - k1 + 1)
+    ],
 }
 
 
-def _descriptor(
-    identity_id,
-    kind,
-    shifted,
-    direction,
-    form,
-    pairs,
-    formula,
-    swap_of=None,
-    swap_map=None,
-    fixed_shift=None,
-):
-    return IdentityDescriptor(
-        id=identity_id,
-        kind=kind,
-        shifted_parameter=shifted,
-        direction=direction,
-        form=form,
-        commuting_pairs=tuple(tuple(pair) for pair in pairs),
-        formula=formula,
-        swap_of=swap_of,
-        swap_map=tuple(swap_map.items()) if swap_map else None,
-        fixed_shift=fixed_shift,
-    )
+# An index is affine in the index variables: k, -k, 2-k, k-1, k1+k2, 0, ...
+_INDEX_ATOM = r"(\d+|k[12]?)"
+_INDEX = re.compile(rf"-?{_INDEX_ATOM}([+-]{_INDEX_ATOM})*")
 
 
-_G = FunctionKind.GAUSS_2F1
-_F1 = FunctionKind.APPELL_F1
-_F2 = FunctionKind.APPELL_F2
-_F3 = FunctionKind.APPELL_F3
-_F4 = FunctionKind.APPELL_F4
-
-_GAUSS_SWAP = {"A": "B", "B": "A"}
-_F3_SWAP = {"A": "B", "B": "A", "Ap": "Bp", "Bp": "Ap"}
-_F4_SWAP = {"A": "B", "B": "A"}
+def _at(text: str | None, env: dict[str, int]) -> int:
+    """The value of an index at the index values ``env``; no index is 0."""
+    terms = re.findall(rf"([+-]?){_INDEX_ATOM}", text or "0")
+    return sum(int(sign + "1") * (int(a) if a.isdigit() else env[a]) for sign, a in terms)
 
 
-def _build_catalog() -> tuple[IdentityDescriptor, ...]:
-    entries = [
-        _descriptor(
-            "G-A+1-contig", _G, "A", DIRECTION_INCREMENT, FORM_CONTIGUOUS,
-            [("B", "C")],
-            "F(A+I,B;C;x) = F(A,B;C;x) + x*[F(A+I,B+I;C+I;x)]*B*C^-1",
-            fixed_shift=1,
-        ),
-        _descriptor(
-            "G-A-1-contig", _G, "A", DIRECTION_DECREMENT, FORM_CONTIGUOUS,
-            [("B", "C")],
-            "F(A-I,B;C;x) = F(A,B;C;x) - x*[F(A,B+I;C+I;x)]*B*C^-1",
-            fixed_shift=1,
-        ),
-        _descriptor(
-            "G-A+s-sum", _G, "A", DIRECTION_INCREMENT, FORM_TELESCOPING,
-            [("B", "C")],
-            "F(A+sI,B;C;x) = F(A,B;C;x) + x*[sum_{k=1..s} F(A+kI,B+I;C+I;x)]*B*C^-1",
-        ),
-        _descriptor(
-            "G-A-s-sum", _G, "A", DIRECTION_DECREMENT, FORM_TELESCOPING,
-            [("B", "C")],
-            "F(A-sI,B;C;x) = F(A,B;C;x) - x*[sum_{k=0..s-1} F(A-kI,B+I;C+I;x)]*B*C^-1",
-        ),
-        _descriptor(
-            "G-A+s-binom", _G, "A", DIRECTION_INCREMENT, FORM_BINOMIAL,
-            [("B", "C")],
-            "F(A+sI,B;C;x) = sum_{k=0..s} C(s,k) x^k [F(A+kI,B+kI;C+kI;x)]*(B)_k*(C)_k^-1",
-        ),
-        _descriptor(
-            "G-A-s-binom", _G, "A", DIRECTION_DECREMENT, FORM_BINOMIAL,
-            [("B", "C")],
-            "F(A-sI,B;C;x) = sum_{k=0..s} C(s,k) (-x)^k [F(A,B+kI;C+kI;x)]*(B)_k*(C)_k^-1",
-        ),
-        _descriptor(
-            "G-B+s-sum", _G, "B", DIRECTION_INCREMENT, FORM_TELESCOPING,
-            [("A", "C")],
-            "F(B+sI,A;C;x) = F(B,A;C;x) + x*[sum_{k=1..s} F(B+kI,A+I;C+I;x)]*A*C^-1",
-            swap_of="G-A+s-sum", swap_map=_GAUSS_SWAP,
-        ),
-        _descriptor(
-            "G-B-s-sum", _G, "B", DIRECTION_DECREMENT, FORM_TELESCOPING,
-            [("A", "C")],
-            "F(B-sI,A;C;x) = F(B,A;C;x) - x*[sum_{k=0..s-1} F(B-kI,A+I;C+I;x)]*A*C^-1",
-            swap_of="G-A-s-sum", swap_map=_GAUSS_SWAP,
-        ),
-        _descriptor(
-            "G-B+s-binom", _G, "B", DIRECTION_INCREMENT, FORM_BINOMIAL,
-            [("A", "C")],
-            "F(B+sI,A;C;x) = sum_{k=0..s} C(s,k) x^k [F(B+kI,A+kI;C+kI;x)]*(A)_k*(C)_k^-1",
-            swap_of="G-A+s-binom", swap_map=_GAUSS_SWAP,
-        ),
-        _descriptor(
-            "G-B-s-binom", _G, "B", DIRECTION_DECREMENT, FORM_BINOMIAL,
-            [("A", "C")],
-            "F(B-sI,A;C;x) = sum_{k=0..s} C(s,k) (-x)^k [F(B,A+kI;C+kI;x)]*(A)_k*(C)_k^-1",
-            swap_of="G-A-s-binom", swap_map=_GAUSS_SWAP,
-        ),
-        _descriptor(
-            "G-C-1-contig", _G, "C", DIRECTION_DECREMENT, FORM_CONTIGUOUS,
-            [("B", "C")],
-            "F(A,B;C-I;x) = F(A,B;C;x) + x*A*[F(A+I,B+I;C+I;x)]*B*C^-1*(C-I)^-1",
-            fixed_shift=1,
-        ),
-        _descriptor(
-            "G-C-s-sum", _G, "C", DIRECTION_DECREMENT, FORM_C_SHIFT,
-            [("B", "C")],
-            "F(A,B;C-sI;x) = F(A,B;C;x) + x*A*sum_{k=1..s} "
-            "[F(A+I,B+I;C+(2-k)I;x)]*B*(C-kI)^-1*(C-(k-1)I)^-1",
-        ),
-        _descriptor(
-            "F1-A+1-contig", _F1, "A", DIRECTION_INCREMENT, FORM_CONTIGUOUS,
-            [("A", "B"), ("Bp", "C")],
-            "F1(A+I) = F1(A) + x*B*[F1(A+I,B+I,B';C+I)]*C^-1 "
-            "+ y*[F1(A+I,B,B'+I;C+I)]*B'*C^-1",
-            fixed_shift=1,
-        ),
-        _descriptor(
-            "F1-A-1-contig", _F1, "A", DIRECTION_DECREMENT, FORM_CONTIGUOUS,
-            [("A", "B"), ("Bp", "C")],
-            "F1(A-I) = F1(A) - x*B*[F1(A,B+I,B';C+I)]*C^-1 "
-            "- y*[F1(A,B,B'+I;C+I)]*B'*C^-1",
-            fixed_shift=1,
-        ),
-        _descriptor(
-            "F1-A+s-sum", _F1, "A", DIRECTION_INCREMENT, FORM_TELESCOPING,
-            [("A", "B"), ("Bp", "C")],
-            "F1(A+sI) = F1(A) + x*B*[sum_k F1(A+kI,B+I,B';C+I)]*C^-1 "
-            "+ y*[sum_k F1(A+kI,B,B'+I;C+I)]*B'*C^-1, k=1..s",
-        ),
-        _descriptor(
-            "F1-A-s-sum", _F1, "A", DIRECTION_DECREMENT, FORM_TELESCOPING,
-            [("A", "B"), ("Bp", "C")],
-            "F1(A-sI) = F1(A) - x*B*[sum_k F1(A-kI,B+I,B';C+I)]*C^-1 "
-            "- y*[sum_k F1(A-kI,B,B'+I;C+I)]*B'*C^-1, k=0..s-1",
-        ),
-        _descriptor(
-            "F1-A+s-multinom", _F1, "A", DIRECTION_INCREMENT, FORM_MULTINOMIAL,
-            [("A", "B"), ("Bp", "C")],
-            "F1(A+sI) = sum_{k1+k2<=s} M(s,k1,k2) (B)_k1 x^k1 y^k2 "
-            "[F1(A+(k1+k2)I,B+k1I,B'+k2I;C+(k1+k2)I)]*(B')_k2*(C)_{k1+k2}^-1",
-        ),
-        _descriptor(
-            "F1-A-s-multinom", _F1, "A", DIRECTION_DECREMENT, FORM_MULTINOMIAL,
-            [("A", "B"), ("Bp", "C")],
-            "F1(A-sI) = sum_{k1+k2<=s} M(s,k1,k2) (B)_k1 (-x)^k1 (-y)^k2 "
-            "[F1(A,B+k1I,B'+k2I;C+(k1+k2)I)]*(B')_k2*(C)_{k1+k2}^-1",
-        ),
-        _descriptor(
-            "F1-B+s-sum", _F1, "B", DIRECTION_INCREMENT, FORM_TELESCOPING,
-            [],
-            "F1(B+sI) = F1(B) + x*A*[sum_{k=1..s} F1(A+I,B+kI,B';C+I)]*C^-1",
-        ),
-        _descriptor(
-            "F1-B-s-sum", _F1, "B", DIRECTION_DECREMENT, FORM_TELESCOPING,
-            [],
-            "F1(B-sI) = F1(B) - x*A*[sum_{k=0..s-1} F1(A+I,B-kI,B';C+I)]*C^-1",
-        ),
-        _descriptor(
-            "F1-Bp+s-sum", _F1, "Bp", DIRECTION_INCREMENT, FORM_TELESCOPING,
-            [],
-            "F1(B'+sI) = F1(B') + y*A*[sum_{k=1..s} F1(A+I,B,B'+kI;C+I)]*C^-1",
-        ),
-        _descriptor(
-            "F1-Bp-s-sum", _F1, "Bp", DIRECTION_DECREMENT, FORM_TELESCOPING,
-            [],
-            "F1(B'-sI) = F1(B') - y*A*[sum_{k=0..s-1} F1(A+I,B,B'-kI;C+I)]*C^-1",
-        ),
-        _descriptor(
-            "F1-B+s-binom", _F1, "B", DIRECTION_INCREMENT, FORM_BINOMIAL,
-            [],
-            "F1(B+sI) = sum_{k=0..s} C(s,k) (A)_k x^k "
-            "[F1(A+kI,B+kI,B';C+kI)]*(C)_k^-1",
-        ),
-        _descriptor(
-            "F1-B-s-binom", _F1, "B", DIRECTION_DECREMENT, FORM_BINOMIAL,
-            [],
-            "F1(B-sI) = sum_{k=0..s} C(s,k) (A)_k (-x)^k "
-            "[F1(A+kI,B,B';C+kI)]*(C)_k^-1",
-        ),
-        _descriptor(
-            "F1-Bp+s-binom", _F1, "Bp", DIRECTION_INCREMENT, FORM_BINOMIAL,
-            [],
-            "F1(B'+sI) = sum_{k=0..s} C(s,k) (A)_k y^k "
-            "[F1(A+kI,B,B'+kI;C+kI)]*(C)_k^-1",
-        ),
-        _descriptor(
-            "F1-Bp-s-binom", _F1, "Bp", DIRECTION_DECREMENT, FORM_BINOMIAL,
-            [],
-            "F1(B'-sI) = sum_{k=0..s} C(s,k) (A)_k (-y)^k "
-            "[F1(A+kI,B,B';C+kI)]*(C)_k^-1",
-        ),
-        _descriptor(
-            "F1-C-1-contig", _F1, "C", DIRECTION_DECREMENT, FORM_CONTIGUOUS,
-            [("A", "B"), ("Bp", "C")],
-            "F1(C-I) = F1(C) + x*A*B*[F1(A+I,B+I,B';C+I)]*C^-1*(C-I)^-1 "
-            "+ y*A*[F1(A+I,B,B'+I;C+I)]*B'*C^-1*(C-I)^-1",
-            fixed_shift=1,
-        ),
-        _descriptor(
-            "F1-C-s-sum", _F1, "C", DIRECTION_DECREMENT, FORM_C_SHIFT,
-            [("A", "B"), ("Bp", "C")],
-            "F1(C-sI) = F1(C) + x*A*B*sum_k [F1(A+I,B+I,B';C+(2-k)I)]*Rk "
-            "+ y*A*sum_k [F1(A+I,B,B'+I;C+(2-k)I)]*B'*Rk, "
-            "Rk = (C-kI)^-1*(C-(k-1)I)^-1, k=1..s",
-        ),
-        _descriptor(
-            "F2-A+s-sum", _F2, "A", DIRECTION_INCREMENT, FORM_TELESCOPING,
-            [("A", "B"), ("Bp", "C"), ("Bp", "Cp"), ("C", "Cp")],
-            "F2(A+sI) = F2(A) + x*B*[sum_k F2(A+kI,B+I,B';C+I,C')]*C^-1 "
-            "+ y*[sum_k F2(A+kI,B,B'+I;C,C'+I)]*B'*C'^-1, k=1..s",
-        ),
-        _descriptor(
-            "F2-A-s-sum", _F2, "A", DIRECTION_DECREMENT, FORM_TELESCOPING,
-            [("A", "B"), ("Bp", "C"), ("Bp", "Cp"), ("C", "Cp")],
-            "F2(A-sI) = F2(A) - x*B*[sum_k F2(A-kI,B+I,B';C+I,C')]*C^-1 "
-            "- y*[sum_k F2(A-kI,B,B'+I;C,C'+I)]*B'*C'^-1, k=0..s-1",
-        ),
-        _descriptor(
-            "F2-A+s-multinom", _F2, "A", DIRECTION_INCREMENT, FORM_MULTINOMIAL,
-            [("A", "B"), ("Bp", "C"), ("Bp", "Cp"), ("C", "Cp")],
-            "F2(A+sI) = sum_{k1+k2<=s} M(s,k1,k2) (B)_k1 x^k1 y^k2 "
-            "[F2(A+(k1+k2)I,B+k1I,B'+k2I;C+k1I,C'+k2I)]*(B')_k2*(C)_k1^-1*(C')_k2^-1",
-        ),
-        _descriptor(
-            "F2-A-s-multinom", _F2, "A", DIRECTION_DECREMENT, FORM_MULTINOMIAL,
-            [("A", "B"), ("Bp", "C"), ("Bp", "Cp"), ("C", "Cp")],
-            "F2(A-sI) = sum_{k1+k2<=s} M(s,k1,k2) (B)_k1 (-x)^k1 (-y)^k2 "
-            "[F2(A,B+k1I,B'+k2I;C+k1I,C'+k2I)]*(B')_k2*(C)_k1^-1*(C')_k2^-1",
-        ),
-        _descriptor(
-            "F2-B+s-sum", _F2, "B", DIRECTION_INCREMENT, FORM_TELESCOPING,
-            [("C", "Cp")],
-            "F2(B+sI) = F2(B) + x*A*[sum_{k=1..s} F2(A+I,B+kI,B';C+I,C')]*C^-1",
-        ),
-        _descriptor(
-            "F2-B-s-sum", _F2, "B", DIRECTION_DECREMENT, FORM_TELESCOPING,
-            [("C", "Cp")],
-            "F2(B-sI) = F2(B) - x*A*[sum_{k=0..s-1} F2(A+I,B-kI,B';C+I,C')]*C^-1",
-        ),
-        _descriptor(
-            "F2-Bp+s-sum", _F2, "Bp", DIRECTION_INCREMENT, FORM_TELESCOPING,
-            [("C", "Cp")],
-            "F2(B'+sI) = F2(B') + y*A*[sum_{k=1..s} F2(A+I,B,B'+kI;C,C'+I)]*C'^-1",
-        ),
-        _descriptor(
-            "F2-Bp-s-sum", _F2, "Bp", DIRECTION_DECREMENT, FORM_TELESCOPING,
-            [("C", "Cp")],
-            "F2(B'-sI) = F2(B') - y*A*[sum_{k=0..s-1} F2(A+I,B,B'-kI;C,C'+I)]*C'^-1",
-        ),
-        _descriptor(
-            "F2-B+s-binom", _F2, "B", DIRECTION_INCREMENT, FORM_BINOMIAL,
-            [("C", "Cp")],
-            "F2(B+sI) = sum_{k=0..s} C(s,k) (A)_k x^k "
-            "[F2(A+kI,B+kI,B';C+kI,C')]*(C)_k^-1",
-        ),
-        _descriptor(
-            "F2-B-s-binom", _F2, "B", DIRECTION_DECREMENT, FORM_BINOMIAL,
-            [("C", "Cp")],
-            "F2(B-sI) = sum_{k=0..s} C(s,k) (A)_k (-x)^k "
-            "[F2(A+kI,B,B';C+kI,C')]*(C)_k^-1",
-        ),
-        _descriptor(
-            "F2-Bp+s-binom", _F2, "Bp", DIRECTION_INCREMENT, FORM_BINOMIAL,
-            [("C", "Cp")],
-            "F2(B'+sI) = sum_{k=0..s} C(s,k) (A)_k y^k "
-            "[F2(A+kI,B,B'+kI;C,C'+kI)]*(C')_k^-1",
-        ),
-        _descriptor(
-            "F2-Bp-s-binom", _F2, "Bp", DIRECTION_DECREMENT, FORM_BINOMIAL,
-            [("C", "Cp")],
-            "F2(B'-sI) = sum_{k=0..s} C(s,k) (A)_k (-y)^k "
-            "[F2(A+kI,B,B';C,C'+kI)]*(C')_k^-1",
-        ),
-        _descriptor(
-            "F2-C-s-sum", _F2, "C", DIRECTION_DECREMENT, FORM_C_SHIFT,
-            [("A", "B"), ("Bp", "C"), ("Bp", "Cp"), ("C", "Cp")],
-            "F2(C-sI) = F2(C) + x*A*B*[sum_k F2(A+I,B+I,B';C+(2-k)I,C')*Rk], "
-            "Rk = (C-kI)^-1*(C-(k-1)I)^-1, k=1..s",
-        ),
-        _descriptor(
-            "F2-Cp-s-sum", _F2, "Cp", DIRECTION_DECREMENT, FORM_C_SHIFT,
-            [("A", "B"), ("Bp", "C"), ("Bp", "Cp"), ("C", "Cp")],
-            "F2(C'-sI) = F2(C') + y*A*[sum_k F2(A+I,B,B'+I;C,C'+(2-k)I)*R'k]*B', "
-            "R'k = (C'-kI)^-1*(C'-(k-1)I)^-1, k=1..s",
-        ),
-        _descriptor(
-            "F3-A+s-sum", _F3, "A", DIRECTION_INCREMENT, FORM_TELESCOPING,
-            [("A", "Ap"), ("A", "B"), ("Ap", "B"), ("Bp", "C")],
-            "F3(A+sI) = F3(A) + x*B*[sum_{k=1..s} F3(A+kI,A',B+I,B';C+I)]*C^-1",
-        ),
-        _descriptor(
-            "F3-A-s-sum", _F3, "A", DIRECTION_DECREMENT, FORM_TELESCOPING,
-            [("A", "Ap"), ("A", "B"), ("Ap", "B"), ("Bp", "C")],
-            "F3(A-sI) = F3(A) - x*B*[sum_{k=0..s-1} F3(A-kI,A',B+I,B';C+I)]*C^-1",
-        ),
-        _descriptor(
-            "F3-Ap+s-sum", _F3, "Ap", DIRECTION_INCREMENT, FORM_TELESCOPING,
-            [("A", "Ap"), ("A", "B"), ("Ap", "B"), ("Bp", "C")],
-            "F3(A'+sI) = F3(A') + y*[sum_{k=1..s} F3(A,A'+kI,B,B'+I;C+I)]*B'*C^-1",
-        ),
-        _descriptor(
-            "F3-Ap-s-sum", _F3, "Ap", DIRECTION_DECREMENT, FORM_TELESCOPING,
-            [("A", "Ap"), ("A", "B"), ("Ap", "B"), ("Bp", "C")],
-            "F3(A'-sI) = F3(A') - y*[sum_{k=0..s-1} F3(A,A'-kI,B,B'+I;C+I)]*B'*C^-1",
-        ),
-        _descriptor(
-            "F3-A+s-binom", _F3, "A", DIRECTION_INCREMENT, FORM_BINOMIAL,
-            [("A", "Ap"), ("A", "B"), ("Ap", "B"), ("Bp", "C")],
-            "F3(A+sI) = sum_{k=0..s} C(s,k) (B)_k x^k "
-            "[F3(A+kI,A',B+kI,B';C+kI)]*(C)_k^-1",
-        ),
-        _descriptor(
-            "F3-A-s-binom", _F3, "A", DIRECTION_DECREMENT, FORM_BINOMIAL,
-            [("A", "Ap"), ("A", "B"), ("Ap", "B"), ("Bp", "C")],
-            "F3(A-sI) = sum_{k=0..s} C(s,k) (B)_k (-x)^k "
-            "[F3(A,A',B+kI,B';C+kI)]*(C)_k^-1",
-        ),
-        _descriptor(
-            "F3-Ap+s-binom", _F3, "Ap", DIRECTION_INCREMENT, FORM_BINOMIAL,
-            [("A", "Ap"), ("A", "B"), ("Ap", "B"), ("Bp", "C")],
-            "F3(A'+sI) = sum_{k=0..s} C(s,k) y^k "
-            "[F3(A,A'+kI,B,B'+kI;C+kI)]*(B')_k*(C)_k^-1",
-        ),
-        _descriptor(
-            "F3-Ap-s-binom", _F3, "Ap", DIRECTION_DECREMENT, FORM_BINOMIAL,
-            [("A", "Ap"), ("A", "B"), ("Ap", "B"), ("Bp", "C")],
-            "F3(A'-sI) = sum_{k=0..s} C(s,k) (-y)^k "
-            "[F3(A,A',B,B'+kI;C+kI)]*(B')_k*(C)_k^-1",
-        ),
-        _descriptor(
-            "F3-B+s-sum", _F3, "B", DIRECTION_INCREMENT, FORM_TELESCOPING,
-            [("B", "Bp"), ("B", "A"), ("Bp", "A"), ("Ap", "C")],
-            "F3(B+sI) via the A-shift identity with A<->B, A'<->B' transposed",
-            swap_of="F3-A+s-sum", swap_map=_F3_SWAP,
-        ),
-        _descriptor(
-            "F3-B-s-sum", _F3, "B", DIRECTION_DECREMENT, FORM_TELESCOPING,
-            [("B", "Bp"), ("B", "A"), ("Bp", "A"), ("Ap", "C")],
-            "F3(B-sI) via the A-shift identity with A<->B, A'<->B' transposed",
-            swap_of="F3-A-s-sum", swap_map=_F3_SWAP,
-        ),
-        _descriptor(
-            "F3-Bp+s-sum", _F3, "Bp", DIRECTION_INCREMENT, FORM_TELESCOPING,
-            [("B", "Bp"), ("B", "A"), ("Bp", "A"), ("Ap", "C")],
-            "F3(B'+sI) via the A'-shift identity with A<->B, A'<->B' transposed",
-            swap_of="F3-Ap+s-sum", swap_map=_F3_SWAP,
-        ),
-        _descriptor(
-            "F3-Bp-s-sum", _F3, "Bp", DIRECTION_DECREMENT, FORM_TELESCOPING,
-            [("B", "Bp"), ("B", "A"), ("Bp", "A"), ("Ap", "C")],
-            "F3(B'-sI) via the A'-shift identity with A<->B, A'<->B' transposed",
-            swap_of="F3-Ap-s-sum", swap_map=_F3_SWAP,
-        ),
-        _descriptor(
-            "F3-B+s-binom", _F3, "B", DIRECTION_INCREMENT, FORM_BINOMIAL,
-            [("B", "Bp"), ("B", "A"), ("Bp", "A"), ("Ap", "C")],
-            "F3(B+sI) via the A-shift binomial identity, arguments transposed",
-            swap_of="F3-A+s-binom", swap_map=_F3_SWAP,
-        ),
-        _descriptor(
-            "F3-B-s-binom", _F3, "B", DIRECTION_DECREMENT, FORM_BINOMIAL,
-            [("B", "Bp"), ("B", "A"), ("Bp", "A"), ("Ap", "C")],
-            "F3(B-sI) via the A-shift binomial identity, arguments transposed",
-            swap_of="F3-A-s-binom", swap_map=_F3_SWAP,
-        ),
-        _descriptor(
-            "F3-Bp+s-binom", _F3, "Bp", DIRECTION_INCREMENT, FORM_BINOMIAL,
-            [("B", "Bp"), ("B", "A"), ("Bp", "A"), ("Ap", "C")],
-            "F3(B'+sI) via the A'-shift binomial identity, arguments transposed",
-            swap_of="F3-Ap+s-binom", swap_map=_F3_SWAP,
-        ),
-        _descriptor(
-            "F3-Bp-s-binom", _F3, "Bp", DIRECTION_DECREMENT, FORM_BINOMIAL,
-            [("B", "Bp"), ("B", "A"), ("Bp", "A"), ("Ap", "C")],
-            "F3(B'-sI) via the A'-shift binomial identity, arguments transposed",
-            swap_of="F3-Ap-s-binom", swap_map=_F3_SWAP,
-        ),
-        _descriptor(
-            "F3-C-s-sum", _F3, "C", DIRECTION_DECREMENT, FORM_C_SHIFT,
-            [("A", "Ap"), ("A", "B"), ("Ap", "B"), ("Bp", "C"), ("Ap", "C")],
-            "F3(C-sI) = F3(C) + x*A*B*[sum_k F3(A+I,A',B+I,B';C+(2-k)I)]*Rk "
-            "+ y*A'*[sum_k F3(A,A'+I,B,B'+I;C+(2-k)I)*Rk]*B', "
-            "Rk = (C-kI)^-1*(C-(k-1)I)^-1, k=1..s",
-        ),
-        _descriptor(
-            "F4-A+s-sum", _F4, "A", DIRECTION_INCREMENT, FORM_TELESCOPING,
-            [("A", "B"), ("C", "Cp")],
-            "F4(A+sI) = F4(A) + x*B*[sum_k F4(A+kI,B+I;C+I,C')]*C^-1 "
-            "+ y*B*[sum_k F4(A+kI,B+I;C,C'+I)]*C'^-1, k=1..s",
-        ),
-        _descriptor(
-            "F4-A-s-sum", _F4, "A", DIRECTION_DECREMENT, FORM_TELESCOPING,
-            [("A", "B"), ("C", "Cp")],
-            "F4(A-sI) = F4(A) - x*B*[sum_k F4(A-kI,B+I;C+I,C')]*C^-1 "
-            "- y*B*[sum_k F4(A-kI,B+I;C,C'+I)]*C'^-1, k=0..s-1",
-        ),
-        _descriptor(
-            "F4-A+s-multinom", _F4, "A", DIRECTION_INCREMENT, FORM_MULTINOMIAL,
-            [("A", "B"), ("C", "Cp")],
-            "F4(A+sI) = sum_{k1+k2<=s} M(s,k1,k2) (B)_{k1+k2} x^k1 y^k2 "
-            "[F4(A+(k1+k2)I,B+(k1+k2)I;C+k1I,C'+k2I)]*(C)_k1^-1*(C')_k2^-1",
-        ),
-        _descriptor(
-            "F4-A-s-multinom", _F4, "A", DIRECTION_DECREMENT, FORM_MULTINOMIAL,
-            [("A", "B"), ("C", "Cp")],
-            "F4(A-sI) = sum_{k1+k2<=s} M(s,k1,k2) (B)_{k1+k2} (-x)^k1 (-y)^k2 "
-            "[F4(A,B+(k1+k2)I;C+k1I,C'+k2I)]*(C)_k1^-1*(C')_k2^-1",
-        ),
-        _descriptor(
-            "F4-B+s-sum", _F4, "B", DIRECTION_INCREMENT, FORM_TELESCOPING,
-            [("A", "B"), ("C", "Cp")],
-            "F4(B+sI) via the A-shift identity with A<->B transposed",
-            swap_of="F4-A+s-sum", swap_map=_F4_SWAP,
-        ),
-        _descriptor(
-            "F4-B-s-sum", _F4, "B", DIRECTION_DECREMENT, FORM_TELESCOPING,
-            [("A", "B"), ("C", "Cp")],
-            "F4(B-sI) via the A-shift identity with A<->B transposed",
-            swap_of="F4-A-s-sum", swap_map=_F4_SWAP,
-        ),
-        _descriptor(
-            "F4-B+s-multinom", _F4, "B", DIRECTION_INCREMENT, FORM_MULTINOMIAL,
-            [("A", "B"), ("C", "Cp")],
-            "F4(B+sI) via the A-shift multinomial identity, arguments transposed",
-            swap_of="F4-A+s-multinom", swap_map=_F4_SWAP,
-        ),
-        _descriptor(
-            "F4-B-s-multinom", _F4, "B", DIRECTION_DECREMENT, FORM_MULTINOMIAL,
-            [("A", "B"), ("C", "Cp")],
-            "F4(B-sI) via the A-shift multinomial identity, arguments transposed",
-            swap_of="F4-A-s-multinom", swap_map=_F4_SWAP,
-        ),
-        _descriptor(
-            "F4-C-s-sum", _F4, "C", DIRECTION_DECREMENT, FORM_C_SHIFT,
-            [("A", "B"), ("C", "Cp")],
-            "F4(C-sI) = F4(C) + x*A*B*[sum_k F4(A+I,B+I;C+(2-k)I,C')*Rk], "
-            "Rk = (C-kI)^-1*(C-(k-1)I)^-1, k=1..s",
-        ),
-        _descriptor(
-            "F4-Cp-s-sum", _F4, "Cp", DIRECTION_DECREMENT, FORM_C_SHIFT,
-            [("A", "B"), ("C", "Cp")],
-            "F4(C'-sI) = F4(C') + y*A*B*[sum_k F4(A+I,B+I;C,C'+(2-k)I)*R'k], "
-            "R'k = (C'-kI)^-1*(C'-(k-1)I)^-1, k=1..s",
-        ),
-    ]
-    seen = set()
-    for entry in entries:
-        if entry.id in seen:
-            raise RuntimeError(f"duplicate catalog id {entry.id}")
-        seen.add(entry.id)
-        if entry.swap_of is None and entry.id not in _RECIPES:
-            raise RuntimeError(f"catalog id {entry.id} has no recipe")
-    return tuple(entries)
+class _Weight(NamedTuple):
+    """sign * C(s,k) or M(s,k1,k2) (the ``coefficient`` variables) * x^x * y^y,
+    with -x and -y in place of x and y when ``negated``; None powers are absent."""
+
+    sign: int = 1
+    coefficient: tuple[str, ...] = ()
+    negated: bool = False
+    x: str | None = None
+    y: str | None = None
+
+    def at(self, s: int, env: dict[str, int], point: EvalPoint):
+        ks = [env[v] for v in self.coefficient]
+        value = (math.comb(s, *ks) if len(ks) == 1 else multinomial(s, *ks)) if ks else 1
+        for variable, power in ((point.x, self.x), (point.y, self.y)):
+            if power is not None:
+                value = value * (-variable if self.negated else variable) ** _at(power, env)
+        return self.sign * value
 
 
-_CATALOG = _build_catalog()
+class _Atom(NamedTuple):
+    """A coefficient: op "P" is P, "poch" (P)_j, "poch_inv" (P)_j^-1 and
+    "shift_inv" the resolvent (P - jI)^-1, with j the affine ``index``."""
+
+    op: str
+    name: str
+    index: str | None = None
+
+
+class _Term(NamedTuple):
+    """weight * factors, multiplied left to right. Exactly one factor is the
+    inner slot, a dict of the shift of each moved parameter; only ``indexed``
+    terms are summed, the base value F(P) is taken once."""
+
+    weight: _Weight
+    factors: tuple[_Atom | dict[str, str], ...]
+    slot: dict[str, str]
+    indexed: bool
+
+
+class _Row(NamedTuple):
+    """A base row: the descriptor fields, the index set and the terms."""
+
+    id: str
+    kind: FunctionKind
+    moved: str
+    direction: str
+    form: str
+    pairs: tuple[tuple[str, str], ...]
+    index: str
+    terms: tuple[_Term, ...]
+
+
+class _Swap(NamedTuple):
+    """Base row ``of`` evaluated on the parameter set renamed by ``mapping``."""
+
+    id: str
+    of: str
+    mapping: tuple[tuple[str, str], ...]
+
+
+class _Contig(NamedTuple):
+    """Row ``of`` with its shift pinned to 1."""
+
+    id: str
+    of: str
+
+
+def _row(identity_id, kind, moved, direction, form, pairs, index, *terms) -> _Row:
+    return _Row(identity_id, kind, moved, direction, form, tuple(pairs), index, terms)
+
+
+def _t(weight: _Weight, *factors) -> _Term:
+    slots = [f for f in factors if isinstance(f, dict)]
+    if len(slots) != 1:
+        raise ValueError("a term holds exactly one inner slot")
+    texts = [weight.x, weight.y] + list(slots[0].values())
+    texts = [t for t in texts + [f.index for f in factors if isinstance(f, _Atom)] if t]
+    for text in texts:
+        if not _INDEX.fullmatch(text):
+            raise ValueError(f"not an affine index: {text!r}")
+    return _Term(weight, factors, slots[0], any("k" in text for text in texts))
+
+
+_F = dict  # the inner slot: _F(A="k", B="1") is F at A + kI, B + I
+_P, _poch, _pinv, _res = (
+    functools.partial(_Atom, op) for op in ("P", "poch", "poch_inv", "shift_inv")
+)
+
+_X, _NX = _Weight(x="1"), _Weight(sign=-1, x="1")
+_Y, _NY = _Weight(y="1"), _Weight(sign=-1, y="1")
+_BX, _BY = _Weight(coefficient=("k",), x="k"), _Weight(coefficient=("k",), y="k")
+_BNX = _Weight(coefficient=("k",), negated=True, x="k")
+_BNY = _Weight(coefficient=("k",), negated=True, y="k")
+_M = _Weight(coefficient=("k1", "k2"), x="k1", y="k2")
+_MN = _Weight(coefficient=("k1", "k2"), negated=True, x="k1", y="k2")
+
+#: The base value F(P), which stands outside every sum.
+_BASE = _t(_Weight(), _F())
+
+_G, _F1, _F2, _F3, _F4 = FunctionKind
+_INC, _DEC, _CON = DIRECTION_INCREMENT, DIRECTION_DECREMENT, FORM_CONTIGUOUS
+_TEL, _BIN, _MUL, _CSH = FORM_TELESCOPING, FORM_BINOMIAL, FORM_MULTINOMIAL, FORM_C_SHIFT
+
+_GAUSS_SWAP = _F4_SWAP = (("A", "B"), ("B", "A"))
+_F3_SWAP = (("A", "B"), ("B", "A"), ("Ap", "Bp"), ("Bp", "Ap"))
+
+_PAIRS_G = [("B", "C")]
+_PAIRS_F1 = [("A", "B"), ("Bp", "C")]
+_PAIRS_F2 = [("A", "B"), ("Bp", "C"), ("Bp", "Cp"), ("C", "Cp")]
+_PAIRS_F3 = [("A", "Ap"), ("A", "B"), ("Ap", "B"), ("Bp", "C")]
+_PAIRS_F4 = [("A", "B"), ("C", "Cp")]
+
+
+# -- The catalog, in catalog order (trial seeds hash the ids) ----------------
+# Factor lists are in printed order: never reorder them.
+
+_TABLE = (
+    _Contig("G-A+1-contig", "G-A+s-sum"),
+    _Contig("G-A-1-contig", "G-A-s-sum"),
+    _row("G-A+s-sum", _G, "A", _INC, _TEL, _PAIRS_G, "k=1..s", _BASE,
+         _t(_X, _F(A="k", B="1", C="1"), _P("B"), _res("C", "0"))),
+    _row("G-A-s-sum", _G, "A", _DEC, _TEL, _PAIRS_G, "k=0..s-1", _BASE,
+         _t(_NX, _F(A="-k", B="1", C="1"), _P("B"), _res("C", "0"))),
+    _row("G-A+s-binom", _G, "A", _INC, _BIN, _PAIRS_G, "k=0..s",
+         _t(_BX, _F(A="k", B="k", C="k"), _poch("B", "k"), _pinv("C", "k"))),
+    _row("G-A-s-binom", _G, "A", _DEC, _BIN, _PAIRS_G, "k=0..s",
+         _t(_BNX, _F(B="k", C="k"), _poch("B", "k"), _pinv("C", "k"))),
+    _Swap("G-B+s-sum", "G-A+s-sum", _GAUSS_SWAP),
+    _Swap("G-B-s-sum", "G-A-s-sum", _GAUSS_SWAP),
+    _Swap("G-B+s-binom", "G-A+s-binom", _GAUSS_SWAP),
+    _Swap("G-B-s-binom", "G-A-s-binom", _GAUSS_SWAP),
+    _row("G-C-1-contig", _G, "C", _DEC, _CON, _PAIRS_G, "k=1..s", _BASE, _t(
+        _X, _P("A"), _F(A="1", B="1", C="2-k"), _P("B"), _res("C", "k-1"), _res("C", "k"))),
+    _row("G-C-s-sum", _G, "C", _DEC, _CSH, _PAIRS_G, "k=1..s", _BASE, _t(
+        _X, _P("A"), _F(A="1", B="1", C="2-k"), _P("B"), _res("C", "k"), _res("C", "k-1"))),
+    _Contig("F1-A+1-contig", "F1-A+s-sum"),
+    _Contig("F1-A-1-contig", "F1-A-s-sum"),
+    _row("F1-A+s-sum", _F1, "A", _INC, _TEL, _PAIRS_F1, "k=1..s", _BASE,
+         _t(_X, _P("B"), _F(A="k", B="1", C="1"), _res("C", "0")),
+         _t(_Y, _F(A="k", Bp="1", C="1"), _P("Bp"), _res("C", "0"))),
+    _row("F1-A-s-sum", _F1, "A", _DEC, _TEL, _PAIRS_F1, "k=0..s-1", _BASE,
+         _t(_NX, _P("B"), _F(A="-k", B="1", C="1"), _res("C", "0")),
+         _t(_NY, _F(A="-k", Bp="1", C="1"), _P("Bp"), _res("C", "0"))),
+    _row("F1-A+s-multinom", _F1, "A", _INC, _MUL, _PAIRS_F1, "k1+k2<=s", _t(
+        _M, _poch("B", "k1"), _F(A="k1+k2", B="k1", Bp="k2", C="k1+k2"),
+        _poch("Bp", "k2"), _pinv("C", "k1+k2"))),
+    _row("F1-A-s-multinom", _F1, "A", _DEC, _MUL, _PAIRS_F1, "k1+k2<=s", _t(
+        _MN, _poch("B", "k1"), _F(B="k1", Bp="k2", C="k1+k2"),
+        _poch("Bp", "k2"), _pinv("C", "k1+k2"))),
+    _row("F1-B+s-sum", _F1, "B", _INC, _TEL, [], "k=1..s", _BASE,
+         _t(_X, _P("A"), _F(A="1", B="k", C="1"), _res("C", "0"))),
+    _row("F1-B-s-sum", _F1, "B", _DEC, _TEL, [], "k=0..s-1", _BASE,
+         _t(_NX, _P("A"), _F(A="1", B="-k", C="1"), _res("C", "0"))),
+    _row("F1-Bp+s-sum", _F1, "Bp", _INC, _TEL, [], "k=1..s", _BASE,
+         _t(_Y, _P("A"), _F(A="1", Bp="k", C="1"), _res("C", "0"))),
+    _row("F1-Bp-s-sum", _F1, "Bp", _DEC, _TEL, [], "k=0..s-1", _BASE,
+         _t(_NY, _P("A"), _F(A="1", Bp="-k", C="1"), _res("C", "0"))),
+    _row("F1-B+s-binom", _F1, "B", _INC, _BIN, [], "k=0..s",
+         _t(_BX, _poch("A", "k"), _F(A="k", B="k", C="k"), _pinv("C", "k"))),
+    _row("F1-B-s-binom", _F1, "B", _DEC, _BIN, [], "k=0..s",
+         _t(_BNX, _poch("A", "k"), _F(A="k", C="k"), _pinv("C", "k"))),
+    _row("F1-Bp+s-binom", _F1, "Bp", _INC, _BIN, [], "k=0..s",
+         _t(_BY, _poch("A", "k"), _F(A="k", Bp="k", C="k"), _pinv("C", "k"))),
+    _row("F1-Bp-s-binom", _F1, "Bp", _DEC, _BIN, [], "k=0..s",
+         _t(_BNY, _poch("A", "k"), _F(A="k", C="k"), _pinv("C", "k"))),
+    _row("F1-C-1-contig", _F1, "C", _DEC, _CON, _PAIRS_F1, "k=1..s", _BASE,
+         _t(_X, _P("A"), _P("B"), _F(A="1", B="1", C="2-k"), _res("C", "k-1"),
+            _res("C", "k")),
+         _t(_Y, _P("A"), _F(A="1", Bp="1", C="2-k"), _P("Bp"), _res("C", "k-1"),
+            _res("C", "k"))),
+    _row("F1-C-s-sum", _F1, "C", _DEC, _CSH, _PAIRS_F1, "k=1..s", _BASE,
+         _t(_X, _P("A"), _P("B"), _F(A="1", B="1", C="2-k"), _res("C", "k"),
+            _res("C", "k-1")),
+         _t(_Y, _P("A"), _F(A="1", Bp="1", C="2-k"), _P("Bp"), _res("C", "k"),
+            _res("C", "k-1"))),
+    _row("F2-A+s-sum", _F2, "A", _INC, _TEL, _PAIRS_F2, "k=1..s", _BASE,
+         _t(_X, _P("B"), _F(A="k", B="1", C="1"), _res("C", "0")),
+         _t(_Y, _F(A="k", Bp="1", Cp="1"), _P("Bp"), _res("Cp", "0"))),
+    _row("F2-A-s-sum", _F2, "A", _DEC, _TEL, _PAIRS_F2, "k=0..s-1", _BASE,
+         _t(_NX, _P("B"), _F(A="-k", B="1", C="1"), _res("C", "0")),
+         _t(_NY, _F(A="-k", Bp="1", Cp="1"), _P("Bp"), _res("Cp", "0"))),
+    _row("F2-A+s-multinom", _F2, "A", _INC, _MUL, _PAIRS_F2, "k1+k2<=s", _t(
+        _M, _poch("B", "k1"), _F(A="k1+k2", B="k1", Bp="k2", C="k1", Cp="k2"),
+        _poch("Bp", "k2"), _pinv("C", "k1"), _pinv("Cp", "k2"))),
+    _row("F2-A-s-multinom", _F2, "A", _DEC, _MUL, _PAIRS_F2, "k1+k2<=s", _t(
+        _MN, _poch("B", "k1"), _F(B="k1", Bp="k2", C="k1", Cp="k2"),
+        _poch("Bp", "k2"), _pinv("C", "k1"), _pinv("Cp", "k2"))),
+    _row("F2-B+s-sum", _F2, "B", _INC, _TEL, [("C", "Cp")], "k=1..s", _BASE,
+         _t(_X, _P("A"), _F(A="1", B="k", C="1"), _res("C", "0"))),
+    _row("F2-B-s-sum", _F2, "B", _DEC, _TEL, [("C", "Cp")], "k=0..s-1", _BASE,
+         _t(_NX, _P("A"), _F(A="1", B="-k", C="1"), _res("C", "0"))),
+    _row("F2-Bp+s-sum", _F2, "Bp", _INC, _TEL, [("C", "Cp")], "k=1..s", _BASE,
+         _t(_Y, _P("A"), _F(A="1", Bp="k", Cp="1"), _res("Cp", "0"))),
+    _row("F2-Bp-s-sum", _F2, "Bp", _DEC, _TEL, [("C", "Cp")], "k=0..s-1", _BASE,
+         _t(_NY, _P("A"), _F(A="1", Bp="-k", Cp="1"), _res("Cp", "0"))),
+    _row("F2-B+s-binom", _F2, "B", _INC, _BIN, [("C", "Cp")], "k=0..s",
+         _t(_BX, _poch("A", "k"), _F(A="k", B="k", C="k"), _pinv("C", "k"))),
+    _row("F2-B-s-binom", _F2, "B", _DEC, _BIN, [("C", "Cp")], "k=0..s",
+         _t(_BNX, _poch("A", "k"), _F(A="k", C="k"), _pinv("C", "k"))),
+    _row("F2-Bp+s-binom", _F2, "Bp", _INC, _BIN, [("C", "Cp")], "k=0..s",
+         _t(_BY, _poch("A", "k"), _F(A="k", Bp="k", Cp="k"), _pinv("Cp", "k"))),
+    _row("F2-Bp-s-binom", _F2, "Bp", _DEC, _BIN, [("C", "Cp")], "k=0..s",
+         _t(_BNY, _poch("A", "k"), _F(A="k", Cp="k"), _pinv("Cp", "k"))),
+    _row("F2-C-s-sum", _F2, "C", _DEC, _CSH, _PAIRS_F2, "k=1..s", _BASE, _t(
+        _X, _P("A"), _P("B"), _F(A="1", B="1", C="2-k"), _res("C", "k"), _res("C", "k-1"))),
+    _row("F2-Cp-s-sum", _F2, "Cp", _DEC, _CSH, _PAIRS_F2, "k=1..s", _BASE, _t(
+        _Y, _P("A"), _F(A="1", Bp="1", Cp="2-k"), _res("Cp", "k"), _res("Cp", "k-1"),
+        _P("Bp"))),
+    _row("F3-A+s-sum", _F3, "A", _INC, _TEL, _PAIRS_F3, "k=1..s", _BASE,
+         _t(_X, _P("B"), _F(A="k", B="1", C="1"), _res("C", "0"))),
+    _row("F3-A-s-sum", _F3, "A", _DEC, _TEL, _PAIRS_F3, "k=0..s-1", _BASE,
+         _t(_NX, _P("B"), _F(A="-k", B="1", C="1"), _res("C", "0"))),
+    _row("F3-Ap+s-sum", _F3, "Ap", _INC, _TEL, _PAIRS_F3, "k=1..s", _BASE,
+         _t(_Y, _F(Ap="k", Bp="1", C="1"), _P("Bp"), _res("C", "0"))),
+    _row("F3-Ap-s-sum", _F3, "Ap", _DEC, _TEL, _PAIRS_F3, "k=0..s-1", _BASE,
+         _t(_NY, _F(Ap="-k", Bp="1", C="1"), _P("Bp"), _res("C", "0"))),
+    _row("F3-A+s-binom", _F3, "A", _INC, _BIN, _PAIRS_F3, "k=0..s",
+         _t(_BX, _poch("B", "k"), _F(A="k", B="k", C="k"), _pinv("C", "k"))),
+    _row("F3-A-s-binom", _F3, "A", _DEC, _BIN, _PAIRS_F3, "k=0..s",
+         _t(_BNX, _poch("B", "k"), _F(B="k", C="k"), _pinv("C", "k"))),
+    _row("F3-Ap+s-binom", _F3, "Ap", _INC, _BIN, _PAIRS_F3, "k=0..s",
+         _t(_BY, _F(Ap="k", Bp="k", C="k"), _poch("Bp", "k"), _pinv("C", "k"))),
+    _row("F3-Ap-s-binom", _F3, "Ap", _DEC, _BIN, _PAIRS_F3, "k=0..s",
+         _t(_BNY, _F(Bp="k", C="k"), _poch("Bp", "k"), _pinv("C", "k"))),
+    _Swap("F3-B+s-sum", "F3-A+s-sum", _F3_SWAP),
+    _Swap("F3-B-s-sum", "F3-A-s-sum", _F3_SWAP),
+    _Swap("F3-Bp+s-sum", "F3-Ap+s-sum", _F3_SWAP),
+    _Swap("F3-Bp-s-sum", "F3-Ap-s-sum", _F3_SWAP),
+    _Swap("F3-B+s-binom", "F3-A+s-binom", _F3_SWAP),
+    _Swap("F3-B-s-binom", "F3-A-s-binom", _F3_SWAP),
+    _Swap("F3-Bp+s-binom", "F3-Ap+s-binom", _F3_SWAP),
+    _Swap("F3-Bp-s-binom", "F3-Ap-s-binom", _F3_SWAP),
+    _row("F3-C-s-sum", _F3, "C", _DEC, _CSH, _PAIRS_F3 + [("Ap", "C")], "k=1..s", _BASE,
+         _t(_X, _P("A"), _P("B"), _F(A="1", B="1", C="2-k"), _res("C", "k"),
+            _res("C", "k-1")),
+         _t(_Y, _P("Ap"), _F(Ap="1", Bp="1", C="2-k"), _res("C", "k"), _res("C", "k-1"),
+            _P("Bp"))),
+    _row("F4-A+s-sum", _F4, "A", _INC, _TEL, _PAIRS_F4, "k=1..s", _BASE,
+         _t(_X, _P("B"), _F(A="k", B="1", C="1"), _res("C", "0")),
+         _t(_Y, _P("B"), _F(A="k", B="1", Cp="1"), _res("Cp", "0"))),
+    _row("F4-A-s-sum", _F4, "A", _DEC, _TEL, _PAIRS_F4, "k=0..s-1", _BASE,
+         _t(_NX, _P("B"), _F(A="-k", B="1", C="1"), _res("C", "0")),
+         _t(_NY, _P("B"), _F(A="-k", B="1", Cp="1"), _res("Cp", "0"))),
+    _row("F4-A+s-multinom", _F4, "A", _INC, _MUL, _PAIRS_F4, "k1+k2<=s", _t(
+        _M, _poch("B", "k1+k2"), _F(A="k1+k2", B="k1+k2", C="k1", Cp="k2"),
+        _pinv("C", "k1"), _pinv("Cp", "k2"))),
+    _row("F4-A-s-multinom", _F4, "A", _DEC, _MUL, _PAIRS_F4, "k1+k2<=s", _t(
+        _MN, _poch("B", "k1+k2"), _F(B="k1+k2", C="k1", Cp="k2"),
+        _pinv("C", "k1"), _pinv("Cp", "k2"))),
+    _Swap("F4-B+s-sum", "F4-A+s-sum", _F4_SWAP),
+    _Swap("F4-B-s-sum", "F4-A-s-sum", _F4_SWAP),
+    _Swap("F4-B+s-multinom", "F4-A+s-multinom", _F4_SWAP),
+    _Swap("F4-B-s-multinom", "F4-A-s-multinom", _F4_SWAP),
+    _row("F4-C-s-sum", _F4, "C", _DEC, _CSH, _PAIRS_F4, "k=1..s", _BASE, _t(
+        _X, _P("A"), _P("B"), _F(A="1", B="1", C="2-k"), _res("C", "k"), _res("C", "k-1"))),
+    _row("F4-Cp-s-sum", _F4, "Cp", _DEC, _CSH, _PAIRS_F4, "k=1..s", _BASE, _t(
+        _Y, _P("A"), _P("B"), _F(A="1", B="1", Cp="2-k"), _res("Cp", "k"),
+        _res("Cp", "k-1"))),
+)
+
+
+# -- The renderer: formula and hypothesis text from the rows' terms -----------
+# ``names`` maps each parameter slot of a row to the name shown for it: B'
+# for Bp, and the swapped name for a swap row.
+
+_TOKEN = re.compile(r"\d+|k[12]?|s")
+
+# Each kind's numerator and denominator slots, in argument order.
+_SIGNATURES = {
+    kind: ([n for n in kind.parameter_names if n not in kind.denominator_names],
+           kind.denominator_names)
+    for kind in FunctionKind
+}
+
+
+def _shown(text: str, env: dict[str, int] | None) -> str:
+    return text if env is None else str(_at(text, env))
+
+
+def _grouped(j: str) -> str:
+    return j if _TOKEN.fullmatch(j) else f"({j})"
+
+
+def _plus(name: str, j: str, sign: str = "+") -> str:
+    """``name`` moved by j times I: A, A+I, A-kI, A-sI, C+(2-k)I, C-(k-1)I."""
+    if j == "0":
+        return name
+    if j[0] == "-" and _TOKEN.fullmatch(j[1:]):
+        sign, j = "-", j[1:]
+    return name + sign + ("" if j == "1" else _grouped(j)) + "I"
+
+
+def _shown_function(kind: FunctionKind, shifts: dict[str, str], names) -> str:
+    slots = [",".join([_plus(names[n], shifts.get(n, "0")) for n in group])
+             for group in _SIGNATURES[kind]]
+    return f"{kind.value}({';'.join(slots)})"
+
+
+def _shown_factor(f: _Atom | dict[str, str], kind, env, names) -> str:
+    if isinstance(f, dict):
+        return _shown_function(kind, {n: _shown(j, env) for n, j in f.items()}, names)
+    name = names[f.name]
+    if f.op == "P":
+        return name
+    j = _shown(f.index, env)
+    if f.op == "shift_inv":
+        return name + "^-1" if j == "0" else f"({_plus(name, j, '-')})^-1"
+    sub = j if _TOKEN.fullmatch(j) else "{" + j + "}"
+    return f"({name})_{sub}" + ("^-1" if f.op == "poch_inv" else "")
+
+
+def _shown_term(term: _Term, kind, env, names) -> str:
+    w, parts = term.weight, []
+    if w.coefficient:
+        parts.append(f"{'CM'[len(w.coefficient) - 1]}(s,{','.join(w.coefficient)})")
+    for variable, power in (("x", w.x), ("y", w.y)):
+        if power is not None:
+            base, j = f"(-{variable})" if w.negated else variable, _shown(power, env)
+            parts.append(base if j == "1" else f"{base}^{_grouped(j)}")
+    return "*".join(parts + [_shown_factor(f, kind, env, names) for f in term.factors])
+
+
+def _joined(terms, kind, env, names, sign: int = 1) -> str:
+    """The terms joined by + and -, each sign taken relative to ``sign``."""
+    text = ""
+    for term in terms:
+        negative = term.weight.sign * sign < 0
+        text += (" - " if negative else " + ") if text else ("-" if negative else "")
+        text += _shown_term(term, kind, env, names)
+    return text
+
+
+def _render(row: _Row, names: dict[str, str], fixed: bool) -> str:
+    """The row as plain text; a contiguous row is shown at its single index."""
+    step = "1" if fixed else "s"
+    moved = step if row.direction == DIRECTION_INCREMENT else "-" + step
+    lhs = _shown_function(row.kind, {row.moved: moved}, names)
+    if fixed:
+        (env,) = _INDEX_SETS[row.index](1)
+        return f"{lhs} = {_joined(row.terms, row.kind, env, names)}"
+    standalone = [t for t in row.terms if not t.indexed]
+    summed = [t for t in row.terms if t.indexed]
+    sign = summed[0].weight.sign
+    text = f"sum_{{{row.index}}} [{_joined(summed, row.kind, None, names, sign)}]"
+    if standalone:
+        text = f"{_joined(standalone, row.kind, None, names)} {'-+'[sign > 0]} {text}"
+    return f"{lhs} = {text}"
+
+
+def _build_catalog() -> tuple[tuple[IdentityDescriptor, ...], dict[str, _Row]]:
+    """Descriptors in catalog order, and the row each non-swap id evaluates."""
+    base_rows = {entry.id: entry for entry in _TABLE if isinstance(entry, _Row)}
+    descriptors, rows = [], {}
+    for entry in _TABLE:
+        row = entry if isinstance(entry, _Row) else base_rows[entry.of]
+        if isinstance(entry, _Contig):
+            row = row._replace(id=entry.id, form=FORM_CONTIGUOUS)
+        rename = dict(entry.mapping) if isinstance(entry, _Swap) else {}
+        if not rename:
+            rows[entry.id] = row
+        fixed = row.form == FORM_CONTIGUOUS
+        names = {n: rename.get(n, n).replace("p", "'") for n in row.kind.parameter_names}
+        pairs = tuple((rename.get(a, a), rename.get(b, b)) for a, b in row.pairs)
+        moved = rename.get(row.moved, row.moved)
+        sign = "+" if row.direction == DIRECTION_INCREMENT else "-"
+        hypotheses = [f"{names[a]}{names[b]}={names[b]}{names[a]}" for a, b in row.pairs]
+        hypotheses.append(f"{names[row.moved]}{sign}kI invertible, k<={1 if fixed else 's'}")
+        descriptors.append(IdentityDescriptor(
+            id=entry.id, kind=row.kind, shifted_parameter=moved,
+            direction=row.direction, form=row.form, commuting_pairs=pairs,
+            formula=_render(row, names, fixed),
+            swap_of=entry.of if rename else None,
+            swap_map=entry.mapping if rename else None,
+            fixed_shift=1 if fixed else None,
+            hypotheses="; ".join(hypotheses),
+        ))
+    if len({d.id for d in descriptors}) != len(descriptors):
+        raise RuntimeError("duplicate catalog id")
+    return tuple(descriptors), rows
+
+
+_CATALOG, _ROWS = _build_catalog()
 _BY_ID = {entry.id: entry for entry in _CATALOG}
 
 
@@ -1279,13 +536,7 @@ def get(identity_id: str) -> IdentityDescriptor:
         ) from None
 
 
-def _resolve(d: IdentityDescriptor, params: ParameterSet):
-    """Follow a swap delegation to the base identity and transposed set."""
-    if d.swap_of is None:
-        return d, params
-    base = get(d.swap_of)
-    mapping = dict(d.swap_map)
-    return base, params.renamed(mapping)
+# -- The interpreter: one path for eval_rhs and verify_identity --------------
 
 
 def check_hypotheses(d: IdentityDescriptor, params: ParameterSet, s: int) -> bool:
@@ -1308,9 +559,71 @@ def check_hypotheses(d: IdentityDescriptor, params: ParameterSet, s: int) -> boo
     return linalg.is_invertible(linalg.shifted(params[d.shifted_parameter], shifts))
 
 
-def _lhs_parameters(d: IdentityDescriptor, params: ParameterSet, s_eff: int) -> ParameterSet:
-    delta = s_eff if d.direction == DIRECTION_INCREMENT else -s_eff
-    return params.shifted(d.shifted_parameter, delta)
+def _prepare(d: IdentityDescriptor, params: ParameterSet, s: int, enforce_hypotheses: bool):
+    """Check s and the hypotheses, then follow a swap: (effective shift, row to
+    interpret, parameter set in that row's slots)."""
+    if s < 0:
+        raise ValueError("shift count must be nonnegative")
+    if params.kind is not d.kind:
+        raise ValueError(f"parameter set is for {params.kind.value}, not {d.kind.value}")
+    s_eff = d.effective_shift(s)
+    if enforce_hypotheses and not check_hypotheses(d, params, s_eff):
+        raise HypothesisViolated(f"hypotheses of {d.id} fail on these parameters")
+    if d.swap_of is None:
+        return s_eff, _ROWS[d.id], params
+    return s_eff, _ROWS[d.swap_of], params.renamed(dict(d.swap_map))
+
+
+def _atoms(params: ParameterSet, plan) -> dict[tuple[str, str, int], Matrix]:
+    """Every coefficient atom of the planned terms, keyed (op, name, j): one
+    Pochhammer chain per parameter for (P)_j and (P)_j^-1, one stacked solve
+    for all (P - jI)^-1 of a parameter, SingularMatrix if one is singular."""
+    wanted: dict[tuple[str, str], set[int]] = {}
+    for term, env in plan:
+        for f in term.factors:
+            if isinstance(f, _Atom):
+                wanted.setdefault((f.op, f.name), set()).add(_at(f.index, env))
+    atoms = {}
+    for (op, name), js in wanted.items():
+        base, js = params[name], sorted(js)
+        if op == "P":
+            stack = [base]
+        elif op == "poch":
+            stack = PochhammerChain.for_products(base).products_through(js[-1])
+        elif op == "poch_inv":
+            stack = PochhammerChain.for_inverses(base).inverses_through(js[-1])
+        else:
+            inverses = linalg.shift_inverses(base, -np.array(js))
+            if len(inverses) < len(js):
+                j = js[len(inverses)]
+                raise SingularMatrix(f"{name} - {j}I is singular to working precision")
+            stack = dict(zip(js, inverses))
+        atoms.update({(op, name, j): stack[j] for j in js})
+    return atoms
+
+
+def _rhs(row: _Row, params: ParameterSet, s: int, point: EvalPoint, cfg: SeriesConfig):
+    """The row's right-hand side at shift count s and its deepest inner degree:
+    each term's weight times its factors multiplied left to right, the inner
+    slot evaluated through the series engine, once per index value."""
+    envs = _INDEX_SETS[row.index](s)
+    plan = [(t, env) for t in row.terms for env in (envs if t.indexed else [{}])]
+    atoms = _atoms(params, plan)
+    eye = linalg.identity(params.order)
+    total, degrees = linalg.zeros(params.order), 0
+    for term, env in plan:
+        matrices = dict(params.matrices)
+        for name, j in term.slot.items():
+            matrices[name] = matrices[name] + _at(j, env) * eye
+        report = evaluate(ParameterSet(params.kind, matrices), point, cfg)
+        degrees = max(degrees, report.degrees_used)
+        factors = [
+            report.value if isinstance(f, dict) else atoms[f.op, f.name, _at(f.index, env)]
+            for f in term.factors
+        ]
+        product = functools.reduce(operator.matmul, factors)
+        total = total + term.weight.at(s, env, point) * product
+    return total, degrees
 
 
 def eval_rhs(
@@ -1323,14 +636,8 @@ def eval_rhs(
     enforce_hypotheses: bool = True,
 ) -> Matrix:
     """Evaluate the identity's right-hand side; s = 0 collapses to the base value."""
-    if s < 0:
-        raise ValueError("shift count must be nonnegative")
-    s_eff = d.effective_shift(s)
-    if enforce_hypotheses and not check_hypotheses(d, params, s_eff):
-        raise HypothesisViolated(f"hypotheses of {d.id} fail on these parameters")
-    base_d, base_params = _resolve(d, params)
-    probe = _SeriesProbe(point, cfg)
-    return _RECIPES[base_d.id](base_params, s_eff, point, probe)
+    s_eff, row, row_params = _prepare(d, params, s, enforce_hypotheses)
+    return _rhs(row, row_params, s_eff, point, cfg)[0]
 
 
 def verify_identity(
@@ -1344,38 +651,27 @@ def verify_identity(
     enforce_hypotheses: bool = True,
     seed: int = 0,
 ) -> VerificationReport:
-    """Compare the directly evaluated shifted function against the recipe.
+    """Compare the directly evaluated shifted function against the RHS.
 
     Evaluator failures (singular shifts, non-convergence, violated
-    hypotheses) are folded into a failed report with the cause recorded, so
-    campaigns keep running.
+    hypotheses) become a failed report with the cause, so campaigns keep
+    running; a negative s is bad input and raises ValueError as in eval_rhs.
     """
-    s_eff = d.effective_shift(s)
     report = VerificationReport(
-        identity_id=d.id,
-        s=s_eff,
-        seed=seed,
-        order=params.order,
-        residual=math.inf,
-        passed=False,
+        identity_id=d.id, s=d.effective_shift(s), seed=seed, order=params.order,
+        residual=math.inf, passed=False,
     )
     try:
-        if enforce_hypotheses and not check_hypotheses(d, params, s_eff):
-            raise HypothesisViolated(
-                f"hypotheses of {d.id} fail on these parameters"
-            )
-        base_d, base_params = _resolve(d, params)
-        lhs_report = evaluate(_lhs_parameters(base_d, base_params, s_eff), point, cfg)
-        probe = _SeriesProbe(point, cfg)
-        rhs_value = _RECIPES[base_d.id](base_params, s_eff, point, probe)
+        s_eff, row, row_params = _prepare(d, params, s, enforce_hypotheses)
+        delta = s_eff if row.direction == DIRECTION_INCREMENT else -s_eff
+        lhs_report = evaluate(row_params.shifted(row.moved, delta), point, cfg)
+        rhs_value, report.rhs_degrees = _rhs(row, row_params, s_eff, point, cfg)
         lhs_value = lhs_report.value
-        residual = linalg.frobenius_norm(lhs_value - rhs_value) / (
+        report.lhs_report = lhs_report
+        report.residual = linalg.frobenius_norm(lhs_value - rhs_value) / (
             1.0 + linalg.frobenius_norm(lhs_value)
         )
-        report.lhs_report = lhs_report
-        report.rhs_degrees = probe.max_degrees
-        report.residual = residual
-        report.passed = residual <= campaign_tol
+        report.passed = report.residual <= campaign_tol
     except HypermatError as exc:
         report.error = f"{type(exc).__name__}: {exc}"
     return report

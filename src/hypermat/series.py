@@ -52,6 +52,10 @@ class FunctionKind(enum.Enum):
         return tuple(name for name, _, _ in _TERMS[self])
 
     @property
+    def denominator_names(self) -> tuple[str, ...]:
+        return tuple(name for name, inverse, _ in _TERMS[self] if inverse)
+
+    @property
     def is_two_variable(self) -> bool:
         return self is not FunctionKind.GAUSS_2F1
 

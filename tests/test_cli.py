@@ -112,6 +112,7 @@ def test_eval_singular_shift_exit_three(tmp_path, capsys):
         ["verify", "--s", "-2", "--ids", "G-A+1-contig", "--trials", "1"],
         ["verify", "--s", "0", "--ids", "G-A+1-contig", "--trials", "1"],
         ["verify", "--campaign-tol", "-1", "--ids", "G-A+1-contig", "--trials", "1"],
+        ["verify", "--ids", ",", "--trials", "1"],
     ],
 )
 def test_out_of_range_arguments_exit_one(args, tmp_path, capsys):

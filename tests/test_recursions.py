@@ -1,12 +1,13 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from hypermat import linalg
 from hypermat.calculus import random_commuting_family
-from hypermat.errors import UnknownIdentity
+from hypermat.errors import HypothesisViolated, SingularMatrix, UnknownIdentity
 from hypermat.recursions import (
     catalog,
     check_hypotheses,
@@ -303,3 +304,204 @@ def test_contiguous_entries_pin_shift_to_one():
     report = verify_identity(d, params, 3, point)
     assert report.s == 1
     assert report.passed
+
+
+def test_negative_shift_is_rejected_not_blamed_on_the_identity():
+    d = get("G-A+s-sum")
+    params = family_params(d, 2, seed=3)
+    point = draw_point(d.kind, random.Random(5))
+    with pytest.raises(ValueError):
+        verify_identity(d, params, -2, point)
+    with pytest.raises(ValueError):
+        eval_rhs(d, params, -2, point)
+
+
+def test_parameter_set_of_another_kind_is_rejected():
+    d = get("F1-A+s-sum")
+    params = scal_params(FunctionKind.GAUSS_2F1, {"A": 1.3, "B": 1.7, "C": 2.2})
+    point = EvalPoint(0.2, 0.1)
+    for enforce in (True, False):
+        with pytest.raises(ValueError, match="parameter set is for 2F1"):
+            eval_rhs(d, params, 1, point, enforce_hypotheses=enforce)
+        with pytest.raises(ValueError, match="parameter set is for 2F1"):
+            verify_identity(d, params, 1, point, enforce_hypotheses=enforce)
+
+
+def test_singular_coefficient_shift_raises_singular_matrix():
+    # C - I is singular; the inner series at C + (2-k)I = C, C + I still exist.
+    d = get("G-C-s-sum")
+    params = scal_params(d.kind, {"A": 1.3, "B": 1.7, "C": 1.0})
+    with pytest.raises(HypothesisViolated):
+        eval_rhs(d, params, 2, EvalPoint(0.25))
+    with pytest.raises(SingularMatrix) as excinfo:
+        eval_rhs(d, params, 2, EvalPoint(0.25), enforce_hypotheses=False)
+    assert type(excinfo.value) is SingularMatrix
+
+
+# Pairwise non-commuting order-2 parameters whose eigenvalues keep a distance
+# of at least 0.15 from every integer, so each inner series and each
+# coefficient inverse exists without any hypothesis holding.
+NONCOMMUTING = {
+    "A": [[1.7 + 0.1j, 0.4 + 0.3j], [0.3 + 0.3j, 0.6]],
+    "Ap": [[1.7 - 0.2j, -0.6 + 0.2j], [-0.3 - 0.2j, 2.5 + 0.2j]],
+    "B": [[1.9 - 0.3j, 0.6 - 0.3j], [0.3 + 0.2j, 0.5 + 0.2j]],
+    "Bp": [[1.2, -0.6 - 0.3j], [-0.4 + 0.3j, 0.9 + 0.2j]],
+    "C": [[2.1 + 0.2j, -0.6 + 0.3j], [-0.5 - 0.1j, 1.7 + 0.3j]],
+    "Cp": [[1.9 + 0.3j, -0.4 - 0.3j], [0.6, 1.3 - 0.2j]],
+}
+NONCOMMUTING_POINTS = {
+    FunctionKind.GAUSS_2F1: EvalPoint(0.25 + 0.1j),
+    FunctionKind.APPELL_F1: EvalPoint(0.2 + 0.1j, 0.15 - 0.05j),
+    FunctionKind.APPELL_F2: EvalPoint(0.2 + 0.1j, 0.15 - 0.05j),
+    FunctionKind.APPELL_F3: EvalPoint(0.2 + 0.1j, 0.15 - 0.05j),
+    FunctionKind.APPELL_F4: EvalPoint(0.12 + 0.06j, 0.1 - 0.04j),
+}
+
+# ||eval_rhs||_F at s = 2 on NONCOMMUTING with the hypotheses switched off,
+# recorded from the hand-written right-hand sides that the term table
+# replaced. The campaign only draws commuting families, on which every factor
+# order gives the same value; these inputs tell the printed order apart.
+PINNED_RHS_NORMS = {
+    "G-A+1-contig": 3.2222799621865823,
+    "G-A-1-contig": 1.7164149639907291,
+    "G-A+s-sum": 4.536568282654967,
+    "G-A-s-sum": 1.3386355431721513,
+    "G-A+s-binom": 4.557122836996337,
+    "G-A-s-binom": 1.3422366065433042,
+    "G-B+s-sum": 4.037521749841905,
+    "G-B-s-sum": 1.3816624657992251,
+    "G-B+s-binom": 4.04951234035084,
+    "G-B-s-binom": 1.3848820562813653,
+    "G-C-1-contig": 5.792626202887825,
+    "G-C-s-sum": 9.798379983263677,
+    "F1-A+1-contig": 3.089266619013485,
+    "F1-A-1-contig": 1.647256617343125,
+    "F1-A+s-sum": 4.244611827330219,
+    "F1-A-s-sum": 1.2327676901440523,
+    "F1-A+s-multinom": 4.235927858380174,
+    "F1-A-s-multinom": 1.2294456891997696,
+    "F1-B+s-sum": 3.502664381511534,
+    "F1-B-s-sum": 1.529252295201991,
+    "F1-Bp+s-sum": 3.0801842318996293,
+    "F1-Bp-s-sum": 1.6983567593986768,
+    "F1-B+s-binom": 3.5026643815115373,
+    "F1-B-s-binom": 1.5292522952019922,
+    "F1-Bp+s-binom": 3.0801842318996324,
+    "F1-Bp-s-binom": 1.6983567593986761,
+    "F1-C-1-contig": 5.1606889342279,
+    "F1-C-s-sum": 8.209564612407942,
+    "F2-A+s-sum": 5.167881836342422,
+    "F2-A-s-sum": 1.2204620412016352,
+    "F2-A+s-multinom": 5.138850668930503,
+    "F2-A-s-multinom": 1.2109195889024271,
+    "F2-B+s-sum": 3.935799332793648,
+    "F2-B-s-sum": 1.5244616978977024,
+    "F2-Bp+s-sum": 3.484042691320393,
+    "F2-Bp-s-sum": 1.7901515312089096,
+    "F2-B+s-binom": 3.9419547760803098,
+    "F2-B-s-binom": 1.5276852101085927,
+    "F2-Bp+s-binom": 3.4840426913203943,
+    "F2-Bp-s-binom": 1.7901515312089162,
+    "F2-C-s-sum": 8.533925437436235,
+    "F2-Cp-s-sum": 4.078412338728286,
+    "F3-A+s-sum": 3.7124978466354346,
+    "F3-A-s-sum": 1.6660581603648663,
+    "F3-Ap+s-sum": 2.685949916434499,
+    "F3-Ap-s-sum": 2.016060117880656,
+    "F3-A+s-binom": 3.7090939516355785,
+    "F3-A-s-binom": 1.6650925685091253,
+    "F3-Ap+s-binom": 2.6855746142993877,
+    "F3-Ap-s-binom": 2.014989059761452,
+    "F3-B+s-sum": 3.3380071455788305,
+    "F3-B-s-sum": 1.6280619823335472,
+    "F3-Bp+s-sum": 2.9786542649569374,
+    "F3-Bp-s-sum": 1.7508373134301332,
+    "F3-B+s-binom": 3.3379752863398386,
+    "F3-B-s-binom": 1.6289386763797475,
+    "F3-Bp+s-binom": 2.9797751783431807,
+    "F3-Bp-s-binom": 1.750793068040459,
+    "F3-C-s-sum": 7.362982395858271,
+    "F4-A+s-sum": 5.193266492830025,
+    "F4-A-s-sum": 1.3479381946687001,
+    "F4-A+s-multinom": 5.191730068667322,
+    "F4-A-s-multinom": 1.341746431803433,
+    "F4-B+s-sum": 4.5803636967224985,
+    "F4-B-s-sum": 1.2862134670852379,
+    "F4-B+s-multinom": 4.5881418297480945,
+    "F4-B-s-multinom": 1.2872141486653084,
+    "F4-C-s-sum": 4.937863953246435,
+    "F4-Cp-s-sum": 4.260093209861181,
+}
+
+
+@pytest.mark.parametrize("d", catalog(), ids=lambda d: d.id)
+def test_rhs_factor_order_on_noncommuting_input(d):
+    params = ParameterSet(
+        d.kind, {n: np.array(NONCOMMUTING[n]) for n in d.kind.parameter_names}
+    )
+    rhs = eval_rhs(d, params, 2, NONCOMMUTING_POINTS[d.kind], enforce_hypotheses=False)
+    pinned = PINNED_RHS_NORMS[d.id]
+    assert abs(np.linalg.norm(rhs) - pinned) <= 1e-10 * pinned
+
+
+def test_noncommuting_inputs_are_clear_of_integers():
+    for name, m in NONCOMMUTING.items():
+        for z in np.linalg.eigvals(np.array(m)):
+            assert abs(z - round(z.real)) >= 0.15, name
+    for a in NONCOMMUTING:
+        for b in NONCOMMUTING:
+            if a < b:
+                assert linalg.commutator_norm(
+                    np.array(NONCOMMUTING[a]), np.array(NONCOMMUTING[b])
+                ) > 0.5
+
+
+def _display(name):
+    return name.replace("p", "'")
+
+
+@pytest.mark.parametrize(
+    "d", [d for d in catalog() if d.swap_of is not None], ids=lambda d: d.id
+)
+def test_swap_row_renders_as_renamed_base_row(d):
+    base = get(d.swap_of)
+    mapping = dict(d.swap_map)
+    shown = {_display(a): _display(b) for a, b in mapping.items()}
+    renamed = re.sub(r"[AB]'?", lambda m: shown.get(m.group(), m.group()), base.formula)
+    assert d.formula == renamed
+    assert d.shifted_parameter == mapping[base.shifted_parameter]
+    assert {frozenset(p) for p in d.commuting_pairs} == {
+        frozenset(mapping.get(n, n) for n in p) for p in base.commuting_pairs
+    }
+    assert (d.kind, d.direction, d.form) == (base.kind, base.direction, base.form)
+
+
+def test_rendered_formulas_are_pinned():
+    assert get("G-C-s-sum").formula == (
+        "2F1(A,B;C-sI) = 2F1(A,B;C) + sum_{k=1..s} "
+        "[x*A*2F1(A+I,B+I;C+(2-k)I)*B*(C-kI)^-1*(C-(k-1)I)^-1]"
+    )
+    assert get("F2-Cp-s-sum").formula == (
+        "F2(A,B,B';C,C'-sI) = F2(A,B,B';C,C') + sum_{k=1..s} "
+        "[y*A*F2(A+I,B,B'+I;C,C'+(2-k)I)*(C'-kI)^-1*(C'-(k-1)I)^-1*B']"
+    )
+    # Both resolvents sit inside the sum, next to the inner value they follow.
+    assert get("F3-C-s-sum").formula == (
+        "F3(A,A',B,B';C-sI) = F3(A,A',B,B';C) + sum_{k=1..s} "
+        "[x*A*B*F3(A+I,A',B+I,B';C+(2-k)I)*(C-kI)^-1*(C-(k-1)I)^-1"
+        " + y*A'*F3(A,A'+I,B,B'+I;C+(2-k)I)*(C-kI)^-1*(C-(k-1)I)^-1*B']"
+    )
+
+
+def test_contiguous_rows_render_at_shift_one():
+    contiguous = [d for d in catalog() if d.fixed_shift is not None]
+    assert len(contiguous) == 6
+    for d in catalog():
+        bound = "k<=1" if d in contiguous else "k<=s"
+        assert d.hypotheses.endswith(bound), d.id
+        assert " = " in d.formula
+    for d in contiguous:
+        assert "sum_" not in d.formula and "k" not in d.formula, d.id
+    assert get("G-C-1-contig").formula == (
+        "2F1(A,B;C-I) = 2F1(A,B;C) + x*A*2F1(A+I,B+I;C+I)*B*C^-1*(C-I)^-1"
+    )
