@@ -7,10 +7,11 @@ The rising factorial of a square matrix A is the ordered product
 and every series in this package is built from such products together with
 inverse chains (C)_n^{-1}, whose shifts C + kI are solved in stacked blocks
 and folded in one factor at a time rather than by inverting the accumulated
-product. This module also provides the limit formula for the gamma function
-of a positive stable matrix, the reciprocal-gamma shift residual used for
-verification, multinomial coefficients, and a generator of families of
-simultaneously diagonalized (hence commuting) parameter matrices.
+product. A chain holds one base or a stack of bases, one per member of a
+batch of series. This module also provides the limit formula for the gamma
+function of a positive stable matrix, the reciprocal-gamma shift residual
+used for verification, multinomial coefficients, and a generator of families
+of simultaneously diagonalized (hence commuting) parameter matrices.
 """
 
 from __future__ import annotations
@@ -43,25 +44,39 @@ _TRANSFORM_MIN_RCOND = 1e-3
 _GENERATION_ATTEMPTS = 100
 _GAMMA_BLOCK = 128
 
+#: Chains grow by at least this many indices at a time. Every series sums at
+#: least three diagonals and most need 15 to 40, so shorter blocks would pay
+#: the fixed cost of a batched call (rcond test, solve, shift stack) per index.
+_CHAIN_BLOCK = 8
+
 
 class _Stack:
-    """Contiguous (k, r, r) array of matrices that grows by doubling."""
+    """Contiguous (k, ...) buffer of chain entries that grows by doubling."""
 
-    def __init__(self, first: Matrix):
-        self.data = first[np.newaxis].copy()
+    def __init__(self, first: np.ndarray, shape: tuple[int, ...]):
+        self.data = np.empty((1,) + shape, dtype=complex)
+        self.data[0] = first  # broadcast over the members of a stack
         self.size = 1
 
-    def push(self, matrix: Matrix) -> None:
-        if self.size == len(self.data):
-            grown = np.empty((2 * self.size,) + self.data.shape[1:], dtype=complex)
-            grown[: self.size] = self.data
+    def grow(self, count: int) -> np.ndarray:
+        """Count ``count`` more entries as held and return the buffer to fill."""
+        needed = self.size + count
+        if needed > len(self.data):
+            grown = np.empty(
+                (max(needed, 2 * len(self.data)),) + self.data.shape[1:], dtype=complex
+            )
+            grown[: self.size] = self.data[: self.size]
             self.data = grown
-        self.data[self.size] = matrix
-        self.size += 1
+        self.size = needed
+        return self.data
 
     @property
     def view(self) -> np.ndarray:
         return self.data[: self.size]
+
+
+#: The reach of a member that has met no singular shift yet.
+_UNBOUNDED = np.iinfo(np.int64).max
 
 
 class PochhammerChain:
@@ -69,28 +84,34 @@ class PochhammerChain:
 
     products[k] is the ordered product (A)_k; when inverses are enabled,
     inverse_products[k] satisfies products[k] @ inverse_products[k] = I to
-    working precision. Both are views of contiguous (k, r, r) buffers, so a
-    series can slice a whole run of indices at once. Confined to a single
+    working precision. Both are views of contiguous buffers, so a series can
+    slice a whole run of indices at once. The base is one matrix or a stack
+    of b members; a stack keeps (k, b, r, r) buffers whose members share
+    every batched product, rcond test and block solve. Confined to a single
     evaluation; not thread safe.
     """
 
-    def __init__(self, base: Matrix, track_inverses: bool):
+    def __init__(self, base: np.ndarray, track_inverses: bool):
         self.base = base
-        self._eye = linalg.identity(base.shape[0])
-        self._products = _Stack(self._eye)
-        self._inverses = _Stack(self._eye) if track_inverses else None
+        eye = linalg.identity(base.shape[-1])
+        self._products = _Stack(eye, base.shape)
+        self._inverses = _Stack(eye, base.shape) if track_inverses else None
+        self._shifts = (0, ())  # (k0, the stack of A + kI for k = k0, k0 + 1, ...)
+        #: Per member, the last index whose inverse it can reach: the first
+        #: singular shift base + kI stops it at k. _UNBOUNDED until then.
+        self.reach = np.full(base.shape[:-2], _UNBOUNDED) if track_inverses else None
 
     @classmethod
-    def for_products(cls, base: Matrix) -> "PochhammerChain":
-        return cls(linalg.as_matrix(base), track_inverses=False)
+    def for_products(cls, base: np.ndarray) -> "PochhammerChain":
+        return cls(linalg.as_matrices(base), track_inverses=False)
 
     @classmethod
-    def for_inverses(cls, base: Matrix) -> "PochhammerChain":
-        return cls(linalg.as_matrix(base), track_inverses=True)
+    def for_inverses(cls, base: np.ndarray) -> "PochhammerChain":
+        return cls(linalg.as_matrices(base), track_inverses=True)
 
     @property
     def order(self) -> int:
-        return self.base.shape[0]
+        return self.base.shape[-1]
 
     @property
     def products(self) -> np.ndarray:
@@ -101,40 +122,66 @@ class PochhammerChain:
         return None if self._inverses is None else self._inverses.view
 
     def products_through(self, n: int) -> np.ndarray:
-        """(A)_0, ..., (A)_n as one (n + 1, r, r) view, extending the cache."""
+        """(A)_0, ..., (A)_n as one (n + 1, ...) view, extending the cache.
+
+        Each new index folds in one shift as (A)_{k+1} = (A)_k (A + kI), and
+        no product past index n is formed. The shifts A + kI are built in
+        one call per run of _CHAIN_BLOCK of them.
+        """
         if n < 0:
             raise ValueError("Pochhammer index must be nonnegative")
         stack = self._products
-        while stack.size <= n:
-            k = stack.size - 1
-            stack.push(stack.data[k] @ (self.base + k * self._eye))
+        if stack.size <= n:
+            first = stack.size - 1
+            data = stack.grow(n - first)
+            for k in range(first, n):
+                start, shifts = self._shifts
+                if k >= start + len(shifts):
+                    count = max(n - k, _CHAIN_BLOCK)
+                    start, shifts = k, linalg.shifted(self.base, range(k, k + count))
+                    self._shifts = start, shifts
+                np.matmul(data[k], shifts[k - start], out=data[k + 1])
         return stack.data[: n + 1]
 
     def inverses_through(self, n: int) -> np.ndarray:
         """(A)_0^{-1}, ..., (A)_n^{-1} as one view, extending the cache.
 
-        The cache grows by a block at least as long as what it holds, solved
-        in one stacked call and folded in as (A)_{k+1}^{-1} =
-        (A + kI)^{-1} (A)_k^{-1}. A singular shift inside the block cuts it
-        short; SingularShift is raised only when index n needs that shift.
+        The cache grows by a block at least as long as what it holds (and at
+        least _CHAIN_BLOCK long), solved in one stacked call and folded in as
+        (A)_{k+1}^{-1} = (A + kI)^{-1} (A)_k^{-1}. A singular shift inside
+        the block cuts a member's run short. One base raises SingularShift
+        only when index n needs that shift. In a stack, the member's later
+        entries are NaN and its ``reach`` records where it stopped, while the
+        other members go on.
         """
         if self._inverses is None:
             raise ValueError("chain was created without inverse tracking")
         stack = self._inverses
         if stack.size <= n:
-            shifts = np.arange(stack.size - 1, max(n, 2 * stack.size - 1))
-            for factor in linalg.shift_inverses(self.base, shifts):
-                stack.push(factor @ stack.data[stack.size - 1])
+            first = stack.size - 1
+            shifts = range(first, max(n, 2 * stack.size - 1, _CHAIN_BLOCK))
+            factors = linalg.shift_inverses(self.base, shifts)
+            if len(factors) < len(shifts) or np.isnan(factors[-1, ..., 0, 0]).any():
+                runs = np.count_nonzero(~np.isnan(factors[..., 0, 0]), axis=0)
+                self.reach = np.where(
+                    runs < len(shifts), np.minimum(self.reach, first + runs), self.reach
+                )
+            data = stack.grow(len(factors))
+            for k, factor in enumerate(factors, start=first):
+                np.matmul(factor, data[k], out=data[k + 1])
             if stack.size <= n:
                 k = stack.size - 1
-                raise SingularShift(f"base + {k}*I is singular", shift=k + 1)
+                if self.base.ndim == 2:
+                    raise SingularShift(f"base + {k}*I is singular", shift=k + 1)
+                # Every member of the stack has stopped: pad with NaN.
+                stack.grow(n - k)[k + 1 : n + 1] = np.nan
         return stack.data[: n + 1]
 
-    def product(self, n: int) -> Matrix:
+    def product(self, n: int) -> np.ndarray:
         """(A)_n, extending the cache as needed."""
         return self.products_through(n)[n]
 
-    def inverse(self, n: int) -> Matrix:
+    def inverse(self, n: int) -> np.ndarray:
         """(A)_n^{-1}, extending the inverse cache as needed."""
         return self.inverses_through(n)[n]
 

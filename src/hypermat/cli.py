@@ -140,7 +140,9 @@ def _cmd_eval(args) -> int:
 def _cmd_verify(args) -> int:
     ids = None
     if args.ids is not None:
-        ids = [part.strip() for part in args.ids.split(",") if part.strip()]
+        # A repeated id is verified once, at its first mention.
+        parts = [part.strip() for part in args.ids.split(",")]
+        ids = list(dict.fromkeys(part for part in parts if part))
         if not ids:
             print(f"bad arguments: --ids names no identity: {args.ids!r}", file=sys.stderr)
             return _EXIT_USAGE

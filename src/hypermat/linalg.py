@@ -11,8 +11,9 @@ reciprocal condition number sigma_min / sigma_max, from one batched singular
 value call, is below SINGULARITY_RTOL (a zero matrix counts as singular).
 ``lu_factor`` returns the matrix with that verdict so callers decide before
 ``solve`` raises, and ``shift_inverses`` inverts a whole run of shifts
-base + kI in one stacked call, stopping at the first singular shift. The
-matrix exponential uses scaling and squaring around a truncated Taylor core.
+base + kI in one stacked call, for one base or a stack of them, stopping
+each base at its first singular shift. The matrix exponential uses scaling
+and squaring around a truncated Taylor core.
 """
 
 from __future__ import annotations
@@ -34,10 +35,23 @@ _EXP_NORM_LIMIT = 600.0
 
 def as_matrix(entries) -> Matrix:
     """Validate and copy ``entries`` into a square complex128 array."""
+    return _validated(entries, stacked=False)
+
+
+def as_matrices(entries) -> np.ndarray:
+    """Validate and copy one square matrix, or a stack of them, as complex128.
+
+    A sequence of b matrices of one order becomes one (b, r, r) array.
+    """
+    return _validated(entries, stacked=True)
+
+
+def _validated(entries, stacked: bool) -> np.ndarray:
     m = np.array(entries, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] < 1:
+    if m.ndim not in ((2, 3) if stacked else (2,)) or m.shape[-1] != m.shape[-2]:
+        expected = "a square matrix or a stack of them" if stacked else "a square matrix"
+        raise DimensionMismatch(f"expected {expected}, got shape {m.shape}")
+    if m.shape[-1] < 1:
         raise DimensionMismatch("matrix order must be at least 1")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix entries must be finite")
@@ -132,24 +146,38 @@ def inverse(m: Matrix) -> Matrix:
     return solve(lu_factor(m), identity(m.shape[0]))
 
 
-def shifted(base: Matrix, shifts) -> np.ndarray:
-    """The stack of base + k I over the shifts k, in order."""
-    ks = np.asarray(shifts, dtype=float)
-    return base + ks[:, np.newaxis, np.newaxis] * identity(base.shape[0])
+def shifted(base: np.ndarray, shifts) -> np.ndarray:
+    """The stack of base + k I over the shifts k, in order.
+
+    ``base`` is one matrix or a stack of them; the result has one entry of
+    that shape per shift.
+    """
+    ks = np.asarray(shifts, dtype=float).reshape((-1,) + (1,) * base.ndim)
+    return base + ks * identity(base.shape[-1])
 
 
-def shift_inverses(base: Matrix, shifts: np.ndarray) -> np.ndarray:
+def shift_inverses(base: np.ndarray, shifts) -> np.ndarray:
     """(base + k I)^{-1} for the shifts k in order, up to the first singular one.
 
-    One batched rcond test judges every shift and one stacked solve inverts
-    the run that precedes the first singular shift. The result has one
-    matrix per shift of that run, so a result shorter than ``shifts`` means
-    ``shifts[len(result)]`` is singular.
+    ``base`` is one matrix or a stack of them, one per member. One batched
+    rcond test judges every shift of every member and one stacked solve
+    inverts them all. A member's run ends at its first singular shift, and
+    its entries from there on are NaN. The result is cut after the last
+    shift that some member still reaches, so for one base a result shorter
+    than ``shifts`` means ``shifts[len(result)]`` is singular.
     """
     stack = shifted(base, shifts)
-    singular = np.flatnonzero(reciprocal_condition(stack) < SINGULARITY_RTOL)
-    stack = stack[: singular[0]] if singular.size else stack
-    return np.linalg.solve(stack, np.broadcast_to(identity(base.shape[0]), stack.shape))
+    invertible = reciprocal_condition(stack) >= SINGULARITY_RTOL
+    eye = identity(base.shape[-1])
+    if invertible.all():
+        return np.linalg.solve(stack, np.broadcast_to(eye, stack.shape))
+    reached = np.logical_and.accumulate(invertible, axis=0)
+    length = np.count_nonzero(reached.any(axis=tuple(range(1, reached.ndim))))
+    stack, reached = stack[:length], reached[:length]
+    stack[~reached] = eye  # keeps the solve clear of singular shifts
+    inverses = np.linalg.solve(stack, np.broadcast_to(eye, stack.shape))
+    inverses[~reached] = np.nan
+    return inverses
 
 
 def mat_exp(m: Matrix) -> Matrix:

@@ -17,8 +17,9 @@ every factor list in printed order, since non-commuting factors never cross
 the inner value. One renderer writes each formula and hypothesis text from
 the same table at import.
 
-Each identity is verified numerically: both sides are evaluated through the
-series engine and compared in the scaled Frobenius metric
+Each identity is verified numerically: the left-hand side and every inner
+series of the right-hand side are summed as one batch by the series engine,
+and the sides are compared in the scaled Frobenius metric
 ||lhs - rhs|| / (1 + ||lhs||). Campaigns draw commuting parameter families
 and in-region points deterministically from a seed.
 """
@@ -42,7 +43,10 @@ from .errors import GenerationFailed, HypermatError, HypothesisViolated, Singula
 from .errors import UnknownIdentity
 from .linalg import Matrix
 from .series import DEFAULT_CONFIG, EvalPoint, EvalReport, FunctionKind, ParameterSet
-from .series import SeriesConfig, evaluate
+from .series import SeriesConfig, evaluate_many
+
+# ``recursions.evaluate`` stays bound: perfbench/tracer.py wraps it by that name.
+from .series import evaluate  # noqa: F401
 
 #: Commutation defect above this multiple of the operand norms fails a
 #: hypothesis check.
@@ -602,20 +606,36 @@ def _atoms(params: ParameterSet, plan) -> dict[tuple[str, str, int], Matrix]:
     return atoms
 
 
-def _rhs(row: _Row, params: ParameterSet, s: int, point: EvalPoint, cfg: SeriesConfig):
-    """The row's right-hand side at shift count s and its deepest inner degree:
-    each term's weight times its factors multiplied left to right, the inner
-    slot evaluated through the series engine, once per index value."""
+def _outcome(outcome: EvalReport | Exception) -> EvalReport:
+    """The report of one batch member, or the exception it raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _rhs(
+    row: _Row,
+    params: ParameterSet,
+    s: int,
+    point: EvalPoint,
+    cfg: SeriesConfig,
+    lhs: ParameterSet | None = None,
+):
+    """The row's right-hand side at shift count s, its deepest inner degree and
+    the report of ``lhs`` (None without one): each term's weight times its
+    factors multiplied left to right, the inner slot evaluated once per index
+    value. The left-hand side, if given, and every inner slot are summed as
+    one batch. A failure is raised in the order of evaluating them one by
+    one: the left-hand side, then the coefficients, then the plan in order."""
     envs = _INDEX_SETS[row.index](s)
     plan = [(t, env) for t in row.terms for env in (envs if t.indexed else [{}])]
+    inner = [params.moved({n: _at(j, env) for n, j in t.slot.items()}) for t, env in plan]
+    outcomes = evaluate_many(([] if lhs is None else [lhs]) + inner, point, cfg)
+    lhs_report = None if lhs is None else _outcome(outcomes.pop(0))
     atoms = _atoms(params, plan)
-    eye = linalg.identity(params.order)
     total, degrees = linalg.zeros(params.order), 0
-    for term, env in plan:
-        matrices = dict(params.matrices)
-        for name, j in term.slot.items():
-            matrices[name] = matrices[name] + _at(j, env) * eye
-        report = evaluate(ParameterSet(params.kind, matrices), point, cfg)
+    for (term, env), outcome in zip(plan, outcomes):
+        report = _outcome(outcome)
         degrees = max(degrees, report.degrees_used)
         factors = [
             report.value if isinstance(f, dict) else atoms[f.op, f.name, _at(f.index, env)]
@@ -623,7 +643,7 @@ def _rhs(row: _Row, params: ParameterSet, s: int, point: EvalPoint, cfg: SeriesC
         ]
         product = functools.reduce(operator.matmul, factors)
         total = total + term.weight.at(s, env, point) * product
-    return total, degrees
+    return total, degrees, lhs_report
 
 
 def eval_rhs(
@@ -664,8 +684,10 @@ def verify_identity(
     try:
         s_eff, row, row_params = _prepare(d, params, s, enforce_hypotheses)
         delta = s_eff if row.direction == DIRECTION_INCREMENT else -s_eff
-        lhs_report = evaluate(row_params.shifted(row.moved, delta), point, cfg)
-        rhs_value, report.rhs_degrees = _rhs(row, row_params, s_eff, point, cfg)
+        lhs = row_params.shifted(row.moved, delta)
+        rhs_value, report.rhs_degrees, lhs_report = _rhs(
+            row, row_params, s_eff, point, cfg, lhs
+        )
         lhs_value = lhs_report.value
         report.lhs_report = lhs_report
         report.residual = linalg.frobenius_norm(lhs_value - rhs_value) / (
@@ -751,14 +773,15 @@ def run_campaign(
 
     Each (identity, trial) pair derives its own seed, draws an order and a
     shift count from the supplied pools, then a commuting family and an
-    in-region point, and verifies. Failures become failed reports, never
-    exceptions; only bad arguments (empty pools, a shift below 1, a
-    campaign_tol that is not positive) raise ValueError.
+    in-region point, and verifies. A repeated id is verified once, at its
+    first mention. Failures become failed reports, never exceptions; only
+    bad arguments (empty pools, a shift below 1, a campaign_tol that is not
+    positive) raise ValueError.
     """
     if ids is None:
         descriptors = list(catalog())
     else:
-        descriptors = [get(identity_id) for identity_id in ids]
+        descriptors = [get(identity_id) for identity_id in dict.fromkeys(ids)]
     if not orders or not s_values:
         raise ValueError("orders and s_values must be non-empty")
     if min(s_values) <= 0:

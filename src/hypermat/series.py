@@ -12,16 +12,26 @@ of one common order r:
 with the two-variable kinds weighted by x^m y^n / (m! n!). The parameters do
 not commute in general, so these rows are kept as one term table (_TERMS):
 per kind, the ordered factors (parameter, inverse?, index) with index m, n or
-N = m + n. One evaluator serves all five kinds. It builds each diagonal
-m + n = N as one left-to-right batched product of stacked Pochhammer chain
-slices in exactly the printed order, then one weighted sum over m; nothing is
-ever algebraically reordered. 2F1 is the single-variable case, whose only
-index pair on diagonal N is (N, 0).
+N = m + n. 2F1 is the single-variable case, whose only index pair on
+diagonal N is (N, 0).
 
-Series are summed diagonal by diagonal, and truncation stops once three
-consecutive diagonal sums fall below tol * (1 + ||partial sum||_F). A hard
-max_degree cap guards divergence; hitting it raises NotConverged with the
-partial report attached.
+One engine, evaluate_many, sums a batch of parameter sets of one kind and
+one order at one point; evaluate is the batch of one. Each parameter feeds
+one Pochhammer chain over the stack of its b members, whose entries are
+(b, r, r) arrays. Each diagonal m + n = N is one left-to-right batched
+product per factor of the stacked chain slices, in exactly the printed
+order, then one weighted sum over m for all members; nothing is ever
+algebraically reordered. A verification batches its left-hand side with
+every inner series of its right-hand side, so they share every product,
+rcond test and block solve.
+
+Series are summed diagonal by diagonal, and each member stops once three
+consecutive diagonal sums of its own fall below tol * (1 + ||partial sum||_F);
+it is then frozen with its own total and degree while the batch goes on. A
+hard max_degree cap guards divergence; hitting it raises NotConverged with
+the partial report attached. A member that overflows, meets a singular shift
+of a denominator or hits the cap leaves the batch with the exception it
+would raise alone.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ import numpy as np
 
 from . import linalg
 from .calculus import PochhammerChain
-from .errors import DimensionMismatch, DomainViolation, NotConverged
+from .errors import DimensionMismatch, DomainViolation, NotConverged, SingularShift
 from .linalg import Matrix
 
 
@@ -119,10 +129,22 @@ class ParameterSet:
 
     def shifted(self, name: str, amount: int) -> "ParameterSet":
         """A copy with ``amount * I`` added to the named parameter."""
+        return self.moved({name: amount})
+
+    def moved(self, shifts: dict[str, int]) -> "ParameterSet":
+        """A copy with ``shifts[name] * I`` added to each named parameter.
+
+        Adding an integer multiple of I keeps checked matrices square, of one
+        order and finite, so the copy skips the checks of the constructor.
+        """
         eye = linalg.identity(self.order)
         updated = dict(self.matrices)
-        updated[name] = updated[name] + amount * eye
-        return ParameterSet(self.kind, updated)
+        for name, amount in shifts.items():
+            updated[name] = updated[name] + amount * eye
+        copy = object.__new__(ParameterSet)
+        object.__setattr__(copy, "kind", self.kind)
+        object.__setattr__(copy, "matrices", updated)
+        return copy
 
     def renamed(self, mapping: dict[str, str]) -> "ParameterSet":
         """A copy with parameters moved to new slots (used for A <-> B swaps)."""
@@ -184,33 +206,130 @@ def check_domain(kind: FunctionKind, point: EvalPoint) -> bool:
     return math.sqrt(ax) + math.sqrt(ay) < 1.0
 
 
-def _check_point(params: ParameterSet, point: EvalPoint, cfg: SeriesConfig) -> None:
-    if params.kind.is_two_variable and point.y is None:
-        raise ValueError(f"{params.kind.value} needs a second variable")
-    if not params.kind.is_two_variable and point.y is not None:
+def _check_point(kind: FunctionKind, point: EvalPoint, cfg: SeriesConfig) -> None:
+    if kind.is_two_variable and point.y is None:
+        raise ValueError(f"{kind.value} needs a second variable")
+    if not kind.is_two_variable and point.y is not None:
         raise ValueError("2F1 takes a single variable")
-    if cfg.enforce_domain and not check_domain(params.kind, point):
-        raise DomainViolation(
-            f"point ({point.x}, {point.y}) outside the {params.kind.value} region"
-        )
+    if cfg.enforce_domain and not check_domain(kind, point):
+        raise DomainViolation(f"point ({point.x}, {point.y}) outside the {kind.value} region")
 
 
-def _diagonal(factors, degree: int, weights: np.ndarray) -> Matrix:
-    """Sum of the terms with m + n = degree, weighted in order of rising m.
+def _diagonal(blocks: list[np.ndarray], weights: np.ndarray, out: np.ndarray) -> None:
+    """Every member's sum of the terms with m + n = N, weighted in order of rising m.
 
-    Each factor contributes one stacked slice of its chain: a single matrix
-    for index N, (P)_0..(P)_N for m and (P)_N..(P)_0 for n = N - m. The slices
-    are multiplied left to right in the printed order, then weighted.
+    Each factor contributes one slice of its stacked chain, each entry of
+    which holds one matrix per member: (P)_N for index N, (P)_0..(P)_N for m
+    and (P)_N..(P)_0 for n = N - m. The slices are multiplied left to right
+    in the printed order, then weighted and summed over m into ``out``.
     """
-    term = None
-    for through, index in factors:
-        stack = through(degree)
-        if index == "N":
-            block = stack[degree]
+    term = blocks[0]
+    for block in blocks[1:]:
+        term = term @ block
+    (term * weights[:, np.newaxis, np.newaxis, np.newaxis]).sum(axis=0, out=out)
+
+
+def evaluate_many(
+    param_sets: list[ParameterSet], point: EvalPoint, cfg: SeriesConfig = DEFAULT_CONFIG
+) -> list[EvalReport | Exception]:
+    """Evaluate parameter sets of one kind and one order at one point, as one batch.
+
+    Each parameter feeds one chain over the stack of its members, so every
+    diagonal is one batched product per factor, in the printed order, and
+    one weighted sum for all members. The stopping rule is kept per member:
+    a member that meets it is frozen with its own total and degrees_used,
+    and the batch goes on until no member is left. Each entry of the result
+    is what ``evaluate`` gives for that member alone: its EvalReport, or the
+    exception it would raise, with the same text and partial report. That
+    is ValueError or DomainViolation for the point, SingularShift when a
+    shift of one of its denominators is singular, and NotConverged when it
+    overflows or reaches max_degree.
+    """
+    if not param_sets:
+        return []
+    kind, order = param_sets[0].kind, param_sets[0].order
+    if any(p.kind is not kind for p in param_sets):
+        raise ValueError("a batch holds parameter sets of one kind")
+    if any(p.order != order for p in param_sets):
+        raise DimensionMismatch("a batch holds parameter sets of one order")
+    try:
+        _check_point(kind, point, cfg)
+    except (ValueError, DomainViolation) as exc:
+        return [exc] * len(param_sets)
+    factors = []
+    for name, inverse, index in _TERMS[kind]:
+        members = [p[name] for p in param_sets]
+        if inverse:
+            factors.append((PochhammerChain.for_inverses(members), True, index))
         else:
-            block = stack if index == "m" else stack[::-1]
-        term = block if term is None else term @ block
-    return (term * weights[:, np.newaxis, np.newaxis]).sum(axis=0)
+            factors.append((PochhammerChain.for_products(members), False, index))
+    label = "double series" if kind.is_two_variable else "series"
+    x = complex(point.x)
+    y = complex(point.y) if kind.is_two_variable else 0j
+    xs, ys = [1.0 + 0.0j], [1.0 + 0.0j]  # x^m / m!, y^n / n!
+    size = len(param_sets)
+    outcomes: list[EvalReport | Exception | None] = [None] * size
+    active = list(range(size))  # members neither frozen nor failed
+    small_run = [0] * size
+    last_norms = [math.inf] * size
+    # sums[0] is the diagonal just added and sums[1] the running total, so one
+    # call takes the Frobenius norms of both for every member.
+    sums = np.zeros((2, size, order, order), dtype=complex)
+    flat = sums.reshape(2 * size, -1).view(np.float64)
+    increment, total = sums
+    with np.errstate(over="ignore", invalid="ignore"):
+        for degree in range(cfg.max_degree + 1):
+            if degree:
+                xs.append(xs[-1] * x / degree)
+                ys.append(ys[-1] * y / degree)
+            blocks = []
+            for chain, inverse, index in factors:
+                if inverse:
+                    stack = chain.inverses_through(degree)
+                    reach = chain.reach.tolist()
+                    for i in [i for i in active if reach[i] < degree]:
+                        outcomes[i] = SingularShift(
+                            f"base + {reach[i]}*I is singular", shift=reach[i] + 1
+                        )
+                        active.remove(i)
+                else:
+                    stack = chain.products_through(degree)
+                if index == "N":
+                    blocks.append(stack[degree])
+                else:
+                    blocks.append(stack if index == "m" else stack[::-1])
+            if not active:
+                break
+            # m over the index pairs (m, degree - m); 2F1 has only (N, 0).
+            ms = range(degree + 1) if kind.is_two_variable else (degree,)
+            weights = np.array([xs[m] * ys[degree - m] for m in ms])
+            _diagonal(blocks, weights, out=increment)
+            total += increment
+            norms = np.sqrt(np.einsum("ij,ij->i", flat, flat)).tolist()
+            last_norms = norms[:size]
+            for i in list(active):
+                last = last_norms[i]
+                if not math.isfinite(last):
+                    outcomes[i] = NotConverged(
+                        f"{label} overflowed at degree {degree}",
+                        report=EvalReport(total[i].copy(), degree, last, False),
+                    )
+                    active.remove(i)
+                elif last <= cfg.tol * (1.0 + norms[size + i]):
+                    small_run[i] += 1
+                    if small_run[i] >= _CONSECUTIVE_SMALL:
+                        outcomes[i] = EvalReport(total[i].copy(), degree, last, True)
+                        active.remove(i)
+                else:
+                    small_run[i] = 0
+            if not active:
+                break
+    for i in active:
+        outcomes[i] = NotConverged(
+            f"{label} still moving at degree {cfg.max_degree}",
+            report=EvalReport(total[i].copy(), cfg.max_degree, last_norms[i], False),
+        )
+    return outcomes
 
 
 def evaluate(
@@ -218,50 +337,11 @@ def evaluate(
 ) -> EvalReport:
     """Evaluate any supported kind at a point, honoring the domain guard.
 
+    The batch of one: raises what ``evaluate_many`` reports for the member.
     Overflowing increments (possible when a series is pushed toward the edge
     of its region) fail immediately instead of spinning to max_degree.
     """
-    _check_point(params, point, cfg)
-    kind = params.kind
-    factors = [
-        (
-            PochhammerChain.for_inverses(params[name]).inverses_through
-            if inverse
-            else PochhammerChain.for_products(params[name]).products_through,
-            index,
-        )
-        for name, inverse, index in _TERMS[kind]
-    ]
-    label = "double series" if kind.is_two_variable else "series"
-    x = complex(point.x)
-    y = complex(point.y) if kind.is_two_variable else 0j
-    xs, ys = [1.0 + 0.0j], [1.0 + 0.0j]  # x^m / m!, y^n / n!
-    total = linalg.zeros(params.order)
-    small_run = 0
-    last_norm = math.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        for degree in range(cfg.max_degree + 1):
-            if degree:
-                xs.append(xs[-1] * x / degree)
-                ys.append(ys[-1] * y / degree)
-            # m over the index pairs (m, degree - m); 2F1 has only (N, 0).
-            ms = range(degree + 1) if kind.is_two_variable else (degree,)
-            weights = np.array([xs[m] * ys[degree - m] for m in ms])
-            increment = _diagonal(factors, degree, weights)
-            total = total + increment
-            last_norm = linalg.frobenius_norm(increment)
-            if not math.isfinite(last_norm):
-                raise NotConverged(
-                    f"{label} overflowed at degree {degree}",
-                    report=EvalReport(total, degree, last_norm, False),
-                )
-            if last_norm <= cfg.tol * (1.0 + linalg.frobenius_norm(total)):
-                small_run += 1
-                if small_run >= _CONSECUTIVE_SMALL:
-                    return EvalReport(total, degree, last_norm, True)
-            else:
-                small_run = 0
-    report = EvalReport(total, cfg.max_degree, last_norm, False)
-    raise NotConverged(
-        f"{label} still moving at degree {cfg.max_degree}", report=report
-    )
+    (outcome,) = evaluate_many([params], point, cfg)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

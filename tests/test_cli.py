@@ -178,6 +178,16 @@ def test_verify_writes_deterministic_reports(tmp_path, capsys):
         assert row["residual"] <= 1e-8
 
 
+def test_verify_repeated_id_runs_once(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    args = ["verify", "--ids", "G-A+s-sum,G-A+s-sum", "--trials", "1", "--seed", "2"]
+    assert main(args + ["--out", str(out)]) == 0
+    assert "1 trials, 1 passed" in capsys.readouterr().err
+    doc = json.loads(out.read_text())
+    assert doc["config"]["ids"] == ["G-A+s-sum"]
+    assert [row["id"] for row in doc["results"]] == ["G-A+s-sum"]
+
+
 def test_verify_stdout_report(capsys):
     code = main(["verify", "--ids", "G-A+1-contig", "--trials", "1", "--seed", "2"])
     captured = capsys.readouterr()

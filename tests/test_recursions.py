@@ -7,7 +7,8 @@ import pytest
 
 from hypermat import linalg
 from hypermat.calculus import random_commuting_family
-from hypermat.errors import HypothesisViolated, SingularMatrix, UnknownIdentity
+from hypermat.errors import HypothesisViolated, NotConverged, SingularMatrix, SingularShift
+from hypermat.errors import UnknownIdentity
 from hypermat.recursions import (
     catalog,
     check_hypotheses,
@@ -18,7 +19,7 @@ from hypermat.recursions import (
     run_campaign,
     verify_identity,
 )
-from hypermat.series import EvalPoint, FunctionKind, ParameterSet, evaluate
+from hypermat.series import EvalPoint, FunctionKind, ParameterSet, SeriesConfig, evaluate
 
 GAUSS_IDS = [
     "G-A+1-contig",
@@ -278,6 +279,14 @@ def test_campaign_deterministic_under_seed():
         assert a.passed == b.passed
 
 
+def test_campaign_verifies_a_repeated_id_once():
+    kwargs = dict(trials=2, orders=(1, 2), s_values=(1, 2), seed=8)
+    alone = run_campaign(ids=["G-A+s-sum", "F1-C-s-sum"], **kwargs)
+    repeated = run_campaign(ids=["G-A+s-sum", "F1-C-s-sum", "G-A+s-sum"], **kwargs)
+    assert [r.identity_id for r in repeated] == ["G-A+s-sum"] * 2 + ["F1-C-s-sum"] * 2
+    assert [(r.seed, r.residual) for r in repeated] == [(r.seed, r.residual) for r in alone]
+
+
 def test_campaign_unknown_id():
     with pytest.raises(UnknownIdentity):
         run_campaign(ids=["nope"], trials=1)
@@ -505,3 +514,98 @@ def test_contiguous_rows_render_at_shift_one():
     assert get("G-C-1-contig").formula == (
         "2F1(A,B;C-I) = 2F1(A,B;C) + x*A*2F1(A+I,B+I;C+I)*B*C^-1*(C-I)^-1"
     )
+
+
+# -- Failure precedence -------------------------------------------------------
+# The left-hand side and every inner series of a right-hand side are summed as
+# one batch, but a failure is reported as evaluating them one at a time would
+# report it: hypotheses first, then the left-hand side, then the coefficients,
+# then the inner series in plan order, whichever of them fails first in time.
+
+
+def diag(*values):
+    return np.diag(values).astype(complex)
+
+
+def test_failure_precedence_hypotheses_lhs_coefficients_inner_series():
+    # C is singular. G-C-s-sum at s = 1 then fails its hypotheses; its left-hand
+    # side F(A, B, C - I) meets (C - I) + I at degree 2; its coefficient C^-1 is
+    # singular; and its first inner series F(A, B, C) meets C at degree 1.
+    d = get("G-C-s-sum")
+    params = ParameterSet(d.kind, {"A": diag(1.3, 1.6), "B": diag(1.7, 0.8), "C": diag(0.0, 2.5)})
+    point = EvalPoint(0.2)
+    assert verify_identity(d, params, 1, point).error.startswith("HypothesisViolated: ")
+    report = verify_identity(d, params, 1, point, enforce_hypotheses=False)
+    assert report.error == "SingularShift: base + 1*I is singular"
+    assert (report.passed, report.lhs_report, report.rhs_degrees) == (False, None, 0)
+    with pytest.raises(SingularMatrix) as excinfo:
+        eval_rhs(d, params, 1, point, enforce_hypotheses=False)
+    assert type(excinfo.value) is SingularMatrix
+    assert str(excinfo.value) == "C - 0I is singular to working precision"
+    with pytest.raises(SingularShift) as excinfo:
+        evaluate(params, point)
+    assert excinfo.value.shift == 1
+
+
+def test_inner_series_fail_in_plan_order():
+    # C has eigenvalue -3: the base value F(A, B, C), first in the plan, meets
+    # C + 3I at degree 4, after F(A+I, B+I, C+I) has met C + I + 2I at degree 3.
+    d = get("G-A+s-sum")
+    params = ParameterSet(d.kind, {"A": diag(1.5, 2.0), "B": diag(1.2, 0.7), "C": diag(-3.0, 1.4)})
+    with pytest.raises(SingularShift) as excinfo:
+        eval_rhs(d, params, 2, EvalPoint(0.1))
+    assert (str(excinfo.value), excinfo.value.shift) == ("base + 3*I is singular", 4)
+
+
+def test_inner_series_failure_after_a_converged_left_hand_side():
+    # A = 2I: the left-hand side F(A - 2I, B, C) is I after one term, while
+    # the base value F(A, B, C) = sum x^n still moves at degree 20 for x = 0.9.
+    d = get("G-A-s-sum")
+    params = ParameterSet(d.kind, {"A": diag(2.0, 2.0), "B": diag(1.0, 1.0), "C": diag(2.0, 2.0)})
+    point, cfg = EvalPoint(0.9), SeriesConfig(max_degree=20)
+    assert evaluate(params.shifted("A", -2), point, cfg).converged
+    report = verify_identity(d, params, 2, point, cfg, enforce_hypotheses=False)
+    assert report.error == "NotConverged: series still moving at degree 20"
+    assert (report.passed, report.lhs_report, report.rhs_degrees) == (False, None, 0)
+
+
+TRUNCATED = SeriesConfig(max_degree=28)
+
+
+@pytest.mark.parametrize(
+    "identity_id,seed,side",
+    [
+        ("F2-C-s-sum", 5182257726463, "lhs"),
+        ("F4-A-s-multinom", 110218443838906, "rhs"),
+        ("F4-A-s-multinom", 110218443907975, "rhs"),
+    ],
+)
+def test_truncated_campaign_failure_rows(identity_id, seed, side):
+    # Rows of ``hypermat verify --trials 2 --max-degree 28 --seed 3``: the first
+    # fails in its left-hand side, the other two only in an inner series.
+    (row,) = [r for r in run_campaign(ids=[identity_id], trials=2, seed=3, cfg=TRUNCATED)
+              if r.seed == seed]
+    assert row.error == "NotConverged: double series still moving at degree 28"
+    assert (row.passed, row.lhs_report, row.rhs_degrees) == (False, None, 0)
+    d = get(identity_id)
+    rng = random.Random(seed)
+    order, s = rng.choice([1, 2, 3]), rng.choice([1, 2, 3])
+    family = draw_family(d, order, d.effective_shift(s), rng)
+    params = ParameterSet(d.kind, {n: family.realize(n) for n in d.kind.parameter_names})
+    moved = d.shifted_parameter
+    lhs = params.shifted(moved, s if d.direction == "increment" else -s)
+    point = draw_point(d.kind, rng)
+    if side == "lhs":
+        with pytest.raises(NotConverged):
+            evaluate(lhs, point, TRUNCATED)
+    else:
+        assert evaluate(lhs, point, TRUNCATED).converged
+
+
+def test_truncated_campaign_summary():
+    reports = run_campaign(trials=2, seed=3, cfg=TRUNCATED)
+    failed = [r for r in reports if not r.passed]
+    assert (len(reports), len(failed)) == (138, 40)
+    for row in failed:
+        assert row.error.startswith("NotConverged: ")
+        assert (row.lhs_report, row.rhs_degrees) == (None, 0)

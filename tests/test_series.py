@@ -7,7 +7,7 @@ import pytest
 
 from hypermat import linalg
 from hypermat.calculus import random_commuting_family
-from hypermat.errors import DomainViolation, NotConverged, SingularShift
+from hypermat.errors import DimensionMismatch, DomainViolation, NotConverged, SingularShift
 from hypermat.series import (
     EvalPoint,
     FunctionKind,
@@ -15,6 +15,7 @@ from hypermat.series import (
     SeriesConfig,
     check_domain,
     evaluate,
+    evaluate_many,
 )
 
 from oracles import PRINTED_TERMS, printed_order_sum, scalar_value
@@ -316,3 +317,78 @@ def test_point_arity_enforced():
     fam = random_commuting_family(1, FunctionKind.APPELL_F1.parameter_names, seed=4)
     with pytest.raises(ValueError):
         evaluate(family_params(FunctionKind.APPELL_F1, fam), EvalPoint(0.1))
+
+
+def assert_same_report(batched, alone, rtol=1e-13):
+    assert (batched.degrees_used, batched.converged) == (alone.degrees_used, alone.converged)
+    assert np.linalg.norm(batched.value - alone.value) <= rtol * np.linalg.norm(alone.value)
+
+
+@pytest.mark.parametrize("size", [1, 2, 5])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_batch_members_equal_lone_evaluations(kind, size):
+    # Pairwise non-commuting members, every other one an integer-shifted copy
+    # of the first as a right-hand side builds them, each summed to its own
+    # stopping degree inside the batch.
+    rng = np.random.default_rng(11)
+    names = kind.parameter_names
+    first = ParameterSet(kind, {name: non_commuting_matrix(rng, 3) for name in names})
+    members = [first]
+    while len(members) < size:
+        if len(members) % 2:
+            members.append(first.shifted(names[len(members) % len(names)], len(members)))
+        else:
+            members.append(ParameterSet(kind, {n: non_commuting_matrix(rng, 3) for n in names}))
+    point = ORDER_POINTS[kind]
+    batch = evaluate_many(members, point)
+    for member, report in zip(members, batch):
+        assert_same_report(report, evaluate(member, point))
+    if size == 5:
+        assert len({report.degrees_used for report in batch}) > 1
+
+
+def raised(params, point, cfg):
+    with pytest.raises(Exception) as excinfo:
+        evaluate(params, point, cfg)
+    return excinfo.value
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_batch_members_fail_alone(kind):
+    # One member's C has eigenvalue -2 and one member's numerators are large
+    # enough to need more degrees than the others; each leaves the batch with
+    # the exception it raises alone, and the rest still converge.
+    names = kind.parameter_names
+    plain = ParameterSet(kind, {name: np.diag([1.5, 2.0]).astype(complex) for name in names})
+    singular = ParameterSet(kind, {**plain.matrices, "C": np.diag([-2.0, 1.0]).astype(complex)})
+    slow = plain
+    for name in names:
+        if name not in kind.denominator_names:
+            slow = slow.shifted(name, 8)
+    point = EvalPoint(0.1, 0.05) if kind.is_two_variable else EvalPoint(0.1)
+    cfg = SeriesConfig(max_degree=evaluate(plain, point).degrees_used + 2)
+    members = [plain, singular, slow, plain.shifted("A", 1)]
+    batch = evaluate_many(members, point, cfg)
+    assert isinstance(batch[1], SingularShift) and batch[1].shift == 3
+    assert isinstance(batch[2], NotConverged)
+    for member, outcome in zip(members[1:3], batch[1:3]):
+        alone = raised(member, point, cfg)
+        assert (type(outcome), str(outcome)) == (type(alone), str(alone))
+    assert_same_report(batch[2].report, raised(slow, point, cfg).report)
+    assert batch[2].report.degrees_used == cfg.max_degree
+    for index in (0, 3):
+        assert batch[index].converged
+        assert_same_report(batch[index], evaluate(members[index], point, cfg))
+
+
+def test_batch_shares_one_kind_one_order_and_the_point_checks():
+    gauss = scalar_params(FunctionKind.GAUSS_2F1, {"A": 1.0, "B": 1.0, "C": 2.0})
+    assert evaluate_many([], EvalPoint(0.1)) == []
+    with pytest.raises(ValueError):
+        evaluate_many([gauss, scalar_params(FunctionKind.APPELL_F4, {
+            "A": 1.0, "B": 1.0, "C": 2.0, "Cp": 2.0})], EvalPoint(0.1))
+    wide = ParameterSet(FunctionKind.GAUSS_2F1, {n: np.eye(2, dtype=complex) for n in "ABC"})
+    with pytest.raises(DimensionMismatch):
+        evaluate_many([gauss, wide], EvalPoint(0.1))
+    outside = evaluate_many([gauss, gauss.shifted("A", 1)], EvalPoint(1.0))
+    assert [type(outcome) for outcome in outside] == [DomainViolation] * 2
