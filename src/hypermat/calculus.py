@@ -5,18 +5,23 @@ The rising factorial of a square matrix A is the ordered product
     (A)_0 = I,    (A)_n = A (A + I) (A + 2I) ... (A + (n-1)I),
 
 and every series in this package is built from such products together with
-inverse chains (C)_n^{-1}, whose shifts C + kI are solved in stacked blocks
-and folded in one factor at a time rather than by inverting the accumulated
-product. A chain holds one base or a stack of bases, one per member of a
-batch of series. This module also provides the limit formula for the gamma
-function of a positive stable matrix, the reciprocal-gamma shift residual
-used for verification, multinomial coefficients, and a generator of families
-of simultaneously diagonalized (hence commuting) parameter matrices.
+inverse chains (C)_n^{-1}. A chain keeps one convention, the factorial-scaled
+run (A)_n / n! or n! (C)_n^{-1}, which grows like a power of n where the
+unscaled products overflow double precision near n = 170. It folds in one
+factor (A + kI)/(k+1) or (k+1)(C + kI)^{-1} at a time, the shifts C + kI
+solved in stacked blocks rather than by inverting the accumulated product.
+A chain holds one base or a stack of bases, one per member of a batch of
+series. This module also provides the limit formula for the gamma function
+of a positive stable matrix, read off the scaled inverse chain, the
+reciprocal-gamma shift residual used for verification, multinomial
+coefficients, and a generator of families of simultaneously diagonalized
+(hence commuting) parameter matrices.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -42,63 +47,50 @@ SPECTRUM_IMAG_RANGE = (-0.5, 0.5)
 #: Generated transforms need cond(P) <= 1000.
 _TRANSFORM_MIN_RCOND = 1e-3
 _GENERATION_ATTEMPTS = 100
-_GAMMA_BLOCK = 128
 
 #: Chains grow by at least this many indices at a time. Every series sums at
 #: least three diagonals and most need 15 to 40, so shorter blocks would pay
 #: the fixed cost of a batched call (rcond test, solve, shift stack) per index.
 _CHAIN_BLOCK = 8
 
-
-class _Stack:
-    """Contiguous (k, ...) buffer of chain entries that grows by doubling."""
-
-    def __init__(self, first: np.ndarray, shape: tuple[int, ...]):
-        self.data = np.empty((1,) + shape, dtype=complex)
-        self.data[0] = first  # broadcast over the members of a stack
-        self.size = 1
-
-    def grow(self, count: int) -> np.ndarray:
-        """Count ``count`` more entries as held and return the buffer to fill."""
-        needed = self.size + count
-        if needed > len(self.data):
-            grown = np.empty(
-                (max(needed, 2 * len(self.data)),) + self.data.shape[1:], dtype=complex
-            )
-            grown[: self.size] = self.data[: self.size]
-            self.data = grown
-        self.size = needed
-        return self.data
-
-    @property
-    def view(self) -> np.ndarray:
-        return self.data[: self.size]
-
-
 #: The reach of a member that has met no singular shift yet.
 _UNBOUNDED = np.iinfo(np.int64).max
 
 
-class PochhammerChain:
-    """Grow-only cache of (A)_k and optionally (A)_k^{-1}.
+def _factorial_chunks(n: int):
+    """Floats below 1e300 whose product is n!, so that scaling a run entry by
+    them one at a time overflows or underflows only where the result does."""
+    chunk = 1
+    for k in range(2, n + 1):
+        if chunk * k > 10**300:
+            yield float(chunk)
+            chunk = 1
+        chunk *= k
+    yield float(chunk)
 
-    products[k] is the ordered product (A)_k; when inverses are enabled,
-    inverse_products[k] satisfies products[k] @ inverse_products[k] = I to
-    working precision. Both are views of contiguous buffers, so a series can
-    slice a whole run of indices at once. The base is one matrix or a stack
-    of b members; a stack keeps (k, b, r, r) buffers whose members share
-    every batched product, rcond test and block solve. Confined to a single
-    evaluation; not thread safe.
+
+class PochhammerChain:
+    """Grow-only cache of the factorial-scaled run of (A)_k or of (A)_k^{-1}.
+
+    A product chain holds (A)_k / k!, which grows like k^(A - I), and an
+    inverse chain k! (A)_k^{-1}, which grows like k^(I - A), where the
+    unscaled (A)_k grows like k!. The run is one contiguous (k, ...) buffer,
+    so a series can slice a whole run of indices at once; product(n) and
+    inverse(n) return the unscaled (A)_n and (A)_n^{-1}. The base is one
+    matrix or a stack of b members; a stack keeps (k, b, r, r) entries whose
+    members share every batched product, rcond test and block solve.
+    Confined to a single evaluation; not thread safe.
     """
 
     def __init__(self, base: np.ndarray, track_inverses: bool):
         self.base = base
-        eye = linalg.identity(base.shape[-1])
-        self._products = _Stack(eye, base.shape)
-        self._inverses = _Stack(eye, base.shape) if track_inverses else None
-        self._shifts = (0, ())  # (k0, the stack of A + kI for k = k0, k0 + 1, ...)
-        #: Per member, the last index whose inverse it can reach: the first
-        #: singular shift base + kI stops it at k. _UNBOUNDED until then.
+        self._run = np.empty((1,) + base.shape, dtype=complex)
+        self._run[0] = linalg.identity(base.shape[-1])  # broadcast over members
+        self._size = 1
+        # (k0, the scaled factors of indices k0, k0 + 1, ...) not yet folded in
+        self._block = (0, ())
+        #: Per member of an inverse chain, the last index it can reach: the
+        #: first singular shift base + kI stops it at k. _UNBOUNDED until then.
         self.reach = np.full(base.shape[:-2], _UNBOUNDED) if track_inverses else None
 
     @classmethod
@@ -110,80 +102,93 @@ class PochhammerChain:
         return cls(linalg.as_matrices(base), track_inverses=True)
 
     @property
-    def order(self) -> int:
-        return self.base.shape[-1]
-
-    @property
-    def products(self) -> np.ndarray:
-        return self._products.view
+    def products(self) -> np.ndarray | None:
+        """The held run of a product chain (None for an inverse chain)."""
+        return self._run[: self._size] if self.reach is None else None
 
     @property
     def inverse_products(self) -> np.ndarray | None:
-        return None if self._inverses is None else self._inverses.view
+        """The held run of an inverse chain (None for a product chain)."""
+        return None if self.reach is None else self._run[: self._size]
 
     def products_through(self, n: int) -> np.ndarray:
-        """(A)_0, ..., (A)_n as one (n + 1, ...) view, extending the cache.
+        """(A)_0 / 0!, ..., (A)_n / n! as one (n + 1, ...) view, extending the run."""
+        if self.reach is not None:
+            raise ValueError("chain was created for inverses")
+        return self._through(n)
 
-        Each new index folds in one shift as (A)_{k+1} = (A)_k (A + kI), and
-        no product past index n is formed. The shifts A + kI are built in
-        one call per run of _CHAIN_BLOCK of them.
+    def inverses_through(self, n: int) -> np.ndarray:
+        """0! (A)_0^{-1}, ..., n! (A)_n^{-1} as one view, extending the run.
+
+        A singular shift cuts a member's run short. One base raises
+        SingularShift only when index n needs that shift. In a stack, the
+        member's later entries are NaN and its ``reach`` records where it
+        stopped, while the other members go on.
+        """
+        if self.reach is None:
+            raise ValueError("chain was created without inverse tracking")
+        return self._through(n)
+
+    def _through(self, n: int) -> np.ndarray:
+        """The run through index n, one scaled factor folded in per new index.
+
+        A product chain folds (A)_{k+1}/(k+1)! = (A)_k/k! (A + kI)/(k+1), with
+        the shifts built in runs of max(n - k, _CHAIN_BLOCK). An inverse chain
+        folds (k+1)! (A)_{k+1}^{-1} = (k+1) (A + kI)^{-1} k! (A)_k^{-1}, with
+        the shifts solved in one stacked call per block at least as long as
+        the run it extends. No entry past index n is formed, and a factor
+        block is dropped once it is folded in.
         """
         if n < 0:
             raise ValueError("Pochhammer index must be nonnegative")
-        stack = self._products
-        if stack.size <= n:
-            first = stack.size - 1
-            data = stack.grow(n - first)
-            for k in range(first, n):
-                start, shifts = self._shifts
-                if k >= start + len(shifts):
-                    count = max(n - k, _CHAIN_BLOCK)
-                    start, shifts = k, linalg.shifted(self.base, range(k, k + count))
-                    self._shifts = start, shifts
-                np.matmul(data[k], shifts[k - start], out=data[k + 1])
-        return stack.data[: n + 1]
+        if n >= len(self._run):
+            grown = np.empty((max(n + 1, 2 * len(self._run)),) + self.base.shape, dtype=complex)
+            grown[: self._size] = self._run[: self._size]
+            self._run = grown
+        run, products = self._run, self.reach is None
+        start, factors = self._block
+        for k in range(self._size - 1, n):
+            if k - start >= len(factors):
+                start, factors = self._block = (k, ())  # drop the folded block first
+                if products or k < self.reach.max():
+                    start, factors = self._block = (k, self._factors(k, n))
+                if not len(factors):  # no member reaches index k + 1
+                    self._size = k + 1
+                    if self.base.ndim == 2:
+                        raise SingularShift(f"base + {k}*I is singular", shift=k + 1)
+                    run[k + 1 : n + 1] = np.nan
+                    break
+            if products:
+                np.matmul(run[k], factors[k - start], out=run[k + 1])
+            else:
+                np.matmul(factors[k - start], run[k], out=run[k + 1])
+        self._size = max(self._size, n + 1)
+        return run[: n + 1]
 
-    def inverses_through(self, n: int) -> np.ndarray:
-        """(A)_0^{-1}, ..., (A)_n^{-1} as one view, extending the cache.
-
-        The cache grows by a block at least as long as what it holds (and at
-        least _CHAIN_BLOCK long), solved in one stacked call and folded in as
-        (A)_{k+1}^{-1} = (A + kI)^{-1} (A)_k^{-1}. A singular shift inside
-        the block cuts a member's run short. One base raises SingularShift
-        only when index n needs that shift. In a stack, the member's later
-        entries are NaN and its ``reach`` records where it stopped, while the
-        other members go on.
-        """
-        if self._inverses is None:
-            raise ValueError("chain was created without inverse tracking")
-        stack = self._inverses
-        if stack.size <= n:
-            first = stack.size - 1
-            shifts = range(first, max(n, 2 * stack.size - 1, _CHAIN_BLOCK))
+    def _factors(self, k: int, n: int) -> np.ndarray:
+        """The next block of scaled factors, for the indices k, k + 1, ..."""
+        if self.reach is None:
+            shifts = np.arange(k, k + max(n - k, _CHAIN_BLOCK))
+            factors = linalg.shifted(self.base, shifts)
+        else:
+            shifts = np.arange(k, max(n, 2 * k + 1, _CHAIN_BLOCK))
             factors = linalg.shift_inverses(self.base, shifts)
             if len(factors) < len(shifts) or np.isnan(factors[-1, ..., 0, 0]).any():
                 runs = np.count_nonzero(~np.isnan(factors[..., 0, 0]), axis=0)
                 self.reach = np.where(
-                    runs < len(shifts), np.minimum(self.reach, first + runs), self.reach
+                    runs < len(shifts), np.minimum(self.reach, k + runs), self.reach
                 )
-            data = stack.grow(len(factors))
-            for k, factor in enumerate(factors, start=first):
-                np.matmul(factor, data[k], out=data[k + 1])
-            if stack.size <= n:
-                k = stack.size - 1
-                if self.base.ndim == 2:
-                    raise SingularShift(f"base + {k}*I is singular", shift=k + 1)
-                # Every member of the stack has stopped: pad with NaN.
-                stack.grow(n - k)[k + 1 : n + 1] = np.nan
-        return stack.data[: n + 1]
+        scale = (shifts[: len(factors)] + 1.0).reshape((-1,) + (1,) * self.base.ndim)
+        factors *= 1.0 / scale if self.reach is None else scale
+        return factors
 
     def product(self, n: int) -> np.ndarray:
-        """(A)_n, extending the cache as needed."""
-        return self.products_through(n)[n]
+        """(A)_n, extending the run as needed."""
+        return functools.reduce(np.multiply, _factorial_chunks(n), self.products_through(n)[n])
 
     def inverse(self, n: int) -> np.ndarray:
-        """(A)_n^{-1}, extending the inverse cache as needed."""
-        return self.inverses_through(n)[n]
+        """(A)_n^{-1}, extending the run as needed."""
+        return functools.reduce(np.divide, _factorial_chunks(n), self.inverses_through(n)[n])
 
 
 def pochhammer(a: Matrix, n: int) -> Matrix:
@@ -220,33 +225,27 @@ def pochhammer_c_decrement_residual(c: Matrix, n: int) -> float:
 def gamma_limit(a: Matrix, n: int) -> Matrix:
     """Gamma function of a positive stable matrix via the factorial limit.
 
-    Returns (n-1)! (A)_n^{-1} n^A for the given n. The shifts A + kI are
-    inverted in stacked blocks of _GAMMA_BLOCK and folded in one factor
-    k (A + kI)^{-1} at a time, keeping the running product near unit scale;
-    a naive (n-1)! overflows long before the interesting n. The power n^A is
-    exp(ln(n) A).
+    Returns (n-1)! (A)_n^{-1} n^A for the given n, read as n! (A)_n^{-1} / n
+    from the factorial-scaled inverse chain, which stays near unit scale
+    where a naive (n-1)! overflows long before the interesting n. The power
+    n^A is exp(ln(n) A).
     """
     a = linalg.as_matrix(a)
     if n < 1:
         raise ValueError("n must be positive")
     if not linalg.is_positive_stable(a):
         raise ValueError("gamma limit requires a positive stable matrix")
-    acc = linalg.identity(a.shape[0])
-    for start in range(0, n, _GAMMA_BLOCK):
-        shifts = np.arange(start, min(n, start + _GAMMA_BLOCK))
-        factors = linalg.shift_inverses(a, shifts)
-        if len(factors) < len(shifts):
-            k = start + len(factors)
-            where = "matrix itself" if k == 0 else f"matrix + {k}*I"
-            raise SingularShift(f"{where} is singular", shift=k)
-        for k, factor in zip(range(start, n), factors):
-            # A^{-1} (k = 0) enters with weight 1; (n-1)! is the product of the rest.
-            acc = max(k, 1) * (factor @ acc)
+    try:
+        scaled = PochhammerChain.for_inverses(a).inverses_through(n)[n]
+    except SingularShift as exc:
+        k = exc.shift - 1
+        where = "matrix itself" if k == 0 else f"matrix + {k}*I"
+        raise SingularShift(f"{where} is singular", shift=k) from None
     try:
         power = linalg.mat_exp(math.log(n) * a)
     except NonConvergent as exc:  # pragma: no cover - extreme norms
         raise Overflow(str(exc)) from exc
-    result = acc @ power
+    result = scaled / n @ power
     if not np.all(np.isfinite(result.real)) or not np.all(np.isfinite(result.imag)):
         raise Overflow("gamma limit accumulation overflowed")
     return result

@@ -15,6 +15,15 @@ per kind, the ordered factors (parameter, inverse?, index) with index m, n or
 N = m + n. 2F1 is the single-variable case, whose only index pair on
 diagonal N is (N, 0).
 
+The chains hold the factorial-scaled runs (P)_k / k! and k! (P)_k^{-1}, which
+grow like a power of k where (P)_k overflows, so the factorials move from the
+weights into the factors. In every row the m- and n-indexed factors net
+1 - p more products than inverses, where p is that net count of the
+N-indexed factors, so the scaled term carries the weight
+x^m y^n C(m + n, m)^p: x^m y^n for F1 (p = 0), C(N, m) x^m y^n for F2
+(p = 1), x^m y^n / C(N, m) for F3 (p = -1), C(N, m)^2 x^m y^n for F4
+(p = 2) and x^N for 2F1.
+
 One engine, evaluate_many, sums a batch of parameter sets of one kind and
 one order at one point; evaluate is the batch of one. Each parameter feeds
 one Pochhammer chain over the stack of its b members, whose entries are
@@ -38,7 +47,9 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -102,7 +113,7 @@ class ParameterSet:
     """The named parameter matrices of one function kind, one common order."""
 
     kind: FunctionKind
-    matrices: dict[str, Matrix]
+    matrices: Mapping[str, Matrix]
 
     def __post_init__(self):
         expected = set(self.kind.parameter_names)
@@ -118,7 +129,7 @@ class ParameterSet:
         orders = {m.shape for m in validated.values()}
         if len(orders) != 1:
             raise DimensionMismatch(f"parameter orders differ: {sorted(orders)}")
-        object.__setattr__(self, "matrices", validated)
+        object.__setattr__(self, "matrices", MappingProxyType(validated))
 
     @property
     def order(self) -> int:
@@ -143,7 +154,7 @@ class ParameterSet:
             updated[name] = updated[name] + amount * eye
         copy = object.__new__(ParameterSet)
         object.__setattr__(copy, "kind", self.kind)
-        object.__setattr__(copy, "matrices", updated)
+        object.__setattr__(copy, "matrices", MappingProxyType(updated))
         return copy
 
     def renamed(self, mapping: dict[str, str]) -> "ParameterSet":
@@ -218,10 +229,10 @@ def _check_point(kind: FunctionKind, point: EvalPoint, cfg: SeriesConfig) -> Non
 def _diagonal(blocks: list[np.ndarray], weights: np.ndarray, out: np.ndarray) -> None:
     """Every member's sum of the terms with m + n = N, weighted in order of rising m.
 
-    Each factor contributes one slice of its stacked chain, each entry of
-    which holds one matrix per member: (P)_N for index N, (P)_0..(P)_N for m
-    and (P)_N..(P)_0 for n = N - m. The slices are multiplied left to right
-    in the printed order, then weighted and summed over m into ``out``.
+    Each factor contributes one slice of its stacked scaled chain, each entry
+    of which holds one matrix per member: entry N for index N, entries 0..N
+    for m and N..0 for n = N - m. The slices are multiplied left to right in
+    the printed order, then weighted and summed over m into ``out``.
     """
     term = blocks[0]
     for block in blocks[1:]:
@@ -266,7 +277,10 @@ def evaluate_many(
     label = "double series" if kind.is_two_variable else "series"
     x = complex(point.x)
     y = complex(point.y) if kind.is_two_variable else 0j
-    xs, ys = [1.0 + 0.0j], [1.0 + 0.0j]  # x^m / m!, y^n / n!
+    # p of the weights x^m y^n C(N, m)^p: the N-indexed products minus inverses
+    power = sum(-1 if inverse else 1 for _, inverse, index in _TERMS[kind] if index == "N")
+    falling = np.arange(1.0, cfg.max_degree + 1) ** -power  # k^-p, k = 1..max_degree
+    row = np.ones(1, dtype=complex)  # the weights x^m y^n C(N, m)^p, m = 0..N
     size = len(param_sets)
     outcomes: list[EvalReport | Exception | None] = [None] * size
     active = list(range(size))  # members neither frozen nor failed
@@ -280,8 +294,9 @@ def evaluate_many(
     with np.errstate(over="ignore", invalid="ignore"):
         for degree in range(cfg.max_degree + 1):
             if degree:
-                xs.append(xs[-1] * x / degree)
-                ys.append(ys[-1] * y / degree)
+                # C(N, m) = C(N - 1, m) N / (N - m) for m < N, and C(N, N) = 1.
+                growth = falling[degree - 1 :: -1] * (y * degree**power)
+                row = np.concatenate((row * growth, row[-1:] * x))
             blocks = []
             for chain, inverse, index in factors:
                 if inverse:
@@ -301,9 +316,7 @@ def evaluate_many(
             if not active:
                 break
             # m over the index pairs (m, degree - m); 2F1 has only (N, 0).
-            ms = range(degree + 1) if kind.is_two_variable else (degree,)
-            weights = np.array([xs[m] * ys[degree - m] for m in ms])
-            _diagonal(blocks, weights, out=increment)
+            _diagonal(blocks, row if kind.is_two_variable else row[-1:], out=increment)
             total += increment
             norms = np.sqrt(np.einsum("ij,ij->i", flat, flat)).tolist()
             last_norms = norms[:size]
@@ -338,8 +351,8 @@ def evaluate(
     """Evaluate any supported kind at a point, honoring the domain guard.
 
     The batch of one: raises what ``evaluate_many`` reports for the member.
-    Overflowing increments (possible when a series is pushed toward the edge
-    of its region) fail immediately instead of spinning to max_degree.
+    Overflowing increments (possible past the edge of a region with the
+    domain guard off) fail immediately instead of spinning to max_degree.
     """
     (outcome,) = evaluate_many([params], point, cfg)
     if isinstance(outcome, Exception):

@@ -132,6 +132,29 @@ def test_inverse_chain_blocks_stay_inverse_at_order_eight(seed):
     assert residuals.max() <= 1e-10
 
 
+def test_unscaled_lookups_read_the_scaled_run():
+    # The chains hold (A)_n / n! and n! (A)_n^-1; product and inverse undo the scaling.
+    a = random_commuting_family(3, ["A"], seed=7).realize("A")
+    products = PochhammerChain.for_products(a)
+    inverses = PochhammerChain.for_inverses(a)
+    for n in (0, 1, 5, 30):
+        factorial = float(math.factorial(n))
+        assert np.array_equal(products.product(n), factorial * products.products_through(n)[n])
+        assert np.array_equal(inverses.inverse(n), inverses.inverses_through(n)[n] / factorial)
+
+
+def test_unscaled_lookups_past_the_double_range():
+    # (A)_200 overflows and (A)_200^-1 underflows; neither may raise OverflowError.
+    a = np.array([[2.0, 1.0], [0.5, 3.0]], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(pochhammer(a, 200)).all()
+        assert np.array_equal(pochhammer_inverse(a, 200), np.zeros((2, 2)))
+    # 171! overflows, but (0.001)_171 = 7.299e303 and its inverse do not.
+    small = np.array([[1e-3]], dtype=complex)
+    assert pochhammer(small, 171)[0, 0] == pytest.approx(7.29901146236384e303, rel=1e-12)
+    assert pochhammer_inverse(small, 171)[0, 0] == pytest.approx(1.3700485403487e-304, rel=1e-12)
+
+
 def test_shift_identity_scalar_case():
     # r = 1, base 2, n = 3: (3)_3 = 60 against (1/2)(2)_3(2+3) = 60.
     assert pochhammer_shift_identity_residual(np.array([[2.0]], dtype=complex), 3) == (
@@ -240,6 +263,14 @@ def test_gamma_limit_above_order_eight():
     expected = p @ np.diag(finite) @ np.linalg.inv(p)
     value = gamma_limit(a, n)
     assert np.linalg.norm(value - expected) <= 1e-5 * np.linalg.norm(expected)
+
+
+def test_gamma_limit_singular_shift_names_the_matrix():
+    # Positive stable (both eigenvalues 1) but rcond is about 1e-26.
+    with pytest.raises(SingularShift) as err:
+        gamma_limit(np.array([[1.0, 1e13], [0.0, 1.0]], dtype=complex), 10)
+    assert str(err.value) == "matrix itself is singular"
+    assert err.value.shift == 0
 
 
 def test_gamma_limit_requires_positive_stable():

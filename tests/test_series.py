@@ -310,6 +310,13 @@ def test_parameter_set_validation():
         )
 
 
+def test_parameter_set_matrices_are_read_only():
+    params = scalar_params(FunctionKind.GAUSS_2F1, {"A": 1.0, "B": 1.0, "C": 2.0})
+    for copy in (params, params.shifted("A", 1), params.moved({"B": 2})):
+        with pytest.raises(TypeError):
+            copy.matrices["C"] = np.eye(3, dtype=complex)
+
+
 def test_point_arity_enforced():
     params = scalar_params(FunctionKind.GAUSS_2F1, {"A": 1.0, "B": 1.0, "C": 2.0})
     with pytest.raises(ValueError):
@@ -392,3 +399,28 @@ def test_batch_shares_one_kind_one_order_and_the_point_checks():
         evaluate_many([gauss, wide], EvalPoint(0.1))
     outside = evaluate_many([gauss, gauss.shifted("A", 1)], EvalPoint(1.0))
     assert [type(outcome) for outcome in outside] == [DomainViolation] * 2
+
+
+F2_EDGE = {"A": 1.3, "B": 0.7, "Bp": 0.9, "C": 1.1, "Cp": 1.6}
+
+
+@pytest.mark.parametrize(
+    "kind, values, point",
+    [
+        (FunctionKind.GAUSS_2F1, {"A": 1.3, "B": 2.7, "C": 1.1}, EvalPoint(0.9)),
+        (FunctionKind.GAUSS_2F1, {"A": 0.5, "B": 0.7, "C": 1.1}, EvalPoint(0.9)),
+        (FunctionKind.APPELL_F2, F2_EDGE, EvalPoint(0.5, 0.4)),
+        (FunctionKind.APPELL_F2, F2_EDGE, EvalPoint(0.8, 0.15)),
+    ],
+)
+def test_near_the_region_edge_matches_mpmath(kind, values, point):
+    # Unscaled chains overflowed here near degree 100, long before convergence.
+    mpmath = pytest.importorskip("mpmath")
+    report = evaluate(scalar_params(kind, values), point)
+    with mpmath.workdps(30):
+        if kind is FunctionKind.GAUSS_2F1:
+            expected = complex(mpmath.hyp2f1(*values.values(), point.x))
+        else:
+            expected = complex(mpmath.appellf2(*values.values(), point.x, point.y))
+    assert report.converged
+    assert abs(report.value[0, 0] - expected) <= 1e-10 * abs(expected)
