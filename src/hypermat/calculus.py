@@ -315,10 +315,6 @@ class CommutingFamily:
                         f"spectrum of {name} leaves the real band [{lo}, {hi}]"
                     )
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.spectra)
-
     def realize(self, name: str) -> Matrix:
         """The member matrix P diag(spectra[name]) P^{-1}."""
         return self.apply_scalar(name, lambda z: z)

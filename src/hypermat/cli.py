@@ -1,9 +1,18 @@
 """Command line front end: evaluate, verify, list.
 
-Exit codes for ``eval``: 0 success, 1 parse error, 2 domain violation,
-3 evaluation failure (non-convergence or a singular shift). ``verify``
-returns 0 when every trial passed, 1 for unknown ids or bad arguments, and
-2 when the campaign completed with failures.
+Every command returns 0 on success, and ``verify`` returns 2 when the
+campaign completed with failed trials. A failure prints one stderr line and
+exits with the code of the first row of ``_FAILURES`` that matches it:
+
+    ParseError               1  parse error: <location>: <message>
+    UnknownIdentity          1  unknown ids: <every unknown id>; valid ids: ...
+    ValueError               1  bad arguments: <message>
+    DomainViolation          2  domain violation: <message>
+    NotConverged             3  did not converge: <message>
+    any other HypermatError  3  evaluation failed: <Type>: <message>
+
+Bad arguments are out-of-range options such as ``--tol 0``, ``--trials 0``,
+``--s 0`` or ``--orders 9``, and an ``--ids`` list that names no identity.
 """
 
 from __future__ import annotations
@@ -33,6 +42,16 @@ _EXIT_OK = 0
 _EXIT_USAGE = 1
 _EXIT_DOMAIN = 2
 _EXIT_NUMERICAL = 3
+
+#: Exit code and stderr prefix of each failure; the first matching row wins.
+_FAILURES = (
+    (ParseError, _EXIT_USAGE, "parse error: "),
+    (UnknownIdentity, _EXIT_USAGE, ""),
+    (ValueError, _EXIT_USAGE, "bad arguments: "),
+    (DomainViolation, _EXIT_DOMAIN, "domain violation: "),
+    (NotConverged, _EXIT_NUMERICAL, "did not converge: "),
+    (HypermatError, _EXIT_NUMERICAL, "evaluation failed: {}: "),
+)
 
 
 def _int_list(text: str) -> list[int]:
@@ -107,31 +126,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> int:
-    try:
-        data = load_evaluation_document(args.input, expected_kind=args.kind)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    try:
-        cfg = SeriesConfig(
-            tol=args.tol,
-            max_degree=args.max_degree,
-            enforce_domain=not args.allow_boundary,
-        )
-    except ValueError as exc:
-        print(f"bad arguments: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    try:
-        report = evaluate(data.params, data.point, cfg)
-    except DomainViolation as exc:
-        print(f"domain violation: {exc}", file=sys.stderr)
-        return _EXIT_DOMAIN
-    except NotConverged as exc:
-        print(f"did not converge: {exc}", file=sys.stderr)
-        return _EXIT_NUMERICAL
-    except HypermatError as exc:
-        print(f"evaluation failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return _EXIT_NUMERICAL
+    data = load_evaluation_document(args.input, expected_kind=args.kind)
+    cfg = SeriesConfig(
+        tol=args.tol,
+        max_degree=args.max_degree,
+        enforce_domain=not args.allow_boundary,
+    )
+    report = evaluate(data.params, data.point, cfg)
     doc = eval_report_to_document(report, data, echo_input=args.echo)
     sys.stdout.write(dump_document(doc))
     return _EXIT_OK
@@ -140,43 +141,20 @@ def _cmd_eval(args) -> int:
 def _cmd_verify(args) -> int:
     ids = None
     if args.ids is not None:
-        # A repeated id is verified once, at its first mention.
-        parts = [part.strip() for part in args.ids.split(",")]
-        ids = list(dict.fromkeys(part for part in parts if part))
+        ids = [part.strip() for part in args.ids.split(",") if part.strip()]
         if not ids:
-            print(f"bad arguments: --ids names no identity: {args.ids!r}", file=sys.stderr)
-            return _EXIT_USAGE
-        known = {d.id for d in catalog()}
-        bad = [identity_id for identity_id in ids if identity_id not in known]
-        if bad:
-            print(
-                f"unknown ids: {', '.join(bad)}\nvalid ids:\n  "
-                + "\n  ".join(sorted(known)),
-                file=sys.stderr,
-            )
-            return _EXIT_USAGE
-    if args.trials < 1:
-        print("trials must be positive", file=sys.stderr)
-        return _EXIT_USAGE
-    try:
-        cfg = SeriesConfig(tol=args.tol, max_degree=args.max_degree)
-        reports = run_campaign(
-            ids=ids,
-            trials=args.trials,
-            orders=tuple(args.orders),
-            s_values=tuple(args.s_values),
-            seed=args.seed,
-            cfg=cfg,
-            campaign_tol=args.campaign_tol,
-        )
-    except UnknownIdentity as exc:
-        print(str(exc), file=sys.stderr)
-        return _EXIT_USAGE
-    except ValueError as exc:
-        print(f"bad arguments: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+            raise ValueError(f"--ids names no identity: {args.ids!r}")
+    reports = run_campaign(
+        ids=ids,
+        trials=args.trials,
+        orders=tuple(args.orders),
+        s_values=tuple(args.s_values),
+        seed=args.seed,
+        cfg=SeriesConfig(tol=args.tol, max_degree=args.max_degree),
+        campaign_tol=args.campaign_tol,
+    )
     config_echo = {
-        "ids": sorted(ids) if ids is not None else "all",
+        "ids": sorted(set(ids)) if ids is not None else "all",
         "trials": args.trials,
         "orders": list(args.orders),
         "s_values": list(args.s_values),
@@ -233,13 +211,14 @@ def _cmd_list(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "eval":
-        return _cmd_eval(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    return _cmd_list(args)
+    args = _build_parser().parse_args(argv)
+    command = {"eval": _cmd_eval, "verify": _cmd_verify, "list": _cmd_list}[args.command]
+    try:
+        return command(args)
+    except (HypermatError, ValueError) as exc:
+        code, prefix = next((c, p) for kind, c, p in _FAILURES if isinstance(exc, kind))
+        print(prefix.format(type(exc).__name__) + str(exc), file=sys.stderr)
+        return code
 
 
 def console_entry() -> None:

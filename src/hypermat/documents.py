@@ -20,6 +20,7 @@ seed always produces byte-identical bytes.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -44,97 +45,93 @@ class EvaluationInput:
     echo: dict[str, Any]
 
 
-def _require(condition: bool, location: str, message: str) -> None:
-    if not condition:
-        raise ParseError(location, message)
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _parse_complex(value, location: str) -> complex:
-    _require(
-        isinstance(value, (list, tuple)) and len(value) == 2,
-        location,
-        f"expected a [re, im] pair, got {value!r}",
-    )
+def _at(location: str, *indices: int) -> str:
+    return location + "".join(f"[{k}]" for k in indices)
+
+
+def _parse_complex(value, location: str, *indices: int) -> complex:
+    """Read the [re, im] pair at ``location`` indexed by ``indices``.
+
+    The location text is built only when a check fails.
+    """
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ParseError(_at(location, *indices), f"expected a [re, im] pair, got {value!r}")
     re, im = value
-    _require(
-        isinstance(re, (int, float)) and not isinstance(re, bool),
-        f"{location}[0]",
-        "real part must be a number",
-    )
-    _require(
-        isinstance(im, (int, float)) and not isinstance(im, bool),
-        f"{location}[1]",
-        "imaginary part must be a number",
-    )
-    _require(
-        math.isfinite(float(re)) and math.isfinite(float(im)),
-        location,
-        "entries must be finite",
-    )
-    return complex(float(re), float(im))
+    if not _is_number(re):
+        raise ParseError(_at(location, *indices, 0), "real part must be a number")
+    if not _is_number(im):
+        raise ParseError(_at(location, *indices, 1), "imaginary part must be a number")
+    try:
+        z = complex(float(re), float(im))
+    except OverflowError:  # an integer literal past the double range
+        z = complex(math.inf)
+    if not cmath.isfinite(z):
+        raise ParseError(_at(location, *indices), "entries must be finite")
+    return z
 
 
 def _parse_matrix(rows, order: int, location: str) -> Matrix:
-    _require(isinstance(rows, list), location, "expected a list of rows")
-    _require(
-        len(rows) == order, location, f"expected {order} rows, got {len(rows)}"
-    )
-    out = np.zeros((order, order), dtype=complex)
+    if not isinstance(rows, list):
+        raise ParseError(location, "expected a list of rows")
+    if len(rows) != order:
+        raise ParseError(location, f"expected {order} rows, got {len(rows)}")
+    out = []
     for i, row in enumerate(rows):
-        _require(
-            isinstance(row, list) and len(row) == order,
-            f"{location}[{i}]",
-            f"expected {order} entries",
-        )
-        for j, entry in enumerate(row):
-            out[i, j] = _parse_complex(entry, f"{location}[{i}][{j}]")
-    return out
+        if not (isinstance(row, list) and len(row) == order):
+            raise ParseError(f"{location}[{i}]", f"expected {order} entries")
+        out.append([_parse_complex(entry, location, i, j) for j, entry in enumerate(row)])
+    return np.array(out, dtype=complex)
 
 
 def parse_evaluation_document(
     payload: dict[str, Any], expected_kind: str | None = None
 ) -> EvaluationInput:
     """Validate a loaded JSON object into parameters and a point."""
-    _require(isinstance(payload, dict), "$", "document must be a JSON object")
+    if not isinstance(payload, dict):
+        raise ParseError("$", "document must be a JSON object")
     kind_tag = payload.get("kind")
-    _require(
-        isinstance(kind_tag, str) and kind_tag in _KINDS_BY_TAG,
-        "kind",
-        f"expected one of {sorted(_KINDS_BY_TAG)}, got {kind_tag!r}",
-    )
+    if not (isinstance(kind_tag, str) and kind_tag in _KINDS_BY_TAG):
+        raise ParseError("kind", f"expected one of {sorted(_KINDS_BY_TAG)}, got {kind_tag!r}")
     if expected_kind is not None and expected_kind != kind_tag:
         raise ParseError(
             "kind", f"document is for {kind_tag}, but {expected_kind} was requested"
         )
     kind = _KINDS_BY_TAG[kind_tag]
     order = payload.get("order")
-    _require(
-        isinstance(order, int) and not isinstance(order, bool) and order >= 1,
-        "order",
-        f"expected a positive integer, got {order!r}",
-    )
+    if not (isinstance(order, int) and not isinstance(order, bool) and order >= 1):
+        raise ParseError("order", f"expected a positive integer, got {order!r}")
     matrices_node = payload.get("matrices")
-    _require(isinstance(matrices_node, dict), "matrices", "expected an object")
+    if not isinstance(matrices_node, dict):
+        raise ParseError("matrices", "expected an object")
     expected_names = set(kind.parameter_names)
     present = set(matrices_node)
     missing = expected_names - present
     extra = present - expected_names
-    _require(not missing, "matrices", f"missing parameters: {sorted(missing)}")
-    _require(not extra, "matrices", f"unexpected parameters: {sorted(extra)}")
+    if missing:
+        raise ParseError("matrices", f"missing parameters: {sorted(missing)}")
+    if extra:
+        raise ParseError("matrices", f"unexpected parameters: {sorted(extra)}")
     matrices = {
         name: _parse_matrix(matrices_node[name], order, f"matrices.{name}")
         for name in kind.parameter_names
     }
     point_node = payload.get("point")
-    _require(isinstance(point_node, dict), "point", "expected an object")
-    _require("x" in point_node, "point.x", "missing")
+    if not isinstance(point_node, dict):
+        raise ParseError("point", "expected an object")
+    if "x" not in point_node:
+        raise ParseError("point.x", "missing")
     x = _parse_complex(point_node["x"], "point.x")
     y = None
     if kind.is_two_variable:
-        _require("y" in point_node, "point.y", f"{kind_tag} needs a y variable")
+        if "y" not in point_node:
+            raise ParseError("point.y", f"{kind_tag} needs a y variable")
         y = _parse_complex(point_node["y"], "point.y")
-    else:
-        _require("y" not in point_node, "point.y", "2F1 takes no y variable")
+    elif "y" in point_node:
+        raise ParseError("point.y", "2F1 takes no y variable")
     params = ParameterSet(kind, matrices)
     return EvaluationInput(params=params, point=EvalPoint(x, y), echo=payload)
 
@@ -143,7 +140,7 @@ def load_evaluation_document(path: str, expected_kind: str | None = None) -> Eva
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(path, f"cannot read file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(

@@ -53,7 +53,7 @@ def _validated(entries, stacked: bool) -> np.ndarray:
         raise DimensionMismatch(f"expected {expected}, got shape {m.shape}")
     if m.shape[-1] < 1:
         raise DimensionMismatch("matrix order must be at least 1")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():  # complex isfinite tests both parts
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -116,10 +116,11 @@ class CheckedMatrix:
 
 
 def lu_factor(m: Matrix) -> CheckedMatrix:
-    """Check ``m`` for invertibility. Never raises on singular input."""
-    a = np.array(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    """Validate ``m`` as ``as_matrix`` does and check it for invertibility.
+
+    Never raises on singular input.
+    """
+    a = as_matrix(m)
     return CheckedMatrix(a, float(reciprocal_condition(a)))
 
 
@@ -143,7 +144,8 @@ def solve(f: CheckedMatrix, rhs: Matrix) -> Matrix:
 
 def inverse(m: Matrix) -> Matrix:
     """M^-1 via a checked solve against the identity."""
-    return solve(lu_factor(m), identity(m.shape[0]))
+    f = lu_factor(m)
+    return solve(f, identity(f.order))
 
 
 def shifted(base: np.ndarray, shifts) -> np.ndarray:

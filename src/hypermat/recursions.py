@@ -774,14 +774,23 @@ def run_campaign(
     Each (identity, trial) pair derives its own seed, draws an order and a
     shift count from the supplied pools, then a commuting family and an
     in-region point, and verifies. A repeated id is verified once, at its
-    first mention. Failures become failed reports, never exceptions; only
-    bad arguments (empty pools, a shift below 1, a campaign_tol that is not
-    positive) raise ValueError.
+    first mention. Failures become failed reports, never exceptions; ids
+    that are not in the catalog raise one UnknownIdentity naming them all,
+    and bad arguments (trials below 1, empty pools, a shift below 1, a
+    campaign_tol that is not positive) raise ValueError.
     """
     if ids is None:
         descriptors = list(catalog())
     else:
-        descriptors = [get(identity_id) for identity_id in dict.fromkeys(ids)]
+        ids = list(dict.fromkeys(ids))
+        unknown = [identity_id for identity_id in ids if identity_id not in _BY_ID]
+        if unknown:
+            raise UnknownIdentity(
+                f"unknown ids: {', '.join(unknown)}; valid ids: " + ", ".join(sorted(_BY_ID))
+            )
+        descriptors = [_BY_ID[identity_id] for identity_id in ids]
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     if not orders or not s_values:
         raise ValueError("orders and s_values must be non-empty")
     if min(s_values) <= 0:

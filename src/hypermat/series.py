@@ -48,7 +48,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -184,9 +184,6 @@ class SeriesConfig:
             raise ValueError("tol must lie in (0, 1)")
         if self.max_degree < 1:
             raise ValueError("max_degree must be at least 1")
-
-    def with_tol(self, tol: float) -> "SeriesConfig":
-        return replace(self, tol=tol)
 
 
 DEFAULT_CONFIG = SeriesConfig()

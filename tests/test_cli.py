@@ -113,6 +113,7 @@ def test_eval_singular_shift_exit_three(tmp_path, capsys):
         ["verify", "--s", "0", "--ids", "G-A+1-contig", "--trials", "1"],
         ["verify", "--campaign-tol", "-1", "--ids", "G-A+1-contig", "--trials", "1"],
         ["verify", "--ids", ",", "--trials", "1"],
+        ["verify", "--ids", "G-A+1-contig", "--trials", "0"],
     ],
 )
 def test_out_of_range_arguments_exit_one(args, tmp_path, capsys):
@@ -151,6 +152,38 @@ def test_verify_unknown_id(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "G-A+s-sum" in err  # the valid ids are listed
+
+
+def test_verify_unknown_ids_on_one_line(capsys):
+    code = main(["verify", "--ids", "nope,G-A+1-contig,zzz", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    assert line.startswith("unknown ids: nope, zzz; valid ids: ")
+
+
+@pytest.mark.parametrize(
+    "text, prefix",
+    [
+        (
+            b'{"kind": "2F1", "order": 1, "matrices": {"A": [[[1' + b"0" * 400 + b', 0]]],'
+            b' "B": [[[1, 0]]], "C": [[[2, 0]]]}, "point": {"x": [0.5, 0]}}',
+            "parse error: matrices.A[0][0]: entries must be finite",
+        ),
+        (b"\xff\xfe{}", "parse error: "),
+    ],
+    ids=["integer-past-the-double-range", "not-utf-8"],
+)
+def test_eval_unreadable_document_exit_one(text, prefix, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(text)
+    code = main(["eval", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    assert line.startswith(prefix)
 
 
 def test_verify_writes_deterministic_reports(tmp_path, capsys):

@@ -111,6 +111,16 @@ def test_solve_singular_raises():
         linalg.solve(linalg.lu_factor(linalg.zeros(2)), linalg.identity(2))
 
 
+@pytest.mark.parametrize("entry", [linalg.lu_factor, linalg.inverse])
+def test_factor_and_inverse_validate_their_input(entry):
+    with pytest.raises(DimensionMismatch):
+        entry(np.zeros((0, 0), dtype=complex))
+    with pytest.raises(DimensionMismatch):
+        entry([[1.0, 2.0]])
+    with pytest.raises(ValueError, match="finite"):
+        entry([[math.nan, 0.0], [0.0, 1.0]])
+
+
 def test_inverse():
     rng = random.Random(9)
     m = random_matrix(3, rng)
