@@ -7,12 +7,13 @@ The rising factorial of a square matrix A is the ordered product
 and every series in this package is built from such products together with
 inverse chains (C)_n^{-1}. A chain keeps one convention, the factorial-scaled
 run (A)_n / n! or n! (C)_n^{-1}, which grows like a power of n where the
-unscaled products overflow double precision near n = 170. It folds in one
-factor (A + kI)/(k+1) or (k+1)(C + kI)^{-1} at a time, the shifts C + kI
-solved in stacked blocks rather than by inverting the accumulated product.
-A chain holds one base or a stack of bases, one per member of a batch of
-series. This module also provides the limit formula for the gamma function
-of a positive stable matrix, read off the scaled inverse chain, the
+unscaled products overflow double precision near n = 170. It grows by whole
+blocks of shifts: the factors (A + kI)/(k+1) or (k+1)(C + kI)^{-1} of a
+block are built in one batched call, the shifts C + kI solved in one stacked
+call rather than by inverting the accumulated product, and folded in one at
+a time. A chain holds one base or a stack of bases, one per member of a
+batch of series. This module also provides the limit formula for the gamma
+function of a positive stable matrix, read off the scaled inverse chain, the
 reciprocal-gamma shift residual used for verification, multinomial
 coefficients, and a generator of families of simultaneously diagonalized
 (hence commuting) parameter matrices.
@@ -48,13 +49,10 @@ SPECTRUM_IMAG_RANGE = (-0.5, 0.5)
 _TRANSFORM_MIN_RCOND = 1e-3
 _GENERATION_ATTEMPTS = 100
 
-#: Chains grow by at least this many indices at a time. Every series sums at
+#: Chains grow by blocks of at least this many indices. Every series sums at
 #: least three diagonals and most need 15 to 40, so shorter blocks would pay
 #: the fixed cost of a batched call (rcond test, solve, shift stack) per index.
 _CHAIN_BLOCK = 8
-
-#: The reach of a member that has met no singular shift yet.
-_UNBOUNDED = np.iinfo(np.int64).max
 
 
 def _factorial_chunks(n: int):
@@ -67,6 +65,11 @@ def _factorial_chunks(n: int):
             chunk = 1
         chunk *= k
     yield float(chunk)
+
+
+def singular_shift(k: int) -> SingularShift:
+    """The error of a chain that needs the singular shift base + kI."""
+    return SingularShift(f"base + {k}*I is singular", shift=k + 1)
 
 
 class PochhammerChain:
@@ -87,11 +90,10 @@ class PochhammerChain:
         self._run = np.empty((1,) + base.shape, dtype=complex)
         self._run[0] = linalg.identity(base.shape[-1])  # broadcast over members
         self._size = 1
-        # (k0, the scaled factors of indices k0, k0 + 1, ...) not yet folded in
-        self._block = (0, ())
-        #: Per member of an inverse chain, the last index it can reach: the
-        #: first singular shift base + kI stops it at k. _UNBOUNDED until then.
-        self.reach = np.full(base.shape[:-2], _UNBOUNDED) if track_inverses else None
+        #: Per member of an inverse chain, the last index of its run that is
+        #: not NaN: the first singular shift base + kI stops it at k, and
+        #: until then it is the last index held.
+        self.reach = np.zeros(base.shape[:-2], dtype=int) if track_inverses else None
 
     @classmethod
     def for_products(cls, base: np.ndarray) -> "PochhammerChain":
@@ -120,67 +122,54 @@ class PochhammerChain:
     def inverses_through(self, n: int) -> np.ndarray:
         """0! (A)_0^{-1}, ..., n! (A)_n^{-1} as one view, extending the run.
 
-        A singular shift cuts a member's run short. One base raises
-        SingularShift only when index n needs that shift. In a stack, the
-        member's later entries are NaN and its ``reach`` records where it
-        stopped, while the other members go on.
+        A singular shift base + kI stops a member at index k, its ``reach``.
+        One base raises SingularShift only when n is past its reach. In a
+        stack, the member's later entries are NaN while the other members go
+        on.
         """
         if self.reach is None:
             raise ValueError("chain was created without inverse tracking")
         return self._through(n)
 
     def _through(self, n: int) -> np.ndarray:
-        """The run through index n, one scaled factor folded in per new index.
+        """The run through index n, grown by one whole block when n is not held.
 
-        A product chain folds (A)_{k+1}/(k+1)! = (A)_k/k! (A + kI)/(k+1), with
-        the shifts built in runs of max(n - k, _CHAIN_BLOCK). An inverse chain
-        folds (k+1)! (A)_{k+1}^{-1} = (k+1) (A + kI)^{-1} k! (A)_k^{-1}, with
-        the shifts solved in one stacked call per block at least as long as
-        the run it extends. No entry past index n is formed, and a factor
-        block is dropped once it is folded in.
+        The block covers the shifts k, ..., k + max(n - k, _CHAIN_BLOCK) - 1
+        after the last held index k, so it may run past n. A product chain
+        folds (A)_{j+1}/(j+1)! = (A)_j/j! (A + jI)/(j+1), and an inverse chain
+        folds (j+1)! (A)_{j+1}^{-1} = (j+1) (A + jI)^{-1} j! (A)_j^{-1}, with
+        every shift of the block solved in one stacked call. A NaN factor
+        past a member's reach makes all its later entries NaN.
         """
         if n < 0:
             raise ValueError("Pochhammer index must be nonnegative")
-        if n >= len(self._run):
-            grown = np.empty((max(n + 1, 2 * len(self._run)),) + self.base.shape, dtype=complex)
-            grown[: self._size] = self._run[: self._size]
-            self._run = grown
-        run, products = self._run, self.reach is None
-        start, factors = self._block
-        for k in range(self._size - 1, n):
-            if k - start >= len(factors):
-                start, factors = self._block = (k, ())  # drop the folded block first
-                if products or k < self.reach.max():
-                    start, factors = self._block = (k, self._factors(k, n))
-                if not len(factors):  # no member reaches index k + 1
-                    self._size = k + 1
-                    if self.base.ndim == 2:
-                        raise SingularShift(f"base + {k}*I is singular", shift=k + 1)
-                    run[k + 1 : n + 1] = np.nan
-                    break
-            if products:
-                np.matmul(run[k], factors[k - start], out=run[k + 1])
-            else:
-                np.matmul(factors[k - start], run[k], out=run[k + 1])
-        self._size = max(self._size, n + 1)
-        return run[: n + 1]
-
-    def _factors(self, k: int, n: int) -> np.ndarray:
-        """The next block of scaled factors, for the indices k, k + 1, ..."""
-        if self.reach is None:
+        products = self.reach is None
+        if n >= self._size:
+            k = self._size - 1
             shifts = np.arange(k, k + max(n - k, _CHAIN_BLOCK))
-            factors = linalg.shifted(self.base, shifts)
-        else:
-            shifts = np.arange(k, max(n, 2 * k + 1, _CHAIN_BLOCK))
-            factors = linalg.shift_inverses(self.base, shifts)
-            if len(factors) < len(shifts) or np.isnan(factors[-1, ..., 0, 0]).any():
-                runs = np.count_nonzero(~np.isnan(factors[..., 0, 0]), axis=0)
-                self.reach = np.where(
-                    runs < len(shifts), np.minimum(self.reach, k + runs), self.reach
-                )
-        scale = (shifts[: len(factors)] + 1.0).reshape((-1,) + (1,) * self.base.ndim)
-        factors *= 1.0 / scale if self.reach is None else scale
-        return factors
+            scale = (shifts + 1.0).reshape((-1,) + (1,) * self.base.ndim)
+            if products:
+                factors = linalg.shifted(self.base, shifts)
+                factors *= 1.0 / scale
+            else:
+                factors, reach = linalg.shift_inverses(self.base, shifts)
+                factors *= scale
+                self.reach = np.where(self.reach < k, self.reach, k + reach)
+            size = self._size + len(shifts)
+            if size > len(self._run):
+                grown = np.empty((max(size, 2 * len(self._run)),) + self.base.shape, dtype=complex)
+                grown[: self._size] = self._run[: self._size]
+                self._run = grown
+            run = self._run
+            for j, factor in enumerate(factors, start=k):
+                if products:
+                    np.matmul(run[j], factor, out=run[j + 1])
+                else:
+                    np.matmul(factor, run[j], out=run[j + 1])
+            self._size = size
+        if not products and self.base.ndim == 2 and n > self.reach:
+            raise singular_shift(int(self.reach))
+        return self._run[: n + 1]
 
     def product(self, n: int) -> np.ndarray:
         """(A)_n, extending the run as needed."""

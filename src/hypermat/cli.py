@@ -7,17 +7,22 @@ exits with the code of the first row of ``_FAILURES`` that matches it:
     ParseError               1  parse error: <location>: <message>
     UnknownIdentity          1  unknown ids: <every unknown id>; valid ids: ...
     ValueError               1  bad arguments: <message>
+    OSError                  1  cannot write report: <message>
     DomainViolation          2  domain violation: <message>
     NotConverged             3  did not converge: <message>
     any other HypermatError  3  evaluation failed: <Type>: <message>
 
 Bad arguments are out-of-range options such as ``--tol 0``, ``--trials 0``,
-``--s 0`` or ``--orders 9``, and an ``--ids`` list that names no identity.
+``--s 0`` or ``--orders 9``, an ``--ids`` list that names no identity, and
+a ``verify --out`` path whose directory does not exist, which is checked
+before any trial runs. A report that still cannot be written, say because
+``--out`` names a directory, is an OSError.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -48,6 +53,7 @@ _FAILURES = (
     (ParseError, _EXIT_USAGE, "parse error: "),
     (UnknownIdentity, _EXIT_USAGE, ""),
     (ValueError, _EXIT_USAGE, "bad arguments: "),
+    (OSError, _EXIT_USAGE, "cannot write report: "),
     (DomainViolation, _EXIT_DOMAIN, "domain violation: "),
     (NotConverged, _EXIT_NUMERICAL, "did not converge: "),
     (HypermatError, _EXIT_NUMERICAL, "evaluation failed: {}: "),
@@ -144,6 +150,8 @@ def _cmd_verify(args) -> int:
         ids = [part.strip() for part in args.ids.split(",") if part.strip()]
         if not ids:
             raise ValueError(f"--ids names no identity: {args.ids!r}")
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ValueError(f"--out directory does not exist: {os.path.dirname(args.out)!r}")
     reports = run_campaign(
         ids=ids,
         trials=args.trials,
@@ -215,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     command = {"eval": _cmd_eval, "verify": _cmd_verify, "list": _cmd_list}[args.command]
     try:
         return command(args)
-    except (HypermatError, ValueError) as exc:
+    except (HypermatError, ValueError, OSError) as exc:
         code, prefix = next((c, p) for kind, c, p in _FAILURES if isinstance(exc, kind))
         print(prefix.format(type(exc).__name__) + str(exc), file=sys.stderr)
         return code

@@ -11,9 +11,9 @@ reciprocal condition number sigma_min / sigma_max, from one batched singular
 value call, is below SINGULARITY_RTOL (a zero matrix counts as singular).
 ``lu_factor`` returns the matrix with that verdict so callers decide before
 ``solve`` raises, and ``shift_inverses`` inverts a whole run of shifts
-base + kI in one stacked call, for one base or a stack of them, stopping
-each base at its first singular shift. The matrix exponential uses scaling
-and squaring around a truncated Taylor core.
+base + kI in one stacked call, for one base or a stack of them, and reports
+how far each base reaches before its first singular shift. The matrix
+exponential uses scaling and squaring around a truncated Taylor core.
 """
 
 from __future__ import annotations
@@ -124,10 +124,8 @@ def lu_factor(m: Matrix) -> CheckedMatrix:
     return CheckedMatrix(a, float(reciprocal_condition(a)))
 
 
-def is_invertible(m: Matrix | CheckedMatrix) -> bool:
+def is_invertible(m: Matrix) -> bool:
     """True when the matrix, or every matrix of a stack, passes the rcond test."""
-    if isinstance(m, CheckedMatrix):
-        return m.is_invertible()
     return bool(np.all(reciprocal_condition(m) >= SINGULARITY_RTOL))
 
 
@@ -158,28 +156,22 @@ def shifted(base: np.ndarray, shifts) -> np.ndarray:
     return base + ks * identity(base.shape[-1])
 
 
-def shift_inverses(base: np.ndarray, shifts) -> np.ndarray:
-    """(base + k I)^{-1} for the shifts k in order, up to the first singular one.
+def shift_inverses(base: np.ndarray, shifts) -> tuple[np.ndarray, np.ndarray]:
+    """(base + k I)^{-1} for the shifts k in order, and each base's reach.
 
     ``base`` is one matrix or a stack of them, one per member. One batched
     rcond test judges every shift of every member and one stacked solve
-    inverts them all. A member's run ends at its first singular shift, and
-    its entries from there on are NaN. The result is cut after the last
-    shift that some member still reaches, so for one base a result shorter
-    than ``shifts`` means ``shifts[len(result)]`` is singular.
+    inverts them all. ``reach`` holds, per member, the number of shifts
+    before its first singular one (``len(shifts)`` when there is none), and
+    that member's inverses from there on are NaN.
     """
     stack = shifted(base, shifts)
-    invertible = reciprocal_condition(stack) >= SINGULARITY_RTOL
+    reached = np.logical_and.accumulate(reciprocal_condition(stack) >= SINGULARITY_RTOL, axis=0)
     eye = identity(base.shape[-1])
-    if invertible.all():
-        return np.linalg.solve(stack, np.broadcast_to(eye, stack.shape))
-    reached = np.logical_and.accumulate(invertible, axis=0)
-    length = np.count_nonzero(reached.any(axis=tuple(range(1, reached.ndim))))
-    stack, reached = stack[:length], reached[:length]
     stack[~reached] = eye  # keeps the solve clear of singular shifts
     inverses = np.linalg.solve(stack, np.broadcast_to(eye, stack.shape))
     inverses[~reached] = np.nan
-    return inverses
+    return inverses, np.count_nonzero(reached, axis=0)
 
 
 def mat_exp(m: Matrix) -> Matrix:

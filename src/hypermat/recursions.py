@@ -597,10 +597,9 @@ def _atoms(params: ParameterSet, plan) -> dict[tuple[str, str, int], Matrix]:
         elif op == "poch_inv":
             lookup = PochhammerChain.for_inverses(base).inverse
         else:
-            inverses = linalg.shift_inverses(base, -np.array(js))
-            if len(inverses) < len(js):
-                j = js[len(inverses)]
-                raise SingularMatrix(f"{name} - {j}I is singular to working precision")
+            inverses, reach = linalg.shift_inverses(base, -np.array(js))
+            if reach < len(js):
+                raise SingularMatrix(f"{name} - {js[reach]}I is singular to working precision")
             lookup = dict(zip(js, inverses)).__getitem__
         atoms.update({(op, name, j): lookup(j) for j in js})
     return atoms

@@ -54,8 +54,8 @@ from types import MappingProxyType
 import numpy as np
 
 from . import linalg
-from .calculus import PochhammerChain
-from .errors import DimensionMismatch, DomainViolation, NotConverged, SingularShift
+from .calculus import PochhammerChain, singular_shift
+from .errors import DimensionMismatch, DomainViolation, NotConverged
 from .linalg import Matrix
 
 
@@ -300,9 +300,7 @@ def evaluate_many(
                     stack = chain.inverses_through(degree)
                     reach = chain.reach.tolist()
                     for i in [i for i in active if reach[i] < degree]:
-                        outcomes[i] = SingularShift(
-                            f"base + {reach[i]}*I is singular", shift=reach[i] + 1
-                        )
+                        outcomes[i] = singular_shift(reach[i])
                         active.remove(i)
                 else:
                     stack = chain.products_through(degree)

@@ -91,10 +91,15 @@ def test_pochhammer_inverse_singular_shift_reports_index():
     assert err.value.shift == 3
 
 
-def _with_eigenvalue_minus_five():
-    """A non-normal 3x3 C whose spectrum is {-5, 1.5, 2.2}: C + 5I is singular."""
+def _non_normal_with_eigenvalue(value):
+    """A non-normal 3x3 matrix whose spectrum is {value, 1.5, 2.2 + 0.3i}."""
     p = np.array([[1.0, 0.4, 0.2j], [0.3, 1.0, 0.5], [0.1j, 0.2, 1.0]])
-    return p @ np.diag([-5.0, 1.5, 2.2 + 0.3j]) @ np.linalg.inv(p)
+    return p @ np.diag([value, 1.5, 2.2 + 0.3j]) @ np.linalg.inv(p)
+
+
+def _with_eigenvalue_minus_five():
+    """C + 5I is singular."""
+    return _non_normal_with_eigenvalue(-5.0)
 
 
 def test_inverse_chain_lookahead_raises_only_when_asked():
@@ -109,6 +114,31 @@ def test_inverse_chain_lookahead_raises_only_when_asked():
             chain.inverses_through(8)
         assert err.value.shift == 6
         assert np.array_equal(chain.inverses_through(5), stepwise.inverses_through(5))
+
+
+def test_stacked_chain_reach_per_member():
+    # C + 10I is singular past the first block of 8, C + 3I within it.
+    members = [_non_normal_with_eigenvalue(-10.0), _non_normal_with_eigenvalue(-3.0)]
+    members.append(_non_normal_with_eigenvalue(0.7))
+    reaches = [10, 3, 20]  # the clean member is finite through index 20
+    lone = [PochhammerChain.for_inverses(c) for c in members]
+    with pytest.raises(SingularShift) as err:
+        lone[0].inverses_through(11)
+    assert err.value.shift == 11
+    assert len(lone[0].inverses_through(10)) == 11
+    stepwise = PochhammerChain.for_inverses(members)
+    for n in range(21):
+        stepwise.inverses_through(n)
+    jumped = PochhammerChain.for_inverses(members)
+    for chain in (stepwise, jumped):
+        run = chain.inverses_through(20)
+        assert chain.reach.tolist() == [10, 3, len(chain.inverse_products) - 1]
+        for i, reach in enumerate(reaches):
+            assert np.array_equal(run[: reach + 1, i], lone[i].inverses_through(reach))
+            assert np.isnan(run[reach + 1 :, i]).all()
+    products = PochhammerChain.for_products(members).products_through(20)
+    for i, c in enumerate(members):
+        assert np.array_equal(products[:, i], PochhammerChain.for_products(c).products_through(20))
 
 
 def well_conditioned_member(order, seed, max_cond=100.0):

@@ -211,6 +211,23 @@ def test_verify_writes_deterministic_reports(tmp_path, capsys):
         assert row["residual"] <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "target, prefix",
+    [
+        ("missing/report.json", "bad arguments: --out directory does not exist: "),
+        (".", "cannot write report: "),  # --out names a directory
+    ],
+    ids=["missing-directory", "directory-as-file"],
+)
+def test_verify_unwritable_out_exit_one(target, prefix, tmp_path, capsys):
+    code = main(["verify", "--ids", "G-A+1-contig", "--trials", "1", "--out", str(tmp_path / target)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    (line,) = captured.err.strip().splitlines()  # no campaign summary line
+    assert line.startswith(prefix)
+
+
 def test_verify_repeated_id_runs_once(tmp_path, capsys):
     out = tmp_path / "report.json"
     args = ["verify", "--ids", "G-A+s-sum,G-A+s-sum", "--trials", "1", "--seed", "2"]

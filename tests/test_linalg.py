@@ -80,12 +80,22 @@ def test_shift_inverses_stop_at_first_singular_shift():
     base = np.diag([-3.0, 0.5 + 1.0j, 2.0]).astype(complex)
     base[0, 2] = 1.0
     shifts = np.arange(6)
-    inverses = linalg.shift_inverses(base, shifts)
-    assert len(inverses) == 3  # base + 3I is singular
-    for k, inv in zip(shifts, inverses):
+    inverses, reach = linalg.shift_inverses(base, shifts)
+    assert len(inverses) == 6 and reach == 3  # base + 3I is singular
+    for k, inv in zip(shifts[:reach], inverses):
         assert np.linalg.norm(inv @ (base + k * np.eye(3)) - np.eye(3)) <= 1e-14
-    assert len(linalg.shift_inverses(base, [3, 4])) == 0
-    assert len(linalg.shift_inverses(base, [4, 5])) == 2
+    assert np.isnan(inverses[reach:]).all()
+    assert linalg.shift_inverses(base, [3, 4])[1] == 0
+    assert linalg.shift_inverses(base, [4, 5])[1] == 2
+    # In a stack each member stops at its own first singular shift.
+    stack = np.stack([base, np.diag([-1.0, 2.0, 3.0]).astype(complex)])
+    inverses, reach = linalg.shift_inverses(stack, shifts)
+    assert reach.tolist() == [3, 1]
+    for member, stop in enumerate(reach):
+        for k in range(stop):
+            product = inverses[k, member] @ (stack[member] + k * np.eye(3))
+            assert np.linalg.norm(product - np.eye(3)) <= 1e-14
+        assert np.isnan(inverses[stop:, member]).all()
 
 
 def test_solve_identity_factor():
