@@ -12,11 +12,14 @@ blocks of shifts: the factors (A + kI)/(k+1) or (k+1)(C + kI)^{-1} of a
 block are built in one batched call, the shifts C + kI solved in one stacked
 call rather than by inverting the accumulated product, and folded in one at
 a time. A chain holds one base or a stack of bases, one per member of a
-batch of series. This module also provides the limit formula for the gamma
-function of a positive stable matrix, read off the scaled inverse chain, the
-reciprocal-gamma shift residual used for verification, multinomial
-coefficients, and a generator of families of simultaneously diagonalized
-(hence commuting) parameter matrices.
+batch of series. Reading a run never raises for a singular shift C + kI:
+the member's entries past k are NaN, and the error is raised only where a
+value is handed out (inverse(n), gamma_limit, the series engine). This
+module also provides the limit formula for the gamma function of a positive
+stable matrix, read off the scaled inverse chain, the reciprocal-gamma shift
+residual used for verification, multinomial coefficients, and a generator
+of families of simultaneously diagonalized (hence commuting) parameter
+matrices.
 """
 
 from __future__ import annotations
@@ -78,10 +81,13 @@ class PochhammerChain:
     A product chain holds (A)_k / k!, which grows like k^(A - I), and an
     inverse chain k! (A)_k^{-1}, which grows like k^(I - A), where the
     unscaled (A)_k grows like k!. The run is one contiguous (k, ...) buffer,
-    so a series can slice a whole run of indices at once; product(n) and
-    inverse(n) return the unscaled (A)_n and (A)_n^{-1}. The base is one
-    matrix or a stack of b members; a stack keeps (k, b, r, r) entries whose
-    members share every batched product, rcond test and block solve.
+    and through(n) hands out its first n + 1 entries as one view, so a series
+    can slice a whole run of indices at once; product(n) and inverse(n)
+    return the unscaled (A)_n and (A)_n^{-1}. The base is one matrix or a
+    stack of b members; a stack keeps (k, b, r, r) entries whose members
+    share every batched product, rcond test and block solve. A singular
+    shift is only recorded, as the member's ``reach``, and the entries past
+    it read as NaN; it becomes SingularShift where a value is handed out.
     Confined to a single evaluation; not thread safe.
     """
 
@@ -113,33 +119,19 @@ class PochhammerChain:
         """The held run of an inverse chain (None for a product chain)."""
         return None if self.reach is None else self._run[: self._size]
 
-    def products_through(self, n: int) -> np.ndarray:
-        """(A)_0 / 0!, ..., (A)_n / n! as one (n + 1, ...) view, extending the run."""
-        if self.reach is not None:
-            raise ValueError("chain was created for inverses")
-        return self._through(n)
+    def through(self, n: int) -> np.ndarray:
+        """(A)_k / k! or k! (A)_k^{-1} for k = 0, ..., n as one (n + 1, ...) view.
 
-    def inverses_through(self, n: int) -> np.ndarray:
-        """0! (A)_0^{-1}, ..., n! (A)_n^{-1} as one view, extending the run.
-
-        A singular shift base + kI stops a member at index k, its ``reach``.
-        One base raises SingularShift only when n is past its reach. In a
-        stack, the member's later entries are NaN while the other members go
-        on.
-        """
-        if self.reach is None:
-            raise ValueError("chain was created without inverse tracking")
-        return self._through(n)
-
-    def _through(self, n: int) -> np.ndarray:
-        """The run through index n, grown by one whole block when n is not held.
-
-        The block covers the shifts k, ..., k + max(n - k, _CHAIN_BLOCK) - 1
-        after the last held index k, so it may run past n. A product chain
+        When n is not held, the run grows by one whole block of the shifts
+        k, ..., k + max(n - k, _CHAIN_BLOCK) - 1 after the last held index k,
+        so it may end past n. A product chain
         folds (A)_{j+1}/(j+1)! = (A)_j/j! (A + jI)/(j+1), and an inverse chain
         folds (j+1)! (A)_{j+1}^{-1} = (j+1) (A + jI)^{-1} j! (A)_j^{-1}, with
-        every shift of the block solved in one stacked call. A NaN factor
-        past a member's reach makes all its later entries NaN.
+        every shift of the block solved in one stacked call. A singular shift
+        base + kI stops a member at index k, its ``reach``: the NaN factor
+        makes all its later entries NaN while the other members go on. The
+        read never raises for that; ``inverse`` and the series engine decide
+        it where a value is handed out.
         """
         if n < 0:
             raise ValueError("Pochhammer index must be nonnegative")
@@ -167,17 +159,27 @@ class PochhammerChain:
                 else:
                     np.matmul(factor, run[j], out=run[j + 1])
             self._size = size
-        if not products and self.base.ndim == 2 and n > self.reach:
-            raise singular_shift(int(self.reach))
         return self._run[: n + 1]
 
     def product(self, n: int) -> np.ndarray:
         """(A)_n, extending the run as needed."""
-        return functools.reduce(np.multiply, _factorial_chunks(n), self.products_through(n)[n])
+        if self.reach is not None:
+            raise ValueError("chain was created for inverses")
+        return functools.reduce(np.multiply, _factorial_chunks(n), self.through(n)[n])
 
     def inverse(self, n: int) -> np.ndarray:
-        """(A)_n^{-1}, extending the run as needed."""
-        return functools.reduce(np.divide, _factorial_chunks(n), self.inverses_through(n)[n])
+        """(A)_n^{-1}, extending the run as needed.
+
+        Raises SingularShift for the smallest reach of the chain's members
+        when n is past it.
+        """
+        if self.reach is None:
+            raise ValueError("chain was created without inverse tracking")
+        scaled = self.through(n)[n]
+        reach = int(self.reach.min())
+        if n > reach:
+            raise singular_shift(reach)
+        return functools.reduce(np.divide, _factorial_chunks(n), scaled)
 
 
 def pochhammer(a: Matrix, n: int) -> Matrix:
@@ -217,19 +219,20 @@ def gamma_limit(a: Matrix, n: int) -> Matrix:
     Returns (n-1)! (A)_n^{-1} n^A for the given n, read as n! (A)_n^{-1} / n
     from the factorial-scaled inverse chain, which stays near unit scale
     where a naive (n-1)! overflows long before the interesting n. The power
-    n^A is exp(ln(n) A).
+    n^A is exp(ln(n) A). When the chain's reach k is below n, the shift
+    A + kI is singular and SingularShift(shift=k) is raised.
     """
     a = linalg.as_matrix(a)
     if n < 1:
         raise ValueError("n must be positive")
     if not linalg.is_positive_stable(a):
         raise ValueError("gamma limit requires a positive stable matrix")
-    try:
-        scaled = PochhammerChain.for_inverses(a).inverses_through(n)[n]
-    except SingularShift as exc:
-        k = exc.shift - 1
+    chain = PochhammerChain.for_inverses(a)
+    scaled = chain.through(n)[n]
+    if n > chain.reach:
+        k = int(chain.reach)
         where = "matrix itself" if k == 0 else f"matrix + {k}*I"
-        raise SingularShift(f"{where} is singular", shift=k) from None
+        raise SingularShift(f"{where} is singular", shift=k)
     try:
         power = linalg.mat_exp(math.log(n) * a)
     except NonConvergent as exc:  # pragma: no cover - extreme norms
@@ -341,8 +344,8 @@ def random_commuting_family(
     [0.5, 3.0] and imaginary parts in [-0.5, 0.5]. Identical seeds yield
     bit-identical families.
     """
-    if not 1 <= order <= 8:
-        raise ValueError("families are generated at desk scale, 1 <= order <= 8")
+    if order < 1:
+        raise ValueError(f"family order must be positive, got {order}")
     rng = random.Random(seed)
     transform = None
     factored = None

@@ -12,8 +12,8 @@ exits with the code of the first row of ``_FAILURES`` that matches it:
     NotConverged             3  did not converge: <message>
     any other HypermatError  3  evaluation failed: <Type>: <message>
 
-Bad arguments are out-of-range options such as ``--tol 0``, ``--trials 0``,
-``--s 0`` or ``--orders 9``, an ``--ids`` list that names no identity, and
+Bad arguments are out-of-range options such as ``--tol 0``, ``--trials 0``
+or ``--s 0``, an ``--ids`` list that names no identity, and
 a ``verify --out`` path whose directory does not exist, which is checked
 before any trial runs. A report that still cannot be written, say because
 ``--out`` names a directory, is an OSError.

@@ -1,4 +1,4 @@
-"""Dense complex matrix arithmetic at desk scale.
+"""Dense complex matrix arithmetic.
 
 Matrices are square numpy arrays of complex128, treated as immutable values.
 Everything downstream (Pochhammer chains, series evaluation, identity

@@ -775,8 +775,8 @@ def run_campaign(
     in-region point, and verifies. A repeated id is verified once, at its
     first mention. Failures become failed reports, never exceptions; ids
     that are not in the catalog raise one UnknownIdentity naming them all,
-    and bad arguments (trials below 1, empty pools, a shift below 1, a
-    campaign_tol that is not positive) raise ValueError.
+    and bad arguments (trials below 1, empty pools, an order or a shift
+    below 1, a campaign_tol that is not positive) raise ValueError.
     """
     if ids is None:
         descriptors = list(catalog())
@@ -792,6 +792,8 @@ def run_campaign(
         raise ValueError(f"trials must be positive, got {trials}")
     if not orders or not s_values:
         raise ValueError("orders and s_values must be non-empty")
+    if min(orders) < 1:
+        raise ValueError(f"orders must be positive, got {list(orders)}")
     if min(s_values) <= 0:
         raise ValueError(f"shifts must be positive, got {list(s_values)}")
     if not campaign_tol > 0.0:

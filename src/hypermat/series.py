@@ -38,9 +38,11 @@ Series are summed diagonal by diagonal, and each member stops once three
 consecutive diagonal sums of its own fall below tol * (1 + ||partial sum||_F);
 it is then frozen with its own total and degree while the batch goes on. A
 hard max_degree cap guards divergence; hitting it raises NotConverged with
-the partial report attached. A member that overflows, meets a singular shift
-of a denominator or hits the cap leaves the batch with the exception it
-would raise alone.
+the partial report attached. Reading a chain never raises: past a singular
+shift C + rI of a denominator, the member's chain entries are NaN, so its
+increment is first NaN at degree r + 1. Each member's exit is decided from
+its own increment alone: converged, overflow, singular shift or the cap,
+each with the exception it would raise alone.
 """
 
 from __future__ import annotations
@@ -249,9 +251,10 @@ def evaluate_many(
     and the batch goes on until no member is left. Each entry of the result
     is what ``evaluate`` gives for that member alone: its EvalReport, or the
     exception it would raise, with the same text and partial report. That
-    is ValueError or DomainViolation for the point, SingularShift when a
-    shift of one of its denominators is singular, and NotConverged when it
-    overflows or reaches max_degree.
+    is ValueError or DomainViolation for the point and NotConverged when it
+    reaches max_degree. A member whose increment is not finite leaves with
+    SingularShift when an inverse chain's reach r is below the degree (the
+    smallest such r), and with the overflow NotConverged otherwise.
     """
     if not param_sets:
         return []
@@ -266,17 +269,13 @@ def evaluate_many(
         return [exc] * len(param_sets)
     factors = []
     for name, inverse, index in _TERMS[kind]:
-        members = [p[name] for p in param_sets]
-        if inverse:
-            factors.append((PochhammerChain.for_inverses(members), True, index))
-        else:
-            factors.append((PochhammerChain.for_products(members), False, index))
+        build = PochhammerChain.for_inverses if inverse else PochhammerChain.for_products
+        factors.append((build([p[name] for p in param_sets]), index))
     label = "double series" if kind.is_two_variable else "series"
     x = complex(point.x)
     y = complex(point.y) if kind.is_two_variable else 0j
     # p of the weights x^m y^n C(N, m)^p: the N-indexed products minus inverses
     power = sum(-1 if inverse else 1 for _, inverse, index in _TERMS[kind] if index == "N")
-    falling = np.arange(1.0, cfg.max_degree + 1) ** -power  # k^-p, k = 1..max_degree
     row = np.ones(1, dtype=complex)  # the weights x^m y^n C(N, m)^p, m = 0..N
     size = len(param_sets)
     outcomes: list[EvalReport | Exception | None] = [None] * size
@@ -292,24 +291,15 @@ def evaluate_many(
         for degree in range(cfg.max_degree + 1):
             if degree:
                 # C(N, m) = C(N - 1, m) N / (N - m) for m < N, and C(N, N) = 1.
-                growth = falling[degree - 1 :: -1] * (y * degree**power)
+                growth = np.arange(degree, 0, -1.0) ** -power * (y * degree**power)
                 row = np.concatenate((row * growth, row[-1:] * x))
             blocks = []
-            for chain, inverse, index in factors:
-                if inverse:
-                    stack = chain.inverses_through(degree)
-                    reach = chain.reach.tolist()
-                    for i in [i for i in active if reach[i] < degree]:
-                        outcomes[i] = singular_shift(reach[i])
-                        active.remove(i)
-                else:
-                    stack = chain.products_through(degree)
+            for chain, index in factors:
+                stack = chain.through(degree)
                 if index == "N":
                     blocks.append(stack[degree])
                 else:
                     blocks.append(stack if index == "m" else stack[::-1])
-            if not active:
-                break
             # m over the index pairs (m, degree - m); 2F1 has only (N, 0).
             _diagonal(blocks, row if kind.is_two_variable else row[-1:], out=increment)
             total += increment
@@ -318,10 +308,16 @@ def evaluate_many(
             for i in list(active):
                 last = last_norms[i]
                 if not math.isfinite(last):
-                    outcomes[i] = NotConverged(
-                        f"{label} overflowed at degree {degree}",
-                        report=EvalReport(total[i].copy(), degree, last, False),
-                    )
+                    # Past a singular shift C + rI every entry of the chain is
+                    # NaN, so the increment is first NaN at degree r + 1.
+                    reach = min(chain.reach[i] for chain, _ in factors if chain.reach is not None)
+                    if reach < degree:
+                        outcomes[i] = singular_shift(int(reach))
+                    else:
+                        outcomes[i] = NotConverged(
+                            f"{label} overflowed at degree {degree}",
+                            report=EvalReport(total[i].copy(), degree, last, False),
+                        )
                     active.remove(i)
                 elif last <= cfg.tol * (1.0 + norms[size + i]):
                     small_run[i] += 1

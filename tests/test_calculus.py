@@ -106,14 +106,20 @@ def test_inverse_chain_lookahead_raises_only_when_asked():
     c = _with_eigenvalue_minus_five()
     stepwise = PochhammerChain.for_inverses(c)
     for n in range(6):  # the block grown at n = 4 reaches C + 5I and must not raise
-        assert len(stepwise.inverses_through(n)) == n + 1
+        assert len(stepwise.through(n)) == n + 1
+        assert np.isfinite(stepwise.inverse(n)).all()
     grown = PochhammerChain.for_inverses(c)
-    assert len(grown.inverses_through(3)) == 4
+    assert len(grown.through(3)) == 4
     for chain in (stepwise, grown, PochhammerChain.for_inverses(c)):
         with pytest.raises(SingularShift) as err:
-            chain.inverses_through(8)
+            chain.inverse(8)
         assert err.value.shift == 6
-        assert np.array_equal(chain.inverses_through(5), stepwise.inverses_through(5))
+        assert np.array_equal(chain.through(5), stepwise.through(5))
+        # The read itself never raises: past the reach the run is NaN.
+        run = chain.through(8)
+        assert chain.reach == 5
+        assert np.isfinite(run[:6]).all()
+        assert np.isnan(run[6:]).all()
 
 
 def test_stacked_chain_reach_per_member():
@@ -123,22 +129,42 @@ def test_stacked_chain_reach_per_member():
     reaches = [10, 3, 20]  # the clean member is finite through index 20
     lone = [PochhammerChain.for_inverses(c) for c in members]
     with pytest.raises(SingularShift) as err:
-        lone[0].inverses_through(11)
+        lone[0].inverse(11)
     assert err.value.shift == 11
-    assert len(lone[0].inverses_through(10)) == 11
+    assert len(lone[0].through(10)) == 11
+    assert np.isfinite(lone[0].inverse(10)).all()
     stepwise = PochhammerChain.for_inverses(members)
     for n in range(21):
-        stepwise.inverses_through(n)
+        stepwise.through(n)
     jumped = PochhammerChain.for_inverses(members)
     for chain in (stepwise, jumped):
-        run = chain.inverses_through(20)
+        run = chain.through(20)
         assert chain.reach.tolist() == [10, 3, len(chain.inverse_products) - 1]
         for i, reach in enumerate(reaches):
-            assert np.array_equal(run[: reach + 1, i], lone[i].inverses_through(reach))
+            assert np.array_equal(run[: reach + 1, i], lone[i].through(reach))
             assert np.isnan(run[reach + 1 :, i]).all()
-    products = PochhammerChain.for_products(members).products_through(20)
+    products = PochhammerChain.for_products(members).through(20)
     for i, c in enumerate(members):
-        assert np.array_equal(products[:, i], PochhammerChain.for_products(c).products_through(20))
+        assert np.array_equal(products[:, i], PochhammerChain.for_products(c).through(20))
+
+
+def test_stacked_inverse_raises_at_the_smallest_reach():
+    members = [_non_normal_with_eigenvalue(v) for v in (-10.0, -3.0, 0.7)]
+    chain = PochhammerChain.for_inverses(members)
+    assert np.isfinite(chain.inverse(3)).all()
+    with pytest.raises(SingularShift) as err:
+        chain.inverse(4)  # C + 3I of the second member is singular
+    assert err.value.shift == 4
+    assert str(err.value) == "base + 3*I is singular"
+    assert np.isnan(chain.through(4)[4, 1]).all()  # the read itself does not raise
+
+
+def test_chain_lookups_keep_their_mode():
+    c = _non_normal_with_eigenvalue(0.7)
+    with pytest.raises(ValueError):
+        PochhammerChain.for_inverses(c).product(2)
+    with pytest.raises(ValueError):
+        PochhammerChain.for_products(c).inverse(2)
 
 
 def well_conditioned_member(order, seed, max_cond=100.0):
@@ -156,8 +182,8 @@ def well_conditioned_member(order, seed, max_cond=100.0):
 def test_inverse_chain_blocks_stay_inverse_at_order_eight(seed):
     # The defect grows with cond(P)^2; cond(P) <= 50 keeps it below 1e-10.
     _, _, c = well_conditioned_member(8, seed, max_cond=50.0)
-    products = PochhammerChain.for_products(c).products_through(64)
-    inverses = PochhammerChain.for_inverses(c).inverses_through(64)
+    products = PochhammerChain.for_products(c).through(64)
+    inverses = PochhammerChain.for_inverses(c).through(64)
     residuals = np.linalg.norm(products @ inverses - np.eye(8), axis=(1, 2))
     assert residuals.max() <= 1e-10
 
@@ -169,8 +195,8 @@ def test_unscaled_lookups_read_the_scaled_run():
     inverses = PochhammerChain.for_inverses(a)
     for n in (0, 1, 5, 30):
         factorial = float(math.factorial(n))
-        assert np.array_equal(products.product(n), factorial * products.products_through(n)[n])
-        assert np.array_equal(inverses.inverse(n), inverses.inverses_through(n)[n] / factorial)
+        assert np.array_equal(products.product(n), factorial * products.through(n)[n])
+        assert np.array_equal(inverses.inverse(n), inverses.through(n)[n] / factorial)
 
 
 def test_unscaled_lookups_past_the_double_range():
@@ -355,7 +381,11 @@ def test_family_spectrum_band():
 
 def test_family_order_cap():
     with pytest.raises(ValueError):
-        random_commuting_family(9, ["A"], seed=0)
+        random_commuting_family(0, ["A"], seed=0)
+    fam = random_commuting_family(9, ["A", "B"], seed=0)
+    assert fam.order == 9
+    assert fam.realize("A").shape == (9, 9)
+    assert linalg.is_positive_stable(fam.realize("B"))
 
 
 def test_family_rejects_bad_spectecheck():

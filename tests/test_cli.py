@@ -106,7 +106,7 @@ def test_eval_singular_shift_exit_three(tmp_path, capsys):
     "args",
     [
         ["verify", "--tol", "0"],
-        ["verify", "--orders", "9", "--ids", "G-A+1-contig", "--trials", "1"],
+        ["verify", "--orders", "1,2,0", "--ids", "G-A+1-contig", "--trials", "1"],
         ["verify", "--orders", "0", "--ids", "G-A+1-contig", "--trials", "1"],
         ["eval", "DOC", "--max-degree", "0"],
         ["verify", "--s", "-2", "--ids", "G-A+1-contig", "--trials", "1"],
@@ -123,6 +123,12 @@ def test_out_of_range_arguments_exit_one(args, tmp_path, capsys):
     assert code == 1
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_verify_past_order_eight(capsys):
+    assert main(["verify", "--orders", "9", "--ids", "G-A+s-sum", "--trials", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [(row["order"], row["passed"]) for row in report["results"]] == [(9, True)]
 
 
 def test_eval_kind_mismatch(tmp_path, capsys):

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from hypermat import linalg
+from hypermat import linalg, recursions
 from hypermat.calculus import random_commuting_family
 from hypermat.errors import HypothesisViolated, NotConverged, SingularMatrix, SingularShift
 from hypermat.errors import UnknownIdentity
@@ -285,6 +285,14 @@ def test_campaign_verifies_a_repeated_id_once():
     repeated = run_campaign(ids=["G-A+s-sum", "F1-C-s-sum", "G-A+s-sum"], **kwargs)
     assert [r.identity_id for r in repeated] == ["G-A+s-sum"] * 2 + ["F1-C-s-sum"] * 2
     assert [(r.seed, r.residual) for r in repeated] == [(r.seed, r.residual) for r in alone]
+
+
+def test_campaign_rejects_an_order_below_one_before_any_trial(monkeypatch):
+    calls = []
+    monkeypatch.setattr(recursions, "verify_identity", lambda *args, **kw: calls.append(args))
+    with pytest.raises(ValueError, match="orders must be positive"):
+        run_campaign(trials=2, orders=(1, 2, 0))
+    assert calls == []
 
 
 def test_campaign_unknown_id():

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -424,3 +425,38 @@ def test_near_the_region_edge_matches_mpmath(kind, values, point):
             expected = complex(mpmath.appellf2(*values.values(), point.x, point.y))
     assert report.converged
     assert abs(report.value[0, 0] - expected) <= 1e-10 * abs(expected)
+
+
+@pytest.mark.parametrize(
+    "kind,name,point",
+    [
+        (FunctionKind.GAUSS_2F1, "C", EvalPoint(0.0)),
+        (FunctionKind.APPELL_F2, "Cp", EvalPoint(0.1, 0.0)),
+    ],
+)
+def test_singular_member_is_reported_under_a_zero_weight(kind, name, point):
+    # Every term that reads past C + 2I has weight zero here; 0 * NaN is NaN,
+    # so the member still leaves with the singular shift it raises alone.
+    names = kind.parameter_names
+    plain = ParameterSet(kind, {p: np.diag([1.5, 2.0]).astype(complex) for p in names})
+    singular = ParameterSet(kind, {**plain.matrices, name: np.diag([-2.0, 1.0]).astype(complex)})
+    clean, failed = evaluate_many([plain, singular], point)
+    alone = raised(singular, point, SeriesConfig())
+    assert isinstance(failed, SingularShift) and isinstance(alone, SingularShift)
+    assert str(failed) == str(alone) == "base + 2*I is singular"
+    assert failed.shift == alone.shift == 3
+    assert clean.converged
+    assert_same_report(clean, evaluate(plain, point))
+
+
+def test_memory_follows_the_degree_reached_not_max_degree():
+    params = scalar_params(FunctionKind.GAUSS_2F1, {"A": 1.0, "B": 1.0, "C": 2.0})
+    tracemalloc.start()
+    try:
+        report = evaluate(params, EvalPoint(0.5), SeriesConfig(max_degree=10**7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.converged and report.degrees_used < 100
+    assert abs(report.value[0, 0] - TWO_LN_TWO) <= 1e-10
+    assert peak < 1_000_000
