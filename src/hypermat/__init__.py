@@ -11,12 +11,8 @@ from .calculus import (
     gamma_limit,
     multinomial,
     pochhammer,
-    pochhammer_c_decrement_residual,
     pochhammer_inverse,
-    pochhammer_shift_identity_residual,
     random_commuting_family,
-    reciprocal_gamma_shift_residual,
-    scalar_gamma,
 )
 from .errors import (
     DimensionMismatch,
@@ -41,7 +37,6 @@ from .linalg import (
     is_positive_stable,
     lu_factor,
     mat_exp,
-    matmul,
     solve,
     spectrum,
 )
@@ -106,16 +101,11 @@ __all__ = [
     "is_positive_stable",
     "lu_factor",
     "mat_exp",
-    "matmul",
     "multinomial",
     "pochhammer",
-    "pochhammer_c_decrement_residual",
     "pochhammer_inverse",
-    "pochhammer_shift_identity_residual",
     "random_commuting_family",
-    "reciprocal_gamma_shift_residual",
     "run_campaign",
-    "scalar_gamma",
     "solve",
     "spectrum",
     "verify_identity",

@@ -14,17 +14,15 @@ call rather than by inverting the accumulated product, and folded in one at
 a time. A chain holds one base or a stack of bases, one per member of a
 batch of series. Reading a run never raises for a singular shift C + kI:
 the member's entries past k are NaN, and the error is raised only where a
-value is handed out (inverse(n), gamma_limit, the series engine). This
-module also provides the limit formula for the gamma function of a positive
-stable matrix, read off the scaled inverse chain, the reciprocal-gamma shift
-residual used for verification, multinomial coefficients, and a generator
-of families of simultaneously diagonalized (hence commuting) parameter
-matrices.
+value is handed out (inverse(n), gamma_limit, the series engine, the
+recursions' coefficients). This module also provides the limit formula for
+the gamma function of a positive stable matrix, read off the scaled inverse
+chain, multinomial coefficients, and a generator of families of
+simultaneously diagonalized (hence commuting) parameter matrices.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import random
@@ -33,13 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (
-    GenerationFailed,
-    NonConvergent,
-    Overflow,
-    SingularMatrix,
-    SingularShift,
-)
+from .errors import GenerationFailed, NonConvergent, Overflow, SingularShift
 from .linalg import Matrix
 
 #: Spectra of generated families stay in this band of the right half plane,
@@ -130,8 +122,8 @@ class PochhammerChain:
         every shift of the block solved in one stacked call. A singular shift
         base + kI stops a member at index k, its ``reach``: the NaN factor
         makes all its later entries NaN while the other members go on. The
-        read never raises for that; ``inverse`` and the series engine decide
-        it where a value is handed out.
+        read never raises for that; ``inverse``, the series engine and the
+        recursions' coefficients decide it where a value is handed out.
         """
         if n < 0:
             raise ValueError("Pochhammer index must be nonnegative")
@@ -192,27 +184,6 @@ def pochhammer_inverse(a: Matrix, n: int) -> Matrix:
     return PochhammerChain.for_inverses(a).inverse(n)
 
 
-def pochhammer_shift_identity_residual(a: Matrix, n: int) -> float:
-    """Frobenius defect of (A+I)_n = A^{-1} (A)_n (A + nI)."""
-    a = linalg.as_matrix(a)
-    eye = linalg.identity(a.shape[0])
-    factored = linalg.lu_factor(a)
-    if not factored.is_invertible():
-        raise SingularMatrix("shift identity needs an invertible base")
-    lhs = pochhammer(a + eye, n)
-    rhs = linalg.solve(factored, pochhammer(a, n) @ (a + n * eye))
-    return linalg.frobenius_norm(lhs - rhs)
-
-
-def pochhammer_c_decrement_residual(c: Matrix, n: int) -> float:
-    """Frobenius defect of (C-I)_n^{-1} = (C)_n^{-1} [I + n (C-I)^{-1}]."""
-    c = linalg.as_matrix(c)
-    eye = linalg.identity(c.shape[0])
-    lhs = pochhammer_inverse(c - eye, n)
-    rhs = pochhammer_inverse(c, n) @ (eye + n * linalg.inverse(c - eye))
-    return linalg.frobenius_norm(lhs - rhs)
-
-
 def gamma_limit(a: Matrix, n: int) -> Matrix:
     """Gamma function of a positive stable matrix via the factorial limit.
 
@@ -252,35 +223,6 @@ def multinomial(s: int, k1: int, k2: int) -> int:
     )
 
 
-# Lanczos approximation (g = 7, 9 coefficients), accurate to ~1e-13 on the
-# half plane Re z > 0.5 that all generated spectra live in.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFICIENTS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def scalar_gamma(z: complex) -> complex:
-    """Gamma function of a complex scalar (Lanczos, with reflection)."""
-    z = complex(z)
-    if z.real < 0.5:
-        return math.pi / (cmath.sin(math.pi * z) * scalar_gamma(1.0 - z))
-    z -= 1.0
-    x = _LANCZOS_COEFFICIENTS[0]
-    for i, coefficient in enumerate(_LANCZOS_COEFFICIENTS[1:], start=1):
-        x += coefficient / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
-
-
 @dataclass(frozen=True, eq=False)
 class CommutingFamily:
     """Parameter matrices sharing one similarity transform.
@@ -309,28 +251,8 @@ class CommutingFamily:
 
     def realize(self, name: str) -> Matrix:
         """The member matrix P diag(spectra[name]) P^{-1}."""
-        return self.apply_scalar(name, lambda z: z)
-
-    def apply_scalar(self, name: str, fn) -> Matrix:
-        """Lift a scalar function to the member through the shared transform."""
-        values = np.array([fn(z) for z in self.spectra[name]], dtype=complex)
+        values = np.array(self.spectra[name], dtype=complex)
         return self.transform @ np.diag(values) @ self.transform_inverse
-
-
-def reciprocal_gamma_shift_residual(
-    family: CommutingFamily, name: str, n: int
-) -> float:
-    """Frobenius defect of 1/Gamma(A) = (A)_n * (1/Gamma)(A + nI).
-
-    The reciprocal gamma of a member is evaluated entrywise on its spectrum
-    through the family's transform, which is exactly the setting in which
-    that function of a matrix is computable without further machinery.
-    """
-    member = family.realize(name)
-    lhs = family.apply_scalar(name, lambda z: 1.0 / scalar_gamma(z))
-    shifted = family.apply_scalar(name, lambda z: 1.0 / scalar_gamma(z + n))
-    rhs = pochhammer(member, n) @ shifted
-    return linalg.frobenius_norm(lhs - rhs)
 
 
 def random_commuting_family(

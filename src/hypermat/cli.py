@@ -22,6 +22,7 @@ before any trial runs. A report that still cannot be written, say because
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -177,7 +178,9 @@ def _cmd_verify(args) -> int:
     else:
         sys.stdout.write(dump_document(doc))
     summary = doc["summary"]
-    worst = max((r.residual for r in reports if r.error is None), default=0.0)
+    # A residual that is not finite (NaN included) counts as the worst one.
+    residuals = [r.residual for r in reports if r.error is None]
+    worst = max((x if math.isfinite(x) else math.inf for x in residuals), default=0.0)
     print(
         f"{summary['total']} trials, {summary['passed']} passed, "
         f"{summary['failed']} failed, worst residual {worst:.3e}",
@@ -186,7 +189,10 @@ def _cmd_verify(args) -> int:
     if summary["failed"]:
         for row in doc["results"]:
             if not row["passed"]:
-                cause = row["error"] or f"residual {row['residual']:.3e}"
+                residual = row["residual"]
+                cause = row["error"] or (
+                    "residual not finite" if residual is None else f"residual {residual:.3e}"
+                )
                 print(f"FAIL {row['id']} (s={row['s']}, r={row['order']}): {cause}", file=sys.stderr)
         return _EXIT_DOMAIN
     return _EXIT_OK

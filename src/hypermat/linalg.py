@@ -3,7 +3,7 @@
 Matrices are square numpy arrays of complex128, treated as immutable values.
 Everything downstream (Pochhammer chains, series evaluation, identity
 verification) consumes this module and nothing else for linear algebra.
-Products are never reordered: ``matmul(a, b)`` is a*b, full stop.
+Products are never reordered: ``a @ b`` is a*b, full stop.
 
 Solves and eigenvalues are LAPACK through ``numpy.linalg``, with no order
 cap. Invertibility has one contract: a matrix is singular when its
@@ -68,13 +68,6 @@ def zeros(order: int) -> Matrix:
 
 def frobenius_norm(m: Matrix) -> float:
     return float(np.linalg.norm(m))
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product a*b in that order."""
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"orders differ: {a.shape} vs {b.shape}")
-    return a @ b
 
 
 def commutator_norm(a: Matrix, b: Matrix) -> float:

@@ -39,6 +39,7 @@ import numpy as np
 
 from . import linalg
 from .calculus import CommutingFamily, PochhammerChain, multinomial, random_commuting_family
+from .calculus import singular_shift
 from .errors import GenerationFailed, HypermatError, HypothesisViolated, SingularMatrix
 from .errors import UnknownIdentity
 from .linalg import Matrix
@@ -580,8 +581,9 @@ def _prepare(d: IdentityDescriptor, params: ParameterSet, s: int, enforce_hypoth
 
 def _atoms(params: ParameterSet, plan) -> dict[tuple[str, str, int], Matrix]:
     """Every coefficient atom of the planned terms, keyed (op, name, j): one
-    Pochhammer chain per parameter for (P)_j and (P)_j^-1, one stacked solve
-    for all (P - jI)^-1 of a parameter, SingularMatrix if one is singular."""
+    Pochhammer chain per parameter for the scaled (P)_j / j! and j! (P)_j^-1
+    (SingularShift past the chain's reach), one stacked solve for all
+    (P - jI)^-1 of a parameter, SingularMatrix if one is singular."""
     wanted: dict[tuple[str, str], set[int]] = {}
     for term, env in plan:
         for f in term.factors:
@@ -593,9 +595,12 @@ def _atoms(params: ParameterSet, plan) -> dict[tuple[str, str, int], Matrix]:
         if op == "P":
             lookup = [base].__getitem__
         elif op == "poch":
-            lookup = PochhammerChain.for_products(base).product
+            lookup = PochhammerChain.for_products(base).through(js[-1]).__getitem__
         elif op == "poch_inv":
-            lookup = PochhammerChain.for_inverses(base).inverse
+            chain = PochhammerChain.for_inverses(base)
+            lookup = chain.through(js[-1]).__getitem__
+            if js[-1] > chain.reach:
+                raise singular_shift(int(chain.reach))
         else:
             inverses, reach = linalg.shift_inverses(base, -np.array(js))
             if reach < len(js):
@@ -603,6 +608,18 @@ def _atoms(params: ParameterSet, plan) -> dict[tuple[str, str, int], Matrix]:
             lookup = dict(zip(js, inverses)).__getitem__
         atoms.update({(op, name, j): lookup(j) for j in js})
     return atoms
+
+
+def _unscaling(term: _Term, env: dict[str, int]) -> float:
+    """The product of j! over the term's (P)_j divided by the product of j!
+    over its (P)_j^-1, which turns its scaled atoms back into the unscaled
+    factors. It is 1 unless the term's indices differ, as in the F1 and F4
+    multinomial rows; the integer quotient rounds once."""
+    scales = {"poch": 1, "poch_inv": 1}
+    for f in term.factors:
+        if isinstance(f, _Atom) and f.op in scales:
+            scales[f.op] *= math.factorial(_at(f.index, env))
+    return scales["poch"] / scales["poch_inv"]
 
 
 def _outcome(outcome: EvalReport | Exception) -> EvalReport:
@@ -641,7 +658,7 @@ def _rhs(
             for f in term.factors
         ]
         product = functools.reduce(operator.matmul, factors)
-        total = total + term.weight.at(s, env, point) * product
+        total = total + term.weight.at(s, env, point) * _unscaling(term, env) * product
     return total, degrees, lhs_report
 
 
@@ -776,7 +793,7 @@ def run_campaign(
     first mention. Failures become failed reports, never exceptions; ids
     that are not in the catalog raise one UnknownIdentity naming them all,
     and bad arguments (trials below 1, empty pools, an order or a shift
-    below 1, a campaign_tol that is not positive) raise ValueError.
+    below 1, a campaign_tol that is not positive and finite) raise ValueError.
     """
     if ids is None:
         descriptors = list(catalog())
@@ -796,8 +813,8 @@ def run_campaign(
         raise ValueError(f"orders must be positive, got {list(orders)}")
     if min(s_values) <= 0:
         raise ValueError(f"shifts must be positive, got {list(s_values)}")
-    if not campaign_tol > 0.0:
-        raise ValueError(f"campaign_tol must be positive, got {campaign_tol}")
+    if not 0.0 < campaign_tol < math.inf:
+        raise ValueError(f"campaign_tol must be positive and finite, got {campaign_tol}")
     reports = []
     for d in descriptors:
         for trial in range(trials):

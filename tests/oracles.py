@@ -15,19 +15,6 @@ _CAP = 400
 _EPS = 1e-16
 
 
-def matmul_triple_loop(a, b):
-    """Entrywise definition of the matrix product."""
-    n = a.shape[0]
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            acc = 0.0 + 0.0j
-            for k in range(n):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
 def scalar_pochhammer(a: complex, n: int) -> complex:
     value = 1.0 + 0.0j
     for k in range(n):

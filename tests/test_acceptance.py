@@ -17,12 +17,8 @@ from hypermat import linalg
 from hypermat.calculus import (
     gamma_limit,
     pochhammer,
-    pochhammer_c_decrement_residual,
     pochhammer_inverse,
-    pochhammer_shift_identity_residual,
     random_commuting_family,
-    reciprocal_gamma_shift_residual,
-    scalar_gamma,
 )
 from hypermat.cli import main
 from hypermat.recursions import (
@@ -35,6 +31,12 @@ from hypermat.recursions import (
 )
 from hypermat.series import EvalPoint, FunctionKind, ParameterSet, evaluate
 
+from lemmas import (
+    c_decrement_residual,
+    reciprocal_gamma,
+    reciprocal_gamma_residual,
+    shift_identity_residual,
+)
 from oracles import scalar_value
 
 SQRT_PI_HALF = 0.8862269254527580
@@ -244,14 +246,14 @@ def test_criterion_6_preliminary_lemma_residuals():
         a = fam.realize("A")
         c = fam.realize("C")
         for n in range(1, 11):
-            shift_rel = pochhammer_shift_identity_residual(a, n) / (
+            shift_rel = shift_identity_residual(a, n) / (
                 np.linalg.norm(pochhammer(a + np.eye(3), n))
             )
-            dec_rel = pochhammer_c_decrement_residual(c, n) / (
+            dec_rel = c_decrement_residual(c, n) / (
                 np.linalg.norm(pochhammer_inverse(c - np.eye(3), n))
             )
-            gamma_rel = reciprocal_gamma_shift_residual(fam, "A", n) / (
-                np.linalg.norm(fam.apply_scalar("A", lambda z: 1.0 / scalar_gamma(z)))
+            gamma_rel = reciprocal_gamma_residual(fam, "A", n) / (
+                np.linalg.norm(reciprocal_gamma(fam, "A"))
             )
             worst = max(worst, shift_rel, dec_rel, gamma_rel)
             assert shift_rel <= 1e-9

@@ -1,10 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from hypermat import cli
 from hypermat.cli import main
-from hypermat.recursions import catalog
+from hypermat.recursions import VerificationReport, catalog
 
 
 def write_doc(path, doc):
@@ -114,6 +116,7 @@ def test_eval_singular_shift_exit_three(tmp_path, capsys):
         ["verify", "--campaign-tol", "-1", "--ids", "G-A+1-contig", "--trials", "1"],
         ["verify", "--ids", ",", "--trials", "1"],
         ["verify", "--ids", "G-A+1-contig", "--trials", "0"],
+        ["verify", "--campaign-tol", "inf", "--ids", "G-A+1-contig", "--trials", "1"],
     ],
 )
 def test_out_of_range_arguments_exit_one(args, tmp_path, capsys):
@@ -251,6 +254,20 @@ def test_verify_stdout_report(capsys):
     doc = json.loads(captured.out)
     assert doc["summary"]["failed"] == 0
     assert "worst residual" in captured.err
+
+
+def test_verify_reports_a_residual_that_is_not_finite(monkeypatch, capsys):
+    report = VerificationReport(
+        identity_id="G-A+s-binom", s=175, seed=0, order=1, residual=math.nan, passed=False
+    )
+    monkeypatch.setattr(cli, "run_campaign", lambda **kwargs: [report])
+    code = main(["verify", "--ids", "G-A+s-binom", "--trials", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == [
+        "1 trials, 0 passed, 1 failed, worst residual inf",
+        "FAIL G-A+s-binom (s=175, r=1): residual not finite",
+    ]
 
 
 def test_list_prints_whole_catalog(capsys):

@@ -3,13 +3,9 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from hypermat import linalg
 from hypermat.errors import DimensionMismatch, NonConvergent, SingularMatrix
-
-from oracles import matmul_triple_loop
 
 
 def random_matrix(order, rng, scale=1.0):
@@ -19,39 +15,6 @@ def random_matrix(order, rng, scale=1.0):
             for _ in range(order)
         ]
     )
-
-
-def test_matmul_identity():
-    m = random_matrix(3, random.Random(1))
-    assert np.array_equal(linalg.matmul(linalg.identity(3), m), m)
-
-
-def test_matmul_diagonal():
-    a = np.diag([1.0, 2.0]).astype(complex)
-    b = np.diag([3.0, 4.0]).astype(complex)
-    assert np.allclose(linalg.matmul(a, b), np.diag([3.0, 8.0]), atol=0)
-
-
-def test_matmul_against_triple_loop_oracle():
-    rng = random.Random(7)
-    for _ in range(5):
-        a, b = random_matrix(3, rng), random_matrix(3, rng)
-        assert np.linalg.norm(linalg.matmul(a, b) - matmul_triple_loop(a, b)) <= 1e-13
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        linalg.matmul(linalg.identity(2), linalg.identity(3))
-
-
-@given(st.integers(0, 10_000))
-def test_matmul_associativity(seed):
-    rng = random.Random(seed)
-    a, b, c = (random_matrix(3, rng) for _ in range(3))
-    bound = 1e-12 * (
-        linalg.frobenius_norm(a) * linalg.frobenius_norm(b) * linalg.frobenius_norm(c)
-    )
-    assert linalg.frobenius_norm((a @ b) @ c - a @ (b @ c)) <= bound
 
 
 def test_zero_and_rank_one_are_not_invertible():

@@ -295,6 +295,23 @@ def test_campaign_rejects_an_order_below_one_before_any_trial(monkeypatch):
     assert calls == []
 
 
+def test_campaign_rejects_an_infinite_campaign_tol_before_any_trial(monkeypatch):
+    calls = []
+    monkeypatch.setattr(recursions, "verify_identity", lambda *args, **kw: calls.append(args))
+    with pytest.raises(ValueError, match="campaign_tol must be positive and finite"):
+        run_campaign(trials=2, campaign_tol=math.inf)
+    assert calls == []
+
+
+def test_binomial_rows_past_the_double_range_of_the_factorials():
+    # (B)_175 and 175! overflow double precision; the scaled runs do not.
+    reports = run_campaign(
+        ids=["G-A-s-binom", "F1-B+s-binom"], trials=1, orders=(1,), s_values=(175,)
+    )
+    assert [(r.s, r.error) for r in reports] == [(175, None)] * 2
+    assert max(r.residual for r in reports) <= 1e-12
+
+
 def test_campaign_unknown_id():
     with pytest.raises(UnknownIdentity):
         run_campaign(ids=["nope"], trials=1)
@@ -553,6 +570,18 @@ def test_failure_precedence_hypotheses_lhs_coefficients_inner_series():
     with pytest.raises(SingularShift) as excinfo:
         evaluate(params, point)
     assert excinfo.value.shift == 1
+
+
+def test_an_inverse_factorial_past_its_reach_raises_singular_shift():
+    # C + 5I is singular, so (C)_6^-1 of the k = 6 term does not exist. The
+    # coefficients raise before the inner series, the first of which to fail
+    # here is F(A + 2I, B + 2I, C + 2I) at (C + 2I) + 3I: at x = 1e-9,
+    # F(A, B, C) stops before it meets C + 5I.
+    d = get("G-A+s-binom")
+    params = ParameterSet(d.kind, {"A": diag(1.5, 2.0), "B": diag(1.2, 0.7), "C": diag(-5.0, 1.4)})
+    with pytest.raises(SingularShift) as excinfo:
+        eval_rhs(d, params, 6, EvalPoint(1e-9), enforce_hypotheses=False)
+    assert (str(excinfo.value), excinfo.value.shift) == ("base + 5*I is singular", 6)
 
 
 def test_inner_series_fail_in_plan_order():
