@@ -9,7 +9,6 @@ from .calculus import (
     CommutingFamily,
     PochhammerChain,
     gamma_limit,
-    multinomial,
     pochhammer,
     pochhammer_inverse,
     random_commuting_family,
@@ -101,7 +100,6 @@ __all__ = [
     "is_positive_stable",
     "lu_factor",
     "mat_exp",
-    "multinomial",
     "pochhammer",
     "pochhammer_inverse",
     "random_commuting_family",

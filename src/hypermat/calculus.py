@@ -17,8 +17,8 @@ the member's entries past k are NaN, and the error is raised only where a
 value is handed out (inverse(n), gamma_limit, the series engine, the
 recursions' coefficients). This module also provides the limit formula for
 the gamma function of a positive stable matrix, read off the scaled inverse
-chain, multinomial coefficients, and a generator of families of
-simultaneously diagonalized (hence commuting) parameter matrices.
+chain, and a generator of families of simultaneously diagonalized (hence
+commuting) parameter matrices.
 """
 
 from __future__ import annotations
@@ -206,21 +206,12 @@ def gamma_limit(a: Matrix, n: int) -> Matrix:
         raise SingularShift(f"{where} is singular", shift=k)
     try:
         power = linalg.mat_exp(math.log(n) * a)
-    except NonConvergent as exc:  # pragma: no cover - extreme norms
+    except NonConvergent as exc:
         raise Overflow(str(exc)) from exc
     result = scaled / n @ power
     if not np.all(np.isfinite(result.real)) or not np.all(np.isfinite(result.imag)):
         raise Overflow("gamma limit accumulation overflowed")
     return result
-
-
-def multinomial(s: int, k1: int, k2: int) -> int:
-    """s! / (k1! k2! (s-k1-k2)!), zero outside the admissible index range."""
-    if k1 < 0 or k2 < 0 or k1 + k2 > s:
-        return 0
-    return math.factorial(s) // (
-        math.factorial(k1) * math.factorial(k2) * math.factorial(s - k1 - k2)
-    )
 
 
 @dataclass(frozen=True, eq=False)

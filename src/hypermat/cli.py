@@ -41,8 +41,8 @@ from .errors import (
     ParseError,
     UnknownIdentity,
 )
-from .recursions import catalog, run_campaign
-from .series import SeriesConfig, evaluate
+from .recursions import DEFAULT_CAMPAIGN_TOL, catalog, run_campaign
+from .series import DEFAULT_CONFIG, SeriesConfig, evaluate
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -91,9 +91,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["2F1", "F1", "F2", "F3", "F4"],
         help="require the document to be for this function",
     )
-    eval_cmd.add_argument("--tol", type=float, default=1e-12, help="series tolerance")
+    eval_cmd.add_argument("--tol", type=float, default=DEFAULT_CONFIG.tol, help="series tolerance")
     eval_cmd.add_argument(
-        "--max-degree", type=int, default=500, help="truncation degree cap"
+        "--max-degree", type=int, default=DEFAULT_CONFIG.max_degree, help="truncation degree cap"
     )
     eval_cmd.add_argument(
         "--allow-boundary",
@@ -123,9 +123,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--s", dest="s_values", type=_int_list, default=[1, 2, 3], metavar="S1,S2,..."
     )
     verify_cmd.add_argument("--seed", type=int, default=0)
-    verify_cmd.add_argument("--campaign-tol", type=float, default=1e-8)
-    verify_cmd.add_argument("--tol", type=float, default=1e-12, help="series tolerance")
-    verify_cmd.add_argument("--max-degree", type=int, default=500)
+    verify_cmd.add_argument("--campaign-tol", type=float, default=DEFAULT_CAMPAIGN_TOL)
+    verify_cmd.add_argument(
+        "--tol", type=float, default=DEFAULT_CONFIG.tol, help="series tolerance"
+    )
+    verify_cmd.add_argument("--max-degree", type=int, default=DEFAULT_CONFIG.max_degree)
     verify_cmd.add_argument("--out", type=str, default=None, help="report file path")
 
     commands.add_parser("list", help="print the identity catalog")
@@ -178,12 +180,13 @@ def _cmd_verify(args) -> int:
     else:
         sys.stdout.write(dump_document(doc))
     summary = doc["summary"]
-    # A residual that is not finite (NaN included) counts as the worst one.
+    # A residual that is not finite (NaN included) counts as the worst one;
+    # with no residual at all, as when every row raised, there is no worst.
     residuals = [r.residual for r in reports if r.error is None]
-    worst = max((x if math.isfinite(x) else math.inf for x in residuals), default=0.0)
+    worst = max((x if math.isfinite(x) else math.inf for x in residuals), default=None)
     print(
-        f"{summary['total']} trials, {summary['passed']} passed, "
-        f"{summary['failed']} failed, worst residual {worst:.3e}",
+        f"{summary['total']} trials, {summary['passed']} passed, {summary['failed']} failed, "
+        f"worst residual {'n/a' if worst is None else format(worst, '.3e')}",
         file=sys.stderr,
     )
     if summary["failed"]:

@@ -33,7 +33,8 @@ class NonConvergent(HypermatError):
 
 
 class Overflow(HypermatError):
-    """A scaled accumulation left the representable range."""
+    """A value left the double range: a scaled accumulation, a matrix
+    exponential, or the exact factorial part of a recursion term's weight."""
 
 
 class NotConverged(HypermatError):

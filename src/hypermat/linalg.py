@@ -1,9 +1,10 @@
 """Dense complex matrix arithmetic.
 
 Matrices are square numpy arrays of complex128, treated as immutable values.
-Everything downstream (Pochhammer chains, series evaluation, identity
-verification) consumes this module and nothing else for linear algebra.
-Products are never reordered: ``a @ b`` is a*b, full stop.
+Downstream modules take solves, inverses, norms, the invertibility verdict
+and the matrix exponential from here; series, calculus and recursions call
+``@``, ``np.matmul`` and ``np.einsum`` themselves. Products are never
+reordered: ``a @ b`` is a*b, full stop.
 
 Solves and eigenvalues are LAPACK through ``numpy.linalg``, with no order
 cap. Invertibility has one contract: a matrix is singular when its

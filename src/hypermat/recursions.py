@@ -14,8 +14,9 @@ the shift to 1. One interpreter (_rhs) serves eval_rhs and verify_identity:
 it builds each coefficient once per right-hand side (one Pochhammer chain per
 parameter, one stacked solve for all (P - jI)^-1 of a parameter) and keeps
 every factor list in printed order, since non-commuting factors never cross
-the inner value. One renderer writes each formula and hypothesis text from
-the same table at import.
+the inner value. Each term's number, its weight and factorial ratio
+together, is one exact integer quotient rounded once (_scalar). One renderer
+writes each formula and hypothesis text from the same table at import.
 
 Each identity is verified numerically: the left-hand side and every inner
 series of the right-hand side are summed as one batch by the series engine,
@@ -38,9 +39,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .calculus import CommutingFamily, PochhammerChain, multinomial, random_commuting_family
+from .calculus import CommutingFamily, PochhammerChain, random_commuting_family
 from .calculus import singular_shift
-from .errors import GenerationFailed, HypermatError, HypothesisViolated, SingularMatrix
+from .errors import GenerationFailed, HypermatError, HypothesisViolated, Overflow, SingularMatrix
 from .errors import UnknownIdentity
 from .linalg import Matrix
 from .series import DEFAULT_CONFIG, EvalPoint, EvalReport, FunctionKind, ParameterSet
@@ -143,21 +144,14 @@ def _at(text: str | None, env: dict[str, int]) -> int:
 
 class _Weight(NamedTuple):
     """sign * C(s,k) or M(s,k1,k2) (the ``coefficient`` variables) * x^x * y^y,
-    with -x and -y in place of x and y when ``negated``; None powers are absent."""
+    with -x and -y in place of x and y when ``negated``; None powers are absent.
+    Plain data: the renderer and _scalar read it."""
 
     sign: int = 1
     coefficient: tuple[str, ...] = ()
     negated: bool = False
     x: str | None = None
     y: str | None = None
-
-    def at(self, s: int, env: dict[str, int], point: EvalPoint):
-        ks = [env[v] for v in self.coefficient]
-        value = (math.comb(s, *ks) if len(ks) == 1 else multinomial(s, *ks)) if ks else 1
-        for variable, power in ((point.x, self.x), (point.y, self.y)):
-            if power is not None:
-                value = value * (-variable if self.negated else variable) ** _at(power, env)
-        return self.sign * value
 
 
 class _Atom(NamedTuple):
@@ -610,16 +604,25 @@ def _atoms(params: ParameterSet, plan) -> dict[tuple[str, str, int], Matrix]:
     return atoms
 
 
-def _unscaling(term: _Term, env: dict[str, int]) -> float:
-    """The product of j! over the term's (P)_j divided by the product of j!
-    over its (P)_j^-1, which turns its scaled atoms back into the unscaled
-    factors. It is 1 unless the term's indices differ, as in the F1 and F4
-    multinomial rows; the integer quotient rounds once."""
-    scales = {"poch": 1, "poch_inv": 1}
-    for f in term.factors:
-        if isinstance(f, _Atom) and f.op in scales:
-            scales[f.op] *= math.factorial(_at(f.index, env))
-    return scales["poch"] / scales["poch_inv"]
+def _scalar(term: _Term, s: int, env: dict[str, int], point: EvalPoint):
+    """The term's number: its sign, times s! / (prod k_v! (s - sum k_v)!) over
+    the weight's coefficient variables (1, C(s,k) or M(s,k1,k2)), times j! for
+    each (P)_j and over j! for each (P)_j^-1, which turns the scaled atoms
+    back into the unscaled factors, times the powers of x and y. The factorial
+    part is one exact integer quotient that rounds once; past the double
+    range it raises Overflow."""
+    w, ks = term.weight, [env[v] for v in term.weight.coefficient]
+    atoms = [f for f in term.factors if isinstance(f, _Atom)]
+    above = [s] + [_at(f.index, env) for f in atoms if f.op == "poch"]
+    below = [s - sum(ks), *ks] + [_at(f.index, env) for f in atoms if f.op == "poch_inv"]
+    try:
+        value = math.prod(map(math.factorial, above)) / math.prod(map(math.factorial, below))
+    except OverflowError:
+        raise Overflow(f"term weight past the double range at s = {s}, {env}") from None
+    for variable, power in ((point.x, w.x), (point.y, w.y)):
+        if power is not None:
+            value = value * (-variable if w.negated else variable) ** _at(power, env)
+    return w.sign * value
 
 
 def _outcome(outcome: EvalReport | Exception) -> EvalReport:
@@ -658,7 +661,7 @@ def _rhs(
             for f in term.factors
         ]
         product = functools.reduce(operator.matmul, factors)
-        total = total + term.weight.at(s, env, point) * _unscaling(term, env) * product
+        total = total + _scalar(term, s, env, point) * product
     return total, degrees, lhs_report
 
 

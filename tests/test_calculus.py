@@ -2,20 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from hypermat import calculus, linalg
 from hypermat.calculus import (
     CommutingFamily,
     PochhammerChain,
     gamma_limit,
-    multinomial,
     pochhammer,
     pochhammer_inverse,
     random_commuting_family,
 )
-from hypermat.errors import GenerationFailed, SingularShift
+from hypermat.errors import GenerationFailed, Overflow, SingularShift
 
 from lemmas import (
     c_decrement_residual,
@@ -318,20 +315,12 @@ def test_gamma_limit_requires_positive_stable():
         gamma_limit(-np.eye(2, dtype=complex), 10)
 
 
-def test_multinomial_values():
-    assert multinomial(3, 1, 1) == 6
-    assert multinomial(2, 3, 0) == 0
-    assert multinomial(2, -1, 1) == 0
-    assert multinomial(0, 0, 0) == 1
-
-
-@given(st.integers(0, 9))
-def test_multinomial_row_sums(s):
-    # Brute enumeration over all index pairs reproduces 3^s.
-    total = sum(
-        multinomial(s, k1, k2) for k1 in range(s + 1) for k2 in range(s + 1)
-    )
-    assert total == 3**s
+def test_gamma_limit_overflow_of_the_power_is_overflow():
+    # n^A = exp(ln(10) * 300): the exponent's norm, 690.8, is past the
+    # limit that mat_exp accepts.
+    with pytest.raises(Overflow) as err:
+        gamma_limit(np.array([[300.0]]), 10)
+    assert str(err.value) == "matrix exponential overflow, norm 6.908e+02"
 
 
 def test_family_scalar_order_one():

@@ -6,7 +6,8 @@ import pytest
 
 from hypermat import cli
 from hypermat.cli import main
-from hypermat.recursions import VerificationReport, catalog
+from hypermat.recursions import DEFAULT_CAMPAIGN_TOL, VerificationReport, catalog
+from hypermat.series import DEFAULT_CONFIG
 
 
 def write_doc(path, doc):
@@ -268,6 +269,30 @@ def test_verify_reports_a_residual_that_is_not_finite(monkeypatch, capsys):
         "1 trials, 0 passed, 1 failed, worst residual inf",
         "FAIL G-A+s-binom (s=175, r=1): residual not finite",
     ]
+
+
+def test_verify_summary_without_any_residual_reads_not_available(monkeypatch, capsys):
+    report = VerificationReport(
+        identity_id="G-A+s-sum", s=2, seed=0, order=3, residual=math.inf, passed=False,
+        error="NotConverged: series still moving at degree 2",
+    )
+    monkeypatch.setattr(cli, "run_campaign", lambda **kwargs: [report])
+    code = main(["verify", "--ids", "G-A+s-sum", "--trials", "1", "--max-degree", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == [
+        "1 trials, 0 passed, 1 failed, worst residual n/a",
+        "FAIL G-A+s-sum (s=2, r=3): NotConverged: series still moving at degree 2",
+    ]
+
+
+def test_parsed_defaults_are_the_library_defaults():
+    parser = cli._build_parser()
+    eval_args = parser.parse_args(["eval", "x.json"])
+    verify_args = parser.parse_args(["verify"])
+    for args in (eval_args, verify_args):
+        assert (args.tol, args.max_degree) == (DEFAULT_CONFIG.tol, DEFAULT_CONFIG.max_degree)
+    assert verify_args.campaign_tol == DEFAULT_CAMPAIGN_TOL
 
 
 def test_list_prints_whole_catalog(capsys):

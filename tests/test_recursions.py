@@ -7,7 +7,8 @@ import pytest
 
 from hypermat import linalg, recursions
 from hypermat.calculus import random_commuting_family
-from hypermat.errors import HypothesisViolated, NotConverged, SingularMatrix, SingularShift
+from hypermat.errors import HypothesisViolated, NotConverged, Overflow, SingularMatrix
+from hypermat.errors import SingularShift
 from hypermat.errors import UnknownIdentity
 from hypermat.recursions import (
     catalog,
@@ -310,6 +311,61 @@ def test_binomial_rows_past_the_double_range_of_the_factorials():
     )
     assert [(r.s, r.error) for r in reports] == [(175, None)] * 2
     assert max(r.residual for r in reports) <= 1e-12
+
+
+def reference_scalar(term, s, env, point):
+    """sign * C(s,k) or M(s,k1,k2) * prod j! over (P)_j / prod j! over (P)_j^-1
+    * (+-x)^a (+-y)^b, at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    w, at = term.weight, lambda text: recursions._at(text, env)
+    with mpmath.workdps(30):
+        ks = [env[v] for v in w.coefficient]
+        value = mpmath.mpf(w.sign)
+        if len(ks) == 1:
+            value *= mpmath.binomial(s, ks[0])
+        elif ks:
+            value *= mpmath.factorial(s) / (
+                mpmath.factorial(ks[0]) * mpmath.factorial(ks[1]) * mpmath.factorial(s - sum(ks))
+            )
+        for f in term.factors:
+            if getattr(f, "op", None) == "poch":
+                value *= mpmath.factorial(at(f.index))
+            elif getattr(f, "op", None) == "poch_inv":
+                value /= mpmath.factorial(at(f.index))
+        for variable, power in ((point.x, w.x), (point.y, w.y)):
+            if power is not None:
+                value *= mpmath.mpc(-variable if w.negated else variable) ** at(power)
+        return complex(value)
+
+
+@pytest.mark.parametrize("row", recursions._ROWS.values(), ids=lambda row: row.id)
+def test_term_scalars_match_an_exact_reference(row):
+    s = 3
+    point = draw_point(row.kind, random.Random(row.id))
+    envs = recursions._INDEX_SETS[row.index](s)
+    plan = [(t, env) for t in row.terms for env in (envs if t.indexed else [{}])]
+    for term, env in plan:
+        expected = reference_scalar(term, s, env, point)
+        value = recursions._scalar(term, s, env, point)
+        assert abs(value - expected) <= 1e-15 * abs(expected), (term, env)
+
+
+def test_a_term_scalar_past_the_double_range_is_overflow():
+    (term,) = recursions._ROWS["G-A-s-binom"].terms
+    point = EvalPoint(0.1 + 0.05j)
+    expected = reference_scalar(term, 1100, {"k": 100}, point)
+    value = recursions._scalar(term, 1100, {"k": 100}, point)
+    # x^100 by repeated squaring carries an error of up to about 100 roundings.
+    assert abs(value - expected) <= 3e-14 * abs(expected)
+    # C(1100, 550) is about 1e329.
+    with pytest.raises(Overflow, match="term weight past the double range at s = 1100"):
+        recursions._scalar(term, 1100, {"k": 550}, point)
+
+
+def test_a_campaign_row_with_a_weight_past_the_double_range_fails_with_overflow():
+    (report,) = run_campaign(ids=["G-A-s-binom"], trials=1, orders=(1,), s_values=(1100,))
+    assert not report.passed
+    assert report.error.startswith("Overflow: ")
 
 
 def test_campaign_unknown_id():
