@@ -9,7 +9,7 @@ inverse chains (C)_n^{-1}. A chain keeps one convention, the factorial-scaled
 run (A)_n / n! or n! (C)_n^{-1}, which grows like a power of n where the
 unscaled products overflow double precision near n = 170. It grows by whole
 blocks of shifts: the factors (A + kI)/(k+1) or (k+1)(C + kI)^{-1} of a
-block are built in one batched call, the shifts C + kI solved in one stacked
+block are built in one batched call, the shifts C + kI inverted in one stacked
 call rather than by inverting the accumulated product, and folded in one at
 a time. A chain holds one base or a stack of bases, one per member of a
 batch of series. Reading a run never raises for a singular shift C + kI:
@@ -40,13 +40,13 @@ from .linalg import Matrix
 SPECTRUM_REAL_RANGE = (0.5, 3.0)
 SPECTRUM_IMAG_RANGE = (-0.5, 0.5)
 
-#: Generated transforms need cond(P) <= 1000.
-_TRANSFORM_MIN_RCOND = 1e-3
+#: Generated transforms need a 2-norm condition number cond(P) <= 1000.
+_TRANSFORM_MAX_COND = 1e3
 _GENERATION_ATTEMPTS = 100
 
 #: Chains grow by blocks of at least this many indices. Every series sums at
 #: least three diagonals and most need 15 to 40, so shorter blocks would pay
-#: the fixed cost of a batched call (rcond test, solve, shift stack) per index.
+#: the fixed cost of a batched call (rcond test, inverse, shift stack) per index.
 _CHAIN_BLOCK = 8
 
 
@@ -77,7 +77,7 @@ class PochhammerChain:
     can slice a whole run of indices at once; product(n) and inverse(n)
     return the unscaled (A)_n and (A)_n^{-1}. The base is one matrix or a
     stack of b members; a stack keeps (k, b, r, r) entries whose members
-    share every batched product, rcond test and block solve. A singular
+    share every batched product, rcond test and block inverse. A singular
     shift is only recorded, as the member's ``reach``, and the entries past
     it read as NaN; it becomes SingularShift where a value is handed out.
     Confined to a single evaluation; not thread safe.
@@ -119,7 +119,7 @@ class PochhammerChain:
         so it may end past n. A product chain
         folds (A)_{j+1}/(j+1)! = (A)_j/j! (A + jI)/(j+1), and an inverse chain
         folds (j+1)! (A)_{j+1}^{-1} = (j+1) (A + jI)^{-1} j! (A)_j^{-1}, with
-        every shift of the block solved in one stacked call. A singular shift
+        every shift of the block inverted in one stacked call. A singular shift
         base + kI stops a member at index k, its ``reach``: the NaN factor
         makes all its later entries NaN while the other members go on. The
         read never raises for that; ``inverse``, the series engine and the
@@ -157,7 +157,7 @@ class PochhammerChain:
         """(A)_n, extending the run as needed."""
         if self.reach is not None:
             raise ValueError("chain was created for inverses")
-        return functools.reduce(np.multiply, _factorial_chunks(n), self.through(n)[n])
+        return functools.reduce(np.multiply, _factorial_chunks(n), self.through(n)[-1])
 
     def inverse(self, n: int) -> np.ndarray:
         """(A)_n^{-1}, extending the run as needed.
@@ -167,7 +167,7 @@ class PochhammerChain:
         """
         if self.reach is None:
             raise ValueError("chain was created without inverse tracking")
-        scaled = self.through(n)[n]
+        scaled = self.through(n)[-1]
         reach = int(self.reach.min())
         if n > reach:
             raise singular_shift(reach)
@@ -199,7 +199,7 @@ def gamma_limit(a: Matrix, n: int) -> Matrix:
     if not linalg.is_positive_stable(a):
         raise ValueError("gamma limit requires a positive stable matrix")
     chain = PochhammerChain.for_inverses(a)
-    scaled = chain.through(n)[n]
+    scaled = chain.through(n)[-1]
     if n > chain.reach:
         k = int(chain.reach)
         where = "matrix itself" if k == 0 else f"matrix + {k}*I"
@@ -220,8 +220,9 @@ class CommutingFamily:
 
     Each named member is realized as P diag(spectrum) P^{-1}, so any two
     members commute up to roundoff and scalar functions extend to members
-    entrywise on the spectrum. Spectra are confined to the band with real
-    part in SPECTRUM_REAL_RANGE.
+    entrywise on the spectrum. The transform P has condition number at most
+    1000. Spectra are confined to the band with real part in
+    SPECTRUM_REAL_RANGE.
     """
 
     order: int
@@ -252,8 +253,9 @@ def random_commuting_family(
     """Draw a deterministic commuting family for the given parameter names.
 
     The transform P has entries uniform in the complex unit square and is
-    redrawn until its reciprocal condition number is at least 1e-3 (at most
-    100 tries, then GenerationFailed). Spectra are sampled with real parts in
+    redrawn until its condition number is at most 1000 (the 2-norm
+    cond(P) = sigma_max / sigma_min; at most 100 tries, then
+    GenerationFailed). Spectra are sampled with real parts in
     [0.5, 3.0] and imaginary parts in [-0.5, 0.5]. Identical seeds yield
     bit-identical families.
     """
@@ -261,7 +263,6 @@ def random_commuting_family(
         raise ValueError(f"family order must be positive, got {order}")
     rng = random.Random(seed)
     transform = None
-    factored = None
     for _ in range(_GENERATION_ATTEMPTS):
         candidate = np.array(
             [
@@ -270,8 +271,7 @@ def random_commuting_family(
             ],
             dtype=complex,
         )
-        factored = linalg.lu_factor(candidate)
-        if factored.rcond >= _TRANSFORM_MIN_RCOND:
+        if np.linalg.cond(candidate) <= _TRANSFORM_MAX_COND:
             transform = candidate
             break
     if transform is None:
@@ -285,5 +285,5 @@ def random_commuting_family(
         )
         for name in names
     }
-    transform_inverse = linalg.solve(factored, linalg.identity(order))
+    transform_inverse = linalg.inverse(transform)
     return CommutingFamily(order, transform, transform_inverse, spectra)

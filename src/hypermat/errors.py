@@ -18,8 +18,13 @@ class SingularMatrix(HypermatError):
 class SingularShift(SingularMatrix):
     """An integer shift of a parameter matrix is singular.
 
-    Carries the offending shift index so callers can report which factor
-    of an inverse Pochhammer chain (or which C - kI) failed.
+    ``shift`` has one of two meanings, by the raiser. Inverse Pochhammer
+    chains, the series engine and the recursions' coefficients raise it
+    through ``calculus.singular_shift(k)`` with the Pochhammer index
+    n = k + 1 of the first (P)_n^-1 that needs the singular P + kI (3 for a
+    singular C + 2I). ``calculus.gamma_limit`` carries k itself and names the
+    matrix in its text (0 and "matrix itself is singular" when A is). A
+    singular C - kI of the recursions is a plain SingularMatrix.
     """
 
     def __init__(self, message: str, shift: int):

@@ -6,15 +6,17 @@ and the matrix exponential from here; series, calculus and recursions call
 ``@``, ``np.matmul`` and ``np.einsum`` themselves. Products are never
 reordered: ``a @ b`` is a*b, full stop.
 
-Solves and eigenvalues are LAPACK through ``numpy.linalg``, with no order
-cap. Invertibility has one contract: a matrix is singular when its
-reciprocal condition number sigma_min / sigma_max, from one batched singular
-value call, is below SINGULARITY_RTOL (a zero matrix counts as singular).
-``lu_factor`` returns the matrix with that verdict so callers decide before
-``solve`` raises, and ``shift_inverses`` inverts a whole run of shifts
-base + kI in one stacked call, for one base or a stack of them, and reports
-how far each base reaches before its first singular shift. The matrix
-exponential uses scaling and squaring around a truncated Taylor core.
+Solves, inverses, condition numbers and eigenvalues are LAPACK through
+``numpy.linalg``, with no order cap. Invertibility has one contract: a
+matrix is singular when its 1-norm reciprocal condition number
+1 / (||M||_1 ||M^-1||_1), from ``np.linalg.cond(m, 1)`` on one matrix or a
+stack, is below SINGULARITY_RTOL (a matrix with an exact zero pivot, the zero
+matrix among them, reads 0). ``lu_factor`` returns the matrix with that
+verdict so callers decide before ``solve`` raises, and ``shift_inverses``
+inverts a whole run of shifts base + kI in one stacked call, for one base or
+a stack of them, and reports how far each base reaches before its first
+singular shift. The matrix exponential uses scaling and squaring around a
+truncated Taylor core.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from .errors import DimensionMismatch, NonConvergent, SingularMatrix
 
 Matrix = np.ndarray
 
-#: Reciprocal condition number below which a matrix is treated as singular.
+#: 1-norm reciprocal condition number below which a matrix is treated as
+#: singular. For a matrix of order r the 1-norm value lies within a factor r
+#: of sigma_min / sigma_max on either side.
 SINGULARITY_RTOL = 1e-12
 
 _EXP_NORM_LIMIT = 600.0
@@ -79,20 +83,20 @@ def commutator_norm(a: Matrix, b: Matrix) -> float:
 
 
 def reciprocal_condition(m: np.ndarray) -> np.ndarray:
-    """sigma_min / sigma_max of a matrix or of each matrix in a stack.
+    """1 / (||M||_1 ||M^-1||_1) of a matrix or of each matrix in a stack.
 
-    One batched singular-value call; a zero matrix gets 0. This is the single
+    ``np.linalg.cond(m, 1)`` inverts the matrix or the stack once and reads
+    inf, never raising, where LAPACK meets an exact zero pivot, so such a
+    matrix (the zero matrix among them) gets 0. This is the single
     invertibility measure of the package: a matrix counts as singular when
     its value is below SINGULARITY_RTOL.
     """
-    sigma = np.linalg.svd(m, compute_uv=False)
-    top = sigma[..., 0]
-    return np.where(top > 0.0, sigma[..., -1] / np.where(top > 0.0, top, 1.0), 0.0)
+    return 1.0 / np.linalg.cond(m, 1)
 
 
 @dataclass(frozen=True, eq=False)
 class CheckedMatrix:
-    """A square matrix together with its reciprocal condition number.
+    """A square matrix together with its 1-norm reciprocal condition number.
 
     LAPACK factors the matrix inside ``solve``; the handle only carries the
     invertibility verdict so callers can decide before solving.
@@ -119,7 +123,8 @@ def lu_factor(m: Matrix) -> CheckedMatrix:
 
 
 def is_invertible(m: Matrix) -> bool:
-    """True when the matrix, or every matrix of a stack, passes the rcond test."""
+    """True when the matrix, or every matrix of a stack, has a 1-norm
+    reciprocal condition number of at least SINGULARITY_RTOL."""
     return bool(np.all(reciprocal_condition(m) >= SINGULARITY_RTOL))
 
 
@@ -154,16 +159,15 @@ def shift_inverses(base: np.ndarray, shifts) -> tuple[np.ndarray, np.ndarray]:
     """(base + k I)^{-1} for the shifts k in order, and each base's reach.
 
     ``base`` is one matrix or a stack of them, one per member. One batched
-    rcond test judges every shift of every member and one stacked solve
+    rcond test judges every shift of every member and one stacked inverse
     inverts them all. ``reach`` holds, per member, the number of shifts
     before its first singular one (``len(shifts)`` when there is none), and
     that member's inverses from there on are NaN.
     """
     stack = shifted(base, shifts)
     reached = np.logical_and.accumulate(reciprocal_condition(stack) >= SINGULARITY_RTOL, axis=0)
-    eye = identity(base.shape[-1])
-    stack[~reached] = eye  # keeps the solve clear of singular shifts
-    inverses = np.linalg.solve(stack, np.broadcast_to(eye, stack.shape))
+    stack[~reached] = identity(base.shape[-1])  # keeps the inverse clear of singular shifts
+    inverses = np.linalg.inv(stack)
     inverses[~reached] = np.nan
     return inverses, np.count_nonzero(reached, axis=0)
 

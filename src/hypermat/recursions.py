@@ -12,7 +12,7 @@ set and terms (the base value F(P) names no index and is not summed), a swap
 row is a base row on the renamed parameter set, and a contiguous row pins
 the shift to 1. One interpreter (_rhs) serves eval_rhs and verify_identity:
 it builds each coefficient once per right-hand side (one Pochhammer chain per
-parameter, one stacked solve for all (P - jI)^-1 of a parameter) and keeps
+parameter, one stacked inverse for all (P - jI)^-1 of a parameter) and keeps
 every factor list in printed order, since non-commuting factors never cross
 the inner value. Each term's number, its weight and factorial ratio
 together, is one exact integer quotient rounded once (_scalar). One renderer
@@ -97,7 +97,12 @@ class IdentityDescriptor:
     hypotheses: str = ""
 
     def effective_shift(self, s: int) -> int:
-        """The shift count actually applied; contiguous entries cap it at 1."""
+        """The shift count actually applied; contiguous entries cap it at 1.
+
+        A negative s raises ValueError here, for every path that applies it.
+        """
+        if s < 0:
+            raise ValueError("shift count must be nonnegative")
         if self.fixed_shift is None:
             return s
         return min(self.fixed_shift, s)
@@ -561,8 +566,6 @@ def check_hypotheses(d: IdentityDescriptor, params: ParameterSet, s: int) -> boo
 def _prepare(d: IdentityDescriptor, params: ParameterSet, s: int, enforce_hypotheses: bool):
     """Check s and the hypotheses, then follow a swap: (effective shift, row to
     interpret, parameter set in that row's slots)."""
-    if s < 0:
-        raise ValueError("shift count must be nonnegative")
     if params.kind is not d.kind:
         raise ValueError(f"parameter set is for {params.kind.value}, not {d.kind.value}")
     s_eff = d.effective_shift(s)
@@ -576,7 +579,7 @@ def _prepare(d: IdentityDescriptor, params: ParameterSet, s: int, enforce_hypoth
 def _atoms(params: ParameterSet, plan) -> dict[tuple[str, str, int], Matrix]:
     """Every coefficient atom of the planned terms, keyed (op, name, j): one
     Pochhammer chain per parameter for the scaled (P)_j / j! and j! (P)_j^-1
-    (SingularShift past the chain's reach), one stacked solve for all
+    (SingularShift past the chain's reach), one stacked inverse for all
     (P - jI)^-1 of a parameter, SingularMatrix if one is singular."""
     wanted: dict[tuple[str, str], set[int]] = {}
     for term, env in plan:

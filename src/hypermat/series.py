@@ -32,7 +32,7 @@ product per factor of the stacked chain slices, in exactly the printed
 order, then one weighted sum over m for all members; nothing is ever
 algebraically reordered. A verification batches its left-hand side with
 every inner series of its right-hand side, so they share every product,
-rcond test and block solve.
+rcond test and block inverse.
 
 Series are summed diagonal by diagonal, and each member stops once three
 consecutive diagonal sums of its own fall below tol * (1 + ||partial sum||_F);
@@ -184,8 +184,9 @@ class SeriesConfig:
     def __post_init__(self):
         if not (0.0 < self.tol < 1.0):
             raise ValueError("tol must lie in (0, 1)")
-        if self.max_degree < 1:
-            raise ValueError("max_degree must be at least 1")
+        degree = self.max_degree
+        if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)) or degree < 1:
+            raise ValueError("max_degree must be an integer of at least 1")
 
 
 DEFAULT_CONFIG = SeriesConfig()

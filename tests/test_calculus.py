@@ -196,6 +196,20 @@ def test_unscaled_lookups_read_the_scaled_run():
         assert np.array_equal(inverses.inverse(n), inverses.through(n)[n] / factorial)
 
 
+def test_a_bool_index_reads_as_its_int():
+    # True must not index the run as a mask, which would return shape (1, r, r, r).
+    a = random_commuting_family(3, ["A"], seed=7).realize("A")
+    for lookup in (
+        lambda n: PochhammerChain.for_products(a).product(n),
+        lambda n: PochhammerChain.for_inverses(a).inverse(n),
+        lambda n: pochhammer(a, n),
+        lambda n: pochhammer_inverse(a, n),
+        lambda n: gamma_limit(a, n),
+    ):
+        assert lookup(True).shape == (3, 3)
+        assert np.array_equal(lookup(True), lookup(1))
+
+
 def test_unscaled_lookups_past_the_double_range():
     # (A)_200 overflows and (A)_200^-1 underflows; neither may raise OverflowError.
     a = np.array([[2.0, 1.0], [0.5, 3.0]], dtype=complex)
@@ -342,6 +356,14 @@ def test_family_determinism():
     assert np.array_equal(one.transform, two.transform)
     for name in ("A", "B", "C"):
         assert np.array_equal(one.realize(name), two.realize(name))
+
+
+@pytest.mark.parametrize("order", [1, 3, 8])
+def test_family_transform_is_conditioned_as_stated(order):
+    fam = random_commuting_family(order, ["A"], seed=order)
+    assert np.linalg.cond(fam.transform) <= 1e3
+    product = fam.transform @ fam.transform_inverse
+    assert np.linalg.norm(product - np.eye(order)) <= 1e-12
 
 
 def test_family_spectrum_band():

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hypermat import linalg
 from hypermat.errors import DimensionMismatch, NonConvergent, SingularMatrix
@@ -37,6 +39,28 @@ def test_reciprocal_condition_batched():
     assert linalg.reciprocal_condition(stack).tolist() == [0.25, 0.0, 1.0]
     assert not linalg.is_invertible(stack)
     assert linalg.is_invertible(stack[[0, 2]])
+
+
+def test_reciprocal_condition_is_the_one_norm_value():
+    # ||M||_1 = ||M^-1||_1 = 1001, where sigma_min / sigma_max is 9.99998e-7.
+    m = np.array([[1.0, 1000.0], [0.0, 1.0]], dtype=complex)
+    assert linalg.reciprocal_condition(m) == pytest.approx(1 / 1_002_001, rel=1e-12)
+
+
+def test_exactly_singular_member_of_a_stack_reads_zero():
+    stack = np.array([[[1.0, 2.0], [2.0, 4.0]], np.eye(2)], dtype=complex)
+    assert linalg.reciprocal_condition(stack).tolist() == [0.0, 1.0]
+
+
+@given(order=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), spread=st.integers(0, 6))
+def test_reciprocal_condition_within_a_factor_of_the_order_of_the_svd_ratio(order, seed, spread):
+    # The 1-norm and 2-norm of an order-r matrix agree within sqrt(r), so the
+    # two reciprocal condition numbers agree within r; SINGULARITY_RTOL rests on it.
+    m = random_matrix(order, random.Random(seed)) * np.logspace(0, -spread, order)
+    sigma = np.linalg.svd(m, compute_uv=False)
+    ratio = sigma[-1] / sigma[0]
+    rcond = linalg.reciprocal_condition(m)
+    assert ratio / order * (1 - 1e-12) <= rcond <= order * ratio * (1 + 1e-12)
 
 
 def test_shift_inverses_stop_at_first_singular_shift():

@@ -406,6 +406,14 @@ def test_negative_shift_is_rejected_not_blamed_on_the_identity():
         eval_rhs(d, params, -2, point)
 
 
+def test_negative_shift_is_rejected_by_the_hypothesis_check_too():
+    # An empty shift range used to pass the check while eval_rhs raised.
+    d = get("G-A-s-sum")
+    params = family_params(d, 2, seed=3)
+    with pytest.raises(ValueError, match="shift count must be nonnegative"):
+        check_hypotheses(d, params, -1)
+
+
 def test_parameter_set_of_another_kind_is_rejected():
     d = get("F1-A+s-sum")
     params = scal_params(FunctionKind.GAUSS_2F1, {"A": 1.3, "B": 1.7, "C": 2.2})

@@ -301,6 +301,18 @@ def test_not_converged_carries_partial_report():
     assert not err.value.report.converged
 
 
+@pytest.mark.parametrize("max_degree", [2.5, 3.0, np.float64(4.0), True, False, 0])
+def test_config_rejects_a_max_degree_that_is_not_a_positive_integer(max_degree):
+    with pytest.raises(ValueError, match="max_degree"):
+        SeriesConfig(max_degree=max_degree)
+
+
+def test_config_accepts_a_numpy_integer_max_degree():
+    params = scalar_params(FunctionKind.GAUSS_2F1, {"A": 1.0, "B": 1.0, "C": 2.0})
+    cfg = SeriesConfig(max_degree=np.int64(60))
+    assert evaluate(params, EvalPoint(0.3), cfg).converged
+
+
 def test_parameter_set_validation():
     with pytest.raises(ValueError):
         ParameterSet(FunctionKind.GAUSS_2F1, {"A": scal(1.0), "B": scal(1.0)})
