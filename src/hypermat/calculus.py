@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import GenerationFailed, NonConvergent, Overflow, SingularShift
+from .errors import GenerationFailed, Overflow, SingularShift
 from .linalg import Matrix
 
 #: Spectra of generated families stay in this band of the right half plane,
@@ -125,8 +125,8 @@ class PochhammerChain:
         read never raises for that; ``inverse``, the series engine and the
         recursions' coefficients decide it where a value is handed out.
         """
-        if n < 0:
-            raise ValueError("Pochhammer index must be nonnegative")
+        if not isinstance(n, (int, np.integer)) or n < 0:  # a bool reads as its int
+            raise ValueError("Pochhammer index must be a nonnegative integer")
         products = self.reach is None
         if n >= self._size:
             k = self._size - 1
@@ -190,8 +190,10 @@ def gamma_limit(a: Matrix, n: int) -> Matrix:
     Returns (n-1)! (A)_n^{-1} n^A for the given n, read as n! (A)_n^{-1} / n
     from the factorial-scaled inverse chain, which stays near unit scale
     where a naive (n-1)! overflows long before the interesting n. The power
-    n^A is exp(ln(n) A). When the chain's reach k is below n, the shift
-    A + kI is singular and SingularShift(shift=k) is raised.
+    n^A is exp(ln(n) A). Raises ValueError for an n that is not a positive
+    integer or an A that is not positive stable, SingularShift(shift=k) when
+    the chain's reach k is below n (the shift A + kI is singular), and
+    Overflow when n^A or the product leaves the double range.
     """
     a = linalg.as_matrix(a)
     if n < 1:
@@ -204,12 +206,8 @@ def gamma_limit(a: Matrix, n: int) -> Matrix:
         k = int(chain.reach)
         where = "matrix itself" if k == 0 else f"matrix + {k}*I"
         raise SingularShift(f"{where} is singular", shift=k)
-    try:
-        power = linalg.mat_exp(math.log(n) * a)
-    except NonConvergent as exc:
-        raise Overflow(str(exc)) from exc
-    result = scaled / n @ power
-    if not np.all(np.isfinite(result.real)) or not np.all(np.isfinite(result.imag)):
+    result = scaled / n @ linalg.mat_exp(math.log(n) * a)
+    if not np.isfinite(result).all():
         raise Overflow("gamma limit accumulation overflowed")
     return result
 

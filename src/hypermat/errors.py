@@ -33,8 +33,7 @@ class SingularShift(SingularMatrix):
 
 
 class NonConvergent(HypermatError):
-    """An iterative linear-algebra routine exceeded its iteration budget
-    or overflowed (matrix exponential, eigenvalue iteration)."""
+    """LAPACK's eigenvalue iteration did not converge (``linalg.spectrum``)."""
 
 
 class Overflow(HypermatError):

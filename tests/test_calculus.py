@@ -210,6 +210,30 @@ def test_a_bool_index_reads_as_its_int():
         assert np.array_equal(lookup(True), lookup(1))
 
 
+def _through(a, n):
+    return PochhammerChain.for_inverses(a).through(n)
+
+
+@pytest.mark.parametrize(
+    "lookup, n",
+    [
+        (gamma_limit, 2.5),
+        (pochhammer, 2.5),
+        (pochhammer_inverse, 2.5),
+        (_through, 2.5),
+        (_through, -1),
+    ],
+)
+def test_an_index_that_is_not_a_nonnegative_integer_is_rejected(lookup, n):
+    with pytest.raises(ValueError, match="Pochhammer index must be a nonnegative integer"):
+        lookup(np.array([[1.5]]), n)
+
+
+def test_gamma_limit_rejects_n_zero():
+    with pytest.raises(ValueError, match="n must be positive"):
+        gamma_limit(np.array([[1.5]]), 0)
+
+
 def test_unscaled_lookups_past_the_double_range():
     # (A)_200 overflows and (A)_200^-1 underflows; neither may raise OverflowError.
     a = np.array([[2.0, 1.0], [0.5, 3.0]], dtype=complex)

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from hypermat import cli
+from hypermat import cli, recursions
 from hypermat.cli import main
+from hypermat.errors import GenerationFailed
 from hypermat.recursions import DEFAULT_CAMPAIGN_TOL, VerificationReport, catalog
 from hypermat.series import DEFAULT_CONFIG
 
@@ -283,6 +284,20 @@ def test_verify_summary_without_any_residual_reads_not_available(monkeypatch, ca
     assert err.splitlines() == [
         "1 trials, 0 passed, 1 failed, worst residual n/a",
         "FAIL G-A+s-sum (s=2, r=3): NotConverged: series still moving at degree 2",
+    ]
+
+
+def test_verify_reports_a_family_that_cannot_be_drawn(monkeypatch, capsys):
+    def fail(d, order, s_eff, rng):
+        raise GenerationFailed("no family")
+
+    monkeypatch.setattr(recursions, "draw_family", fail)
+    code = main(["verify", "--ids", "G-A+s-sum", "--trials", "1", "--orders", "2", "--s", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == [
+        "1 trials, 0 passed, 1 failed, worst residual n/a",
+        "FAIL G-A+s-sum (s=3, r=2): GenerationFailed: no family",
     ]
 
 

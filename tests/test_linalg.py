@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypermat import linalg
-from hypermat.errors import DimensionMismatch, NonConvergent, SingularMatrix
+from hypermat.errors import DimensionMismatch, Overflow, SingularMatrix
 
 
 def random_matrix(order, rng, scale=1.0):
@@ -172,7 +172,7 @@ def test_mat_exp_commuting_sum_property():
 
 
 def test_mat_exp_overflow_reported():
-    with pytest.raises(NonConvergent):
+    with pytest.raises(Overflow):
         linalg.mat_exp(1e4 * linalg.identity(2))
 
 

@@ -7,7 +7,9 @@ import pytest
 
 from hypermat import linalg, recursions
 from hypermat.calculus import random_commuting_family
-from hypermat.errors import HypothesisViolated, NotConverged, Overflow, SingularMatrix
+from hypermat.documents import verification_reports_to_document
+from hypermat.errors import GenerationFailed, HypothesisViolated, NotConverged, Overflow
+from hypermat.errors import SingularMatrix
 from hypermat.errors import SingularShift
 from hypermat.errors import UnknownIdentity
 from hypermat.recursions import (
@@ -366,6 +368,22 @@ def test_a_campaign_row_with_a_weight_past_the_double_range_fails_with_overflow(
     (report,) = run_campaign(ids=["G-A-s-binom"], trials=1, orders=(1,), s_values=(1100,))
     assert not report.passed
     assert report.error.startswith("Overflow: ")
+
+
+def test_a_family_that_cannot_be_drawn_fails_its_row(monkeypatch):
+    def fail(d, order, s_eff, rng):
+        raise GenerationFailed(f"no family for {d.id}")
+
+    monkeypatch.setattr(recursions, "draw_family", fail)
+    rows = run_campaign(ids=["G-A+s-sum", "G-A+1-contig"], trials=1, orders=(2,), s_values=(3,))
+    # A contiguous row applies the shift count 1 whatever s was drawn.
+    drawn = [(r.identity_id, r.order, r.s) for r in rows]
+    assert drawn == [("G-A+s-sum", 2, 3), ("G-A+1-contig", 2, 1)]
+    for row in rows:
+        assert (row.residual, row.passed, row.lhs_report) == (math.inf, False, None)
+        assert row.error == f"GenerationFailed: no family for {row.identity_id}"
+    doc = verification_reports_to_document(rows, {}, "hypermat", "test")
+    assert [(r["residual"], r["lhs_degrees"]) for r in doc["results"]] == [(None, None)] * 2
 
 
 def test_campaign_unknown_id():

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypermat import linalg
 from hypermat.calculus import random_commuting_family
 from hypermat.errors import DimensionMismatch, DomainViolation, NotConverged, SingularShift
 from hypermat.series import (
+    DEFAULT_CONFIG,
     EvalPoint,
     FunctionKind,
     ParameterSet,
@@ -435,6 +437,62 @@ def test_near_the_region_edge_matches_mpmath(kind, values, point):
             expected = complex(mpmath.hyp2f1(*values.values(), point.x))
         else:
             expected = complex(mpmath.appellf2(*values.values(), point.x, point.y))
+    assert report.converged
+    assert abs(report.value[0, 0] - expected) <= 1e-10 * abs(expected)
+
+
+def test_an_overflowing_member_leaves_the_batch_alone():
+    # x^N with x = 50 leaves the double range near degree 182; 2F1(0, I; I)
+    # stops after the three zero diagonals 1 to 3.
+    eye = np.eye(2, dtype=complex)
+    growing = ParameterSet(FunctionKind.GAUSS_2F1, {"A": eye, "B": eye, "C": eye})
+    constant = ParameterSet(FunctionKind.GAUSS_2F1, {"A": 0 * eye, "B": eye, "C": eye})
+    point, cfg = EvalPoint(50.0), SeriesConfig(enforce_domain=False)
+    overflowed, clean = evaluate_many([growing, constant], point, cfg)
+    assert isinstance(overflowed, NotConverged)
+    degree = re.fullmatch(r"series overflowed at degree (\d+)", str(overflowed))
+    assert degree and overflowed.report.degrees_used == int(degree[1])
+    assert not overflowed.report.converged
+    alone = raised(growing, point, cfg)
+    assert (type(alone), str(alone)) == (NotConverged, str(overflowed))
+    assert alone.report.degrees_used == overflowed.report.degrees_used
+    assert np.array_equal(alone.report.value, overflowed.report.value, equal_nan=True)
+    assert clean.converged and clean.degrees_used == 3
+    assert_same_report(clean, evaluate(constant, point, cfg))
+
+
+@pytest.mark.parametrize(
+    "kind, values, point",
+    [
+        (FunctionKind.GAUSS_2F1, {"A": 80, "B": 80, "C": 1}, EvalPoint(0.9)),
+        (FunctionKind.APPELL_F1, {"A": 80, "B": 80, "Bp": 1, "C": 1}, EvalPoint(0.9, 0.0)),
+        (FunctionKind.GAUSS_2F1, {"A": 150, "B": 150, "C": 1}, EvalPoint(0.5)),
+        (FunctionKind.GAUSS_2F1, {"A": 100, "B": 100, "C": 1}, EvalPoint(0.9)),
+        (FunctionKind.GAUSS_2F1, {"A": 60, "B": 60, "C": 1}, EvalPoint(0.9)),
+    ],
+    ids=["2F1-80-0.9", "F1-80-0.9", "2F1-150-0.5", "2F1-100-0.9", "2F1-60-0.9"],
+)
+def test_values_past_the_square_of_the_double_range_stop_honestly(kind, values, point):
+    # The squares in a Frobenius norm overflow once an entry passes about
+    # 1.34e154, so the stopping rule must not read an infinite partial-sum
+    # norm as a threshold every increment is below.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        expected = complex(mpmath.hyp2f1(values["A"], values["B"], values["C"], point.x))
+    try:
+        report = evaluate(scalar_params(kind, values), point)
+    except NotConverged:
+        return
+    assert abs(report.value[0, 0] - expected) <= 10 * DEFAULT_CONFIG.tol * abs(expected)
+
+
+def test_a_value_past_the_square_of_the_double_range_is_summed():
+    # 2F1(80, 80; 1; 0.9) = 3.812e203. The stopping rule underestimates this
+    # slow tail (about 20 tol), but the value is the right one.
+    mpmath = pytest.importorskip("mpmath")
+    params = scalar_params(FunctionKind.GAUSS_2F1, {"A": 80, "B": 80, "C": 1})
+    report = evaluate(params, EvalPoint(0.9), SeriesConfig(max_degree=5000))
+    expected = complex(mpmath.hyp2f1(80, 80, 1, 0.9))
     assert report.converged
     assert abs(report.value[0, 0] - expected) <= 1e-10 * abs(expected)
 
