@@ -1,21 +1,22 @@
 """Dense complex matrix arithmetic.
 
 Matrices are square numpy arrays of complex128, treated as immutable values.
-Downstream modules take solves, inverses, norms, the invertibility verdict
-and the matrix exponential from here; series, calculus and recursions call
+Downstream modules take inverses, norms, the invertibility verdict and the
+matrix exponential from here; series, calculus and recursions call
 ``@``, ``np.matmul`` and ``np.einsum`` themselves. Products are never
 reordered: ``a @ b`` is a*b, full stop.
 
-Solves, inverses, condition numbers and eigenvalues are LAPACK through
+Inverses, condition numbers and eigenvalues are LAPACK through
 ``numpy.linalg``, with no order cap. Invertibility has one contract: a
 matrix is singular when its 1-norm reciprocal condition number
-1 / (||M||_1 ||M^-1||_1), from ``np.linalg.cond(m, 1)`` on one matrix or a
-stack, is below SINGULARITY_RTOL (a matrix with an exact zero pivot, the zero
-matrix among them, reads 0). ``lu_factor`` returns the matrix with that
-verdict so callers decide before ``solve`` raises, and ``shift_inverses``
-inverts a whole run of shifts base + kI in one stacked call, for one base or
-a stack of them, and reports how far each base reaches before its first
-singular shift. The matrix exponential uses scaling and squaring around a
+1 / (||M||_1 ||M^-1||_1) is below SINGULARITY_RTOL. The value is read off the
+inverse that ``np.linalg.inv`` hands out, so each matrix, or each member of a
+stack, is factored once for its verdict and its inverse together; a matrix
+with an exact zero pivot, the zero matrix among them, reads 0.
+``shift_inverses`` inverts a whole run of shifts base + kI in one stacked
+call, for one base or a stack of them, and reports how far each base reaches
+before its first singular shift. Frobenius norms stay finite up to the
+double range. The matrix exponential uses scaling and squaring around a
 truncated Taylor core and raises Overflow past the double range; only the
 eigenvalue iteration of ``spectrum`` raises NonConvergent.
 """
@@ -72,8 +73,22 @@ def zeros(order: int) -> Matrix:
     return np.zeros((order, order), dtype=complex)
 
 
+def _rescaled_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of a real 2-D array, each row scaled
+    exactly by a power of two 2^-e first so that no square overflows; the
+    fallback where the plain sum of squares passes the double range, as it
+    does once an entry passes about 1.34e154."""
+    _, e = np.frexp(np.abs(rows).max(axis=1))
+    scaled = np.ldexp(rows, -e[:, np.newaxis])
+    return np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), e)
+
+
 def frobenius_norm(m: Matrix) -> float:
-    return float(np.linalg.norm(m))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(m))
+        if norm == math.inf:
+            norm = float(_rescaled_norms(np.abs(m).reshape(1, -1))[0])
+    return norm
 
 
 def commutator_norm(a: Matrix, b: Matrix) -> float:
@@ -83,18 +98,37 @@ def commutator_norm(a: Matrix, b: Matrix) -> float:
     return frobenius_norm(a @ b - b @ a)
 
 
+def _inverted(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M^-1, 1 / (||M||_1 ||M^-1||_1)) of a matrix or of each matrix in a
+    stack, from one LAPACK inversion.
+
+    A member with an exact zero pivot gets a NaN inverse and rcond 0, and so
+    does one whose norm product is not finite.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            inverse = np.linalg.inv(m)
+        except np.linalg.LinAlgError:  # raised only for an exact zero pivot
+            singular = np.linalg.slogdet(m)[0] == 0
+            inverse = np.full_like(m, np.nan)
+            inverse[~singular] = np.linalg.inv(m[~singular])
+        product = np.linalg.norm(m, 1, axis=(-2, -1)) * np.linalg.norm(inverse, 1, axis=(-2, -1))
+        return inverse, np.where(product < math.inf, 1.0 / product, 0.0)[()]
+
+
 def reciprocal_condition(m: np.ndarray) -> np.ndarray:
     """1 / (||M||_1 ||M^-1||_1) of a matrix or of each matrix in a stack.
 
-    ``np.linalg.cond(m, 1)`` inverts the matrix or the stack once and reads
-    inf, never raising, where LAPACK meets an exact zero pivot, so such a
-    matrix (the zero matrix among them) gets 0. This is the single
-    invertibility measure of the package: a matrix counts as singular when
-    its value is below SINGULARITY_RTOL.
+    The value is read off the inverse of one LAPACK inversion. A matrix
+    with an exact zero pivot (the zero matrix among them), or whose inverse
+    leaves the double range, gets 0. This is the single invertibility
+    measure of the package: a matrix counts as singular when its value is
+    below SINGULARITY_RTOL.
     """
-    return 1.0 / np.linalg.cond(m, 1)
+    return _inverted(m)[1]
 
 
+# Unused by the package; kept because perfbench/tracer.py patches lu_factor and solve by name.
 @dataclass(frozen=True, eq=False)
 class CheckedMatrix:
     """A square matrix together with its 1-norm reciprocal condition number.
@@ -141,9 +175,12 @@ def solve(f: CheckedMatrix, rhs: Matrix) -> Matrix:
 
 
 def inverse(m: Matrix) -> Matrix:
-    """M^-1 via a checked solve against the identity."""
-    f = lu_factor(m)
-    return solve(f, identity(f.order))
+    """M^-1 of a validated matrix; SingularMatrix when its reciprocal
+    condition number is below SINGULARITY_RTOL."""
+    value, rcond = _inverted(as_matrix(m))
+    if rcond < SINGULARITY_RTOL:
+        raise SingularMatrix(f"matrix is singular to working precision (rcond {rcond:.3e})")
+    return value
 
 
 def shifted(base: np.ndarray, shifts) -> np.ndarray:
@@ -159,16 +196,14 @@ def shifted(base: np.ndarray, shifts) -> np.ndarray:
 def shift_inverses(base: np.ndarray, shifts) -> tuple[np.ndarray, np.ndarray]:
     """(base + k I)^{-1} for the shifts k in order, and each base's reach.
 
-    ``base`` is one matrix or a stack of them, one per member. One batched
-    rcond test judges every shift of every member and one stacked inverse
-    inverts them all. ``reach`` holds, per member, the number of shifts
-    before its first singular one (``len(shifts)`` when there is none), and
-    that member's inverses from there on are NaN.
+    ``base`` is one matrix or a stack of them, one per member. One stacked
+    inversion inverts every shift of every member and gives each its rcond.
+    ``reach`` holds, per member, the number of shifts before its first
+    singular one (``len(shifts)`` when there is none), and that member's
+    inverses from there on are NaN.
     """
-    stack = shifted(base, shifts)
-    reached = np.logical_and.accumulate(reciprocal_condition(stack) >= SINGULARITY_RTOL, axis=0)
-    stack[~reached] = identity(base.shape[-1])  # keeps the inverse clear of singular shifts
-    inverses = np.linalg.inv(stack)
+    inverses, rcond = _inverted(shifted(base, shifts))
+    reached = np.logical_and.accumulate(rcond >= SINGULARITY_RTOL, axis=0)
     inverses[~reached] = np.nan
     return inverses, np.count_nonzero(reached, axis=0)
 

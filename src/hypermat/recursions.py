@@ -71,6 +71,11 @@ FORM_MULTINOMIAL = "multinomial-sum"
 FORM_C_SHIFT = "c-shift"
 
 
+def _is_count(value) -> bool:
+    """True for an int or a numpy integer; a bool is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class IdentityDescriptor:
     """One catalogued recursion: its shape, hypotheses and rendered formula.
@@ -99,8 +104,11 @@ class IdentityDescriptor:
     def effective_shift(self, s: int) -> int:
         """The shift count actually applied; contiguous entries cap it at 1.
 
-        A negative s raises ValueError here, for every path that applies it.
+        An s that is not an integer, or is negative, raises ValueError here,
+        for every path that applies it.
         """
+        if not _is_count(s):
+            raise ValueError(f"shift count must be an integer, got {s!r}")
         if s < 0:
             raise ValueError("shift count must be nonnegative")
         if self.fixed_shift is None:
@@ -798,8 +806,9 @@ def run_campaign(
     in-region point, and verifies. A repeated id is verified once, at its
     first mention. Failures become failed reports, never exceptions; ids
     that are not in the catalog raise one UnknownIdentity naming them all,
-    and bad arguments (trials below 1, empty pools, an order or a shift
-    below 1, a campaign_tol that is not positive and finite) raise ValueError.
+    and bad arguments (trials, an order or a shift that is not an integer of
+    at least 1, empty pools, a campaign_tol that is not positive and finite)
+    raise ValueError.
     """
     if ids is None:
         descriptors = list(catalog())
@@ -811,14 +820,13 @@ def run_campaign(
                 f"unknown ids: {', '.join(unknown)}; valid ids: " + ", ".join(sorted(_BY_ID))
             )
         descriptors = [_BY_ID[identity_id] for identity_id in ids]
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+    if not _is_count(trials) or trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
     if not orders or not s_values:
         raise ValueError("orders and s_values must be non-empty")
-    if min(orders) < 1:
-        raise ValueError(f"orders must be positive, got {list(orders)}")
-    if min(s_values) <= 0:
-        raise ValueError(f"shifts must be positive, got {list(s_values)}")
+    for name, pool in (("orders", orders), ("shifts", s_values)):
+        if not all(map(_is_count, pool)) or min(pool) < 1:
+            raise ValueError(f"{name} must be positive integers, got {list(pool)}")
     if not 0.0 < campaign_tol < math.inf:
         raise ValueError(f"campaign_tol must be positive and finite, got {campaign_tol}")
     reports = []

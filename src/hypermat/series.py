@@ -306,11 +306,7 @@ def evaluate_many(
             total += increment
             norms = np.sqrt(np.einsum("ij,ij->i", flat, flat)).tolist()
             if math.inf in norms:
-                # The squares overflow once an entry passes about 1.34e154, so
-                # take the norms again with each row scaled exactly by 2^-e.
-                _, e = np.frexp(np.abs(flat).max(axis=1))
-                scaled = np.ldexp(flat, -e[:, np.newaxis])
-                norms = np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), e).tolist()
+                norms = linalg._rescaled_norms(flat).tolist()
             last_norms = norms[:size]
             for i in list(active):
                 last = last_norms[i]

@@ -85,6 +85,62 @@ def test_shift_inverses_stop_at_first_singular_shift():
         assert np.isnan(inverses[stop:, member]).all()
 
 
+def test_each_matrix_is_inverted_once(monkeypatch):
+    calls = []
+    inv = np.linalg.inv
+
+    def counted(m):
+        calls.append(m.shape)
+        return inv(m)
+
+    def banned(*args, **kwargs):
+        raise AssertionError("a second route to LAPACK")
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    monkeypatch.setattr(np.linalg, "cond", banned)
+    monkeypatch.setattr(np.linalg, "solve", banned)
+    m = random_matrix(3, random.Random(4))
+    for call in (
+        lambda: linalg.shift_inverses(np.stack([m, 2 * m]), range(8)),
+        lambda: linalg.reciprocal_condition(m),
+        lambda: linalg.is_invertible(m),
+        lambda: linalg.inverse(m),
+    ):
+        calls.clear()
+        call()
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("order", [1, 3, 8])
+def test_shift_inverses_are_the_inverses_of_the_shifts(order):
+    rng = random.Random(order)
+    base = np.stack([random_matrix(order, rng) for _ in range(2)])
+    shifts = np.arange(-3, 9)
+    inverses, reach = linalg.shift_inverses(base, shifts)
+    assert reach.tolist() == [len(shifts)] * 2
+    for k, stack in zip(shifts, inverses):
+        for member, inv in zip(base, stack):
+            assert np.array_equal(inv, np.linalg.inv(member + k * np.eye(order)))
+    m = base[0]
+    assert np.array_equal(linalg.inverse(m), np.linalg.solve(m, np.eye(order)))
+
+
+def test_exact_zero_pivot_beside_a_regular_member(recwarn):
+    regular = np.array([[2.0, 1.0j], [0.5, 3.0]])
+    stack = np.array([[[1.0, 2.0], [2.0, 4.0]], regular], dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(stack)
+    inverses, reach = linalg.shift_inverses(stack, [0])
+    assert reach.tolist() == [0, 1]
+    assert np.isnan(inverses[0, 0]).all()
+    assert np.array_equal(inverses[0, 1], np.linalg.inv(regular))
+    rcond = linalg.reciprocal_condition(stack)
+    assert rcond[0] == 0.0 and rcond[1] == linalg.reciprocal_condition(regular) > 0.4
+    with pytest.raises(SingularMatrix, match=r"rcond 0\.000e\+00"):
+        linalg.inverse(stack[0])
+    assert not recwarn.list
+
+
 def test_solve_identity_factor():
     m = random_matrix(3, random.Random(3))
     assert np.array_equal(linalg.solve(linalg.lu_factor(linalg.identity(3)), m), m)
@@ -136,6 +192,16 @@ def test_frobenius_norm_values():
     assert linalg.frobenius_norm(linalg.identity(4)) == pytest.approx(2.0)
     assert linalg.frobenius_norm(linalg.zeros(3)) == 0.0
     assert linalg.frobenius_norm(np.diag([3.0, 4.0]).astype(complex)) == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e200, 1e307])
+def test_frobenius_norm_past_the_square_root_of_the_double_range(scale, recwarn):
+    m = np.array([[3.0, 4.0j], [0.0, -12.0]]) * scale
+    assert linalg.frobenius_norm(m) == pytest.approx(13.0 * scale, rel=1e-15)
+    assert linalg.frobenius_norm(np.full((2, 2), 1e308 + 1e308j)) == math.inf
+    assert not recwarn.list
+    small = m / scale
+    assert linalg.frobenius_norm(small) == float(np.linalg.norm(small))
 
 
 def test_mat_exp_zero():

@@ -424,6 +424,45 @@ def test_negative_shift_is_rejected_not_blamed_on_the_identity():
         eval_rhs(d, params, -2, point)
 
 
+@pytest.mark.parametrize("s", [1.5, 2.0, True, "2"])
+def test_shift_count_that_is_not_an_integer_is_rejected(s):
+    d = get("G-A+s-sum")
+    params = family_params(d, 2, seed=3)
+    point = draw_point(d.kind, random.Random(5))
+    for call in (
+        lambda: verify_identity(d, params, s, point),
+        lambda: eval_rhs(d, params, s, point),
+        lambda: check_hypotheses(d, params, s),
+    ):
+        with pytest.raises(ValueError, match="shift count must be an integer"):
+            call()
+    assert d.effective_shift(np.int64(2)) == 2
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"trials": 1.5}, {"trials": True}, {"orders": (1, 1.5)}, {"s_values": (1.5,)},
+     {"s_values": (True,)}],
+)
+def test_campaign_rejects_a_count_that_is_not_an_integer_before_any_trial(monkeypatch, bad):
+    calls = []
+    monkeypatch.setattr(recursions, "verify_identity", lambda *args, **kw: calls.append(args))
+    with pytest.raises(ValueError, match="must be a positive integer|must be positive integers"):
+        run_campaign(ids=["G-A+s-sum"], **{"trials": 1, **bad})
+    assert calls == []
+
+
+@pytest.mark.parametrize("identity_id", ["G-A+s-sum", "G-A+1-contig"])
+def test_residual_of_values_past_the_square_root_of_the_double_range(identity_id):
+    # A = B = 80 at x = 0.9 sums to about 1e192: the squares of the plain
+    # Frobenius norm overflow, and the residual read NaN, a false failure.
+    d = get(identity_id)
+    params = scal_params(d.kind, {"A": 80.0, "B": 80.0, "C": 1.5})
+    report = verify_identity(d, params, 1, EvalPoint(0.9), SeriesConfig(max_degree=5000))
+    assert report.error is None
+    assert report.passed and report.residual <= 1e-12
+
+
 def test_negative_shift_is_rejected_by_the_hypothesis_check_too():
     # An empty shift range used to pass the check while eval_rhs raised.
     d = get("G-A-s-sum")
