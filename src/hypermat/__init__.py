@@ -28,15 +28,12 @@ from .errors import (
     UnknownIdentity,
 )
 from .linalg import (
-    CheckedMatrix,
     commutator_norm,
     frobenius_norm,
     inverse,
     is_invertible,
     is_positive_stable,
-    lu_factor,
     mat_exp,
-    solve,
     spectrum,
 )
 from .recursions import (
@@ -63,7 +60,6 @@ from .series import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CheckedMatrix",
     "CommutingFamily",
     "DEFAULT_CONFIG",
     "DimensionMismatch",
@@ -98,13 +94,11 @@ __all__ = [
     "inverse",
     "is_invertible",
     "is_positive_stable",
-    "lu_factor",
     "mat_exp",
     "pochhammer",
     "pochhammer_inverse",
     "random_commuting_family",
     "run_campaign",
-    "solve",
     "spectrum",
     "verify_identity",
     "__version__",

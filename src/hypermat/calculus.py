@@ -15,10 +15,12 @@ a time. A chain holds one base or a stack of bases, one per member of a
 batch of series. Reading a run never raises for a singular shift C + kI:
 the member's entries past k are NaN, and the error is raised only where a
 value is handed out (inverse(n), gamma_limit, the series engine, the
-recursions' coefficients). This module also provides the limit formula for
-the gamma function of a positive stable matrix, read off the scaled inverse
-chain, and a generator of families of simultaneously diagonalized (hence
-commuting) parameter matrices.
+recursions' coefficients), always as SingularShift(k) with ``shift`` k + 1.
+An index is an int or a numpy integer (``linalg.is_count``); a float or a
+bool is refused with ValueError. This module also provides the limit
+formula for the gamma function of a positive stable matrix, read off the
+scaled inverse chain, and a generator of families of simultaneously
+diagonalized (hence commuting) parameter matrices.
 """
 
 from __future__ import annotations
@@ -60,11 +62,6 @@ def _factorial_chunks(n: int):
             chunk = 1
         chunk *= k
     yield float(chunk)
-
-
-def singular_shift(k: int) -> SingularShift:
-    """The error of a chain that needs the singular shift base + kI."""
-    return SingularShift(f"base + {k}*I is singular", shift=k + 1)
 
 
 class PochhammerChain:
@@ -124,8 +121,10 @@ class PochhammerChain:
         makes all its later entries NaN while the other members go on. The
         read never raises for that; ``inverse``, the series engine and the
         recursions' coefficients decide it where a value is handed out.
+        An n that is not a nonnegative int or numpy integer, a bool among
+        them, raises ValueError.
         """
-        if not isinstance(n, (int, np.integer)) or n < 0:  # a bool reads as its int
+        if not linalg.is_count(n) or n < 0:
             raise ValueError("Pochhammer index must be a nonnegative integer")
         products = self.reach is None
         if n >= self._size:
@@ -162,15 +161,15 @@ class PochhammerChain:
     def inverse(self, n: int) -> np.ndarray:
         """(A)_n^{-1}, extending the run as needed.
 
-        Raises SingularShift for the smallest reach of the chain's members
-        when n is past it.
+        Raises SingularShift(k) for the smallest reach k of the chain's
+        members when n is past it.
         """
         if self.reach is None:
             raise ValueError("chain was created without inverse tracking")
         scaled = self.through(n)[-1]
         reach = int(self.reach.min())
         if n > reach:
-            raise singular_shift(reach)
+            raise SingularShift(reach)
         return functools.reduce(np.divide, _factorial_chunks(n), scaled)
 
 
@@ -191,9 +190,10 @@ def gamma_limit(a: Matrix, n: int) -> Matrix:
     from the factorial-scaled inverse chain, which stays near unit scale
     where a naive (n-1)! overflows long before the interesting n. The power
     n^A is exp(ln(n) A). Raises ValueError for an n that is not a positive
-    integer or an A that is not positive stable, SingularShift(shift=k) when
-    the chain's reach k is below n (the shift A + kI is singular), and
-    Overflow when n^A or the product leaves the double range.
+    integer (a bool among them) or an A that is not positive stable,
+    SingularShift(k) when the chain's reach k is below n (the shift A + kI is
+    singular; its ``shift`` is k + 1, as for every chain), and Overflow when
+    n^A or the product leaves the double range.
     """
     a = linalg.as_matrix(a)
     if n < 1:
@@ -203,9 +203,7 @@ def gamma_limit(a: Matrix, n: int) -> Matrix:
     chain = PochhammerChain.for_inverses(a)
     scaled = chain.through(n)[-1]
     if n > chain.reach:
-        k = int(chain.reach)
-        where = "matrix itself" if k == 0 else f"matrix + {k}*I"
-        raise SingularShift(f"{where} is singular", shift=k)
+        raise SingularShift(int(chain.reach))
     result = scaled / n @ linalg.mat_exp(math.log(n) * a)
     if not np.isfinite(result).all():
         raise Overflow("gamma limit accumulation overflowed")
@@ -257,8 +255,8 @@ def random_commuting_family(
     [0.5, 3.0] and imaginary parts in [-0.5, 0.5]. Identical seeds yield
     bit-identical families.
     """
-    if order < 1:
-        raise ValueError(f"family order must be positive, got {order}")
+    if not linalg.is_count(order) or order < 1:
+        raise ValueError(f"family order must be a positive integer, got {order!r}")
     rng = random.Random(seed)
     transform = None
     for _ in range(_GENERATION_ATTEMPTS):

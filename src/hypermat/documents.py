@@ -29,7 +29,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ParseError
-from .linalg import Matrix
+from .linalg import Matrix, is_count
 from .recursions import VerificationReport
 from .series import EvalPoint, EvalReport, FunctionKind, ParameterSet
 
@@ -102,7 +102,7 @@ def parse_evaluation_document(
         )
     kind = _KINDS_BY_TAG[kind_tag]
     order = payload.get("order")
-    if not (isinstance(order, int) and not isinstance(order, bool) and order >= 1):
+    if not (is_count(order) and order >= 1):
         raise ParseError("order", f"expected a positive integer, got {order!r}")
     matrices_node = payload.get("matrices")
     if not isinstance(matrices_node, dict):
@@ -154,7 +154,7 @@ def complex_to_pair(z: complex) -> list[float]:
 
 
 def matrix_to_rows(m: Matrix) -> list[list[list[float]]]:
-    return [[complex_to_pair(m[i, j]) for j in range(m.shape[1])] for i in range(m.shape[0])]
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def evaluation_input_to_document(data: EvaluationInput) -> dict[str, Any]:

@@ -16,20 +16,19 @@ class SingularMatrix(HypermatError):
 
 
 class SingularShift(SingularMatrix):
-    """An integer shift of a parameter matrix is singular.
+    """An integer shift base + kI of a parameter matrix is singular.
 
-    ``shift`` has one of two meanings, by the raiser. Inverse Pochhammer
-    chains, the series engine and the recursions' coefficients raise it
-    through ``calculus.singular_shift(k)`` with the Pochhammer index
-    n = k + 1 of the first (P)_n^-1 that needs the singular P + kI (3 for a
-    singular C + 2I). ``calculus.gamma_limit`` carries k itself and names the
-    matrix in its text (0 and "matrix itself is singular" when A is). A
-    singular C - kI of the recursions is a plain SingularMatrix.
+    ``SingularShift(k)`` reads "base + k*I is singular", and ``shift`` is
+    k + 1, the Pochhammer index n of the first (P)_n^-1 that needs the
+    singular P + kI (3 for a singular C + 2I, 1 when P itself is singular).
+    Inverse Pochhammer chains, ``calculus.gamma_limit``, the series engine
+    and the recursions' coefficients all raise it so. A singular C - kI of
+    the recursions is a plain SingularMatrix.
     """
 
-    def __init__(self, message: str, shift: int):
-        super().__init__(message)
-        self.shift = shift
+    def __init__(self, k: int):
+        super().__init__(f"base + {k}*I is singular")
+        self.shift = k + 1
 
 
 class NonConvergent(HypermatError):

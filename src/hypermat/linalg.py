@@ -1,10 +1,10 @@
 """Dense complex matrix arithmetic.
 
 Matrices are square numpy arrays of complex128, treated as immutable values.
-Downstream modules take inverses, norms, the invertibility verdict and the
-matrix exponential from here; series, calculus and recursions call
-``@``, ``np.matmul`` and ``np.einsum`` themselves. Products are never
-reordered: ``a @ b`` is a*b, full stop.
+Downstream modules take inverses, norms, the invertibility verdict, the
+matrix exponential and the one integer-count test (``is_count``) from here;
+series, calculus and recursions call ``@``, ``np.matmul`` and ``np.einsum``
+themselves. Products are never reordered: ``a @ b`` is a*b, full stop.
 
 Inverses, condition numbers and eigenvalues are LAPACK through
 ``numpy.linalg``, with no order cap. Invertibility has one contract: a
@@ -38,6 +38,15 @@ Matrix = np.ndarray
 SINGULARITY_RTOL = 1e-12
 
 _EXP_NORM_LIMIT = 600.0
+
+
+def is_count(value) -> bool:
+    """True for an int or a numpy integer; a bool is not a count.
+
+    The one test for an integer count (a shift, an index, an order, a degree
+    or a number of trials); each caller states its own range.
+    """
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def as_matrix(entries) -> Matrix:

@@ -40,9 +40,8 @@ import numpy as np
 
 from . import linalg
 from .calculus import CommutingFamily, PochhammerChain, random_commuting_family
-from .calculus import singular_shift
 from .errors import GenerationFailed, HypermatError, HypothesisViolated, Overflow, SingularMatrix
-from .errors import UnknownIdentity
+from .errors import SingularShift, UnknownIdentity
 from .linalg import Matrix
 from .series import DEFAULT_CONFIG, EvalPoint, EvalReport, FunctionKind, ParameterSet
 from .series import SeriesConfig, evaluate_many
@@ -69,11 +68,6 @@ FORM_TELESCOPING = "telescoping-sum"
 FORM_BINOMIAL = "binomial-sum"
 FORM_MULTINOMIAL = "multinomial-sum"
 FORM_C_SHIFT = "c-shift"
-
-
-def _is_count(value) -> bool:
-    """True for an int or a numpy integer; a bool is not a count."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -104,10 +98,10 @@ class IdentityDescriptor:
     def effective_shift(self, s: int) -> int:
         """The shift count actually applied; contiguous entries cap it at 1.
 
-        An s that is not an integer, or is negative, raises ValueError here,
-        for every path that applies it.
+        An s that is not an int or a numpy integer (a bool among them), or
+        is negative, raises ValueError here, for every path that applies it.
         """
-        if not _is_count(s):
+        if not linalg.is_count(s):
             raise ValueError(f"shift count must be an integer, got {s!r}")
         if s < 0:
             raise ValueError("shift count must be nonnegative")
@@ -587,7 +581,8 @@ def _prepare(d: IdentityDescriptor, params: ParameterSet, s: int, enforce_hypoth
 def _atoms(params: ParameterSet, plan) -> dict[tuple[str, str, int], Matrix]:
     """Every coefficient atom of the planned terms, keyed (op, name, j): one
     Pochhammer chain per parameter for the scaled (P)_j / j! and j! (P)_j^-1
-    (SingularShift past the chain's reach), one stacked inverse for all
+    (SingularShift(k) past the chain's reach k, with ``shift`` k + 1, as
+    the series engine raises it), one stacked inverse for all
     (P - jI)^-1 of a parameter, SingularMatrix if one is singular."""
     wanted: dict[tuple[str, str], set[int]] = {}
     for term, env in plan:
@@ -605,7 +600,7 @@ def _atoms(params: ParameterSet, plan) -> dict[tuple[str, str, int], Matrix]:
             chain = PochhammerChain.for_inverses(base)
             lookup = chain.through(js[-1]).__getitem__
             if js[-1] > chain.reach:
-                raise singular_shift(int(chain.reach))
+                raise SingularShift(int(chain.reach))
         else:
             inverses, reach = linalg.shift_inverses(base, -np.array(js))
             if reach < len(js):
@@ -806,9 +801,9 @@ def run_campaign(
     in-region point, and verifies. A repeated id is verified once, at its
     first mention. Failures become failed reports, never exceptions; ids
     that are not in the catalog raise one UnknownIdentity naming them all,
-    and bad arguments (trials, an order or a shift that is not an integer of
-    at least 1, empty pools, a campaign_tol that is not positive and finite)
-    raise ValueError.
+    and bad arguments (trials, an order or a shift that is not an int or a
+    numpy integer of at least 1, a bool among them, empty pools, a
+    campaign_tol that is not positive and finite) raise ValueError.
     """
     if ids is None:
         descriptors = list(catalog())
@@ -820,12 +815,12 @@ def run_campaign(
                 f"unknown ids: {', '.join(unknown)}; valid ids: " + ", ".join(sorted(_BY_ID))
             )
         descriptors = [_BY_ID[identity_id] for identity_id in ids]
-    if not _is_count(trials) or trials < 1:
+    if not linalg.is_count(trials) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
     if not orders or not s_values:
         raise ValueError("orders and s_values must be non-empty")
     for name, pool in (("orders", orders), ("shifts", s_values)):
-        if not all(map(_is_count, pool)) or min(pool) < 1:
+        if not all(map(linalg.is_count, pool)) or min(pool) < 1:
             raise ValueError(f"{name} must be positive integers, got {list(pool)}")
     if not 0.0 < campaign_tol < math.inf:
         raise ValueError(f"campaign_tol must be positive and finite, got {campaign_tol}")

@@ -40,9 +40,10 @@ it is then frozen with its own total and degree while the batch goes on. A
 hard max_degree cap guards divergence; hitting it raises NotConverged with
 the partial report attached. Reading a chain never raises: past a singular
 shift C + rI of a denominator, the member's chain entries are NaN, so its
-increment is first NaN at degree r + 1. Each member's exit is decided from
-its own increment alone: converged, overflow, singular shift or the cap,
-each with the exception it would raise alone.
+increment is first NaN at degree r + 1, and it leaves with SingularShift(r),
+whose ``shift`` is r + 1. Each member's exit is decided from its own
+increment alone: converged, overflow, singular shift or the cap, each with
+the exception it would raise alone.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ from types import MappingProxyType
 import numpy as np
 
 from . import linalg
-from .calculus import PochhammerChain, singular_shift
-from .errors import DimensionMismatch, DomainViolation, NotConverged
+from .calculus import PochhammerChain
+from .errors import DimensionMismatch, DomainViolation, NotConverged, SingularShift
 from .linalg import Matrix
 
 
@@ -175,7 +176,11 @@ class EvalPoint:
 
 @dataclass(frozen=True)
 class SeriesConfig:
-    """Truncation policy for one evaluation."""
+    """Truncation policy for one evaluation.
+
+    ``max_degree`` is an int or a numpy integer of at least 1; a float or a
+    bool raises ValueError.
+    """
 
     tol: float = 1e-12
     max_degree: int = 500
@@ -184,8 +189,7 @@ class SeriesConfig:
     def __post_init__(self):
         if not (0.0 < self.tol < 1.0):
             raise ValueError("tol must lie in (0, 1)")
-        degree = self.max_degree
-        if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)) or degree < 1:
+        if not linalg.is_count(self.max_degree) or self.max_degree < 1:
             raise ValueError("max_degree must be an integer of at least 1")
 
 
@@ -254,8 +258,9 @@ def evaluate_many(
     exception it would raise, with the same text and partial report. That
     is ValueError or DomainViolation for the point and NotConverged when it
     reaches max_degree. A member whose increment is not finite leaves with
-    SingularShift when an inverse chain's reach r is below the degree (the
-    smallest such r), and with the overflow NotConverged otherwise.
+    SingularShift(r) (``shift`` r + 1) when an inverse chain's reach r is
+    below the degree (the smallest such r), and with the overflow
+    NotConverged otherwise.
     """
     if not param_sets:
         return []
@@ -315,7 +320,7 @@ def evaluate_many(
                     # NaN, so the increment is first NaN at degree r + 1.
                     reach = min(chain.reach[i] for chain, _ in factors if chain.reach is not None)
                     if reach < degree:
-                        outcomes[i] = singular_shift(int(reach))
+                        outcomes[i] = SingularShift(int(reach))
                     else:
                         outcomes[i] = NotConverged(
                             f"{label} overflowed at degree {degree}",

@@ -196,18 +196,21 @@ def test_unscaled_lookups_read_the_scaled_run():
         assert np.array_equal(inverses.inverse(n), inverses.through(n)[n] / factorial)
 
 
-def test_a_bool_index_reads_as_its_int():
-    # True must not index the run as a mask, which would return shape (1, r, r, r).
+def test_a_bool_index_is_refused():
+    # A bool is not a count; read as an index it would also slice the run as a mask.
     a = random_commuting_family(3, ["A"], seed=7).realize("A")
     for lookup in (
+        lambda n: PochhammerChain.for_products(a).through(n),
+        lambda n: PochhammerChain.for_inverses(a).through(n),
         lambda n: PochhammerChain.for_products(a).product(n),
         lambda n: PochhammerChain.for_inverses(a).inverse(n),
         lambda n: pochhammer(a, n),
         lambda n: pochhammer_inverse(a, n),
         lambda n: gamma_limit(a, n),
     ):
-        assert lookup(True).shape == (3, 3)
-        assert np.array_equal(lookup(True), lookup(1))
+        with pytest.raises(ValueError, match="Pochhammer index must be a nonnegative integer"):
+            lookup(True)
+        lookup(np.int64(1))
 
 
 def _through(a, n):
@@ -344,8 +347,19 @@ def test_gamma_limit_singular_shift_names_the_matrix():
     # Positive stable (both eigenvalues 1) but rcond is about 1e-26.
     with pytest.raises(SingularShift) as err:
         gamma_limit(np.array([[1.0, 1e13], [0.0, 1.0]], dtype=complex), 10)
-    assert str(err.value) == "matrix itself is singular"
-    assert err.value.shift == 0
+    assert str(err.value) == "base + 0*I is singular"
+    assert err.value.shift == 1
+
+
+def test_gamma_limit_and_the_inverse_chain_raise_one_singular_shift():
+    # The matrix's own rcond is about 1e-26, so both stop at the base itself.
+    m = np.array([[1.0, 1e13], [0.0, 1.0]], dtype=complex)
+    raised = []
+    for lookup in (gamma_limit, pochhammer_inverse):
+        with pytest.raises(SingularShift) as err:
+            lookup(m, 10)
+        raised.append((str(err.value), err.value.shift))
+    assert raised[0] == raised[1] == ("base + 0*I is singular", 1)
 
 
 def test_gamma_limit_requires_positive_stable():
@@ -405,6 +419,12 @@ def test_family_order_cap():
     assert fam.order == 9
     assert fam.realize("A").shape == (9, 9)
     assert linalg.is_positive_stable(fam.realize("B"))
+
+
+@pytest.mark.parametrize("order", [2.5, True, "2"])
+def test_family_order_must_be_an_integer(order):
+    with pytest.raises(ValueError, match="family order must be a positive integer"):
+        random_commuting_family(order, ["A"], seed=0)
 
 
 def test_family_rejects_bad_spectecheck():

@@ -34,6 +34,25 @@ def test_tiny_multiple_of_identity_is_invertible():
     assert np.allclose(linalg.solve(f, linalg.identity(3)), 1e14 * np.eye(3), rtol=1e-15)
 
 
+def test_zero_and_rank_one_read_through_the_inverse_are_not_invertible():
+    assert linalg.reciprocal_condition(linalg.zeros(3)) == 0.0
+    u = np.array([1.0, 2.0j, -0.5])
+    assert linalg.reciprocal_condition(np.outer(u, u.conj())) < linalg.SINGULARITY_RTOL
+
+
+def test_tiny_multiple_of_identity_has_rcond_one_and_an_exact_inverse():
+    # The contract is relative: 1e-14 I is perfectly conditioned.
+    m = 1e-14 * linalg.identity(3)
+    assert linalg.reciprocal_condition(m) == 1.0
+    assert np.allclose(linalg.inverse(m), 1e14 * np.eye(3), rtol=1e-15)
+
+
+@pytest.mark.parametrize("m", [np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 4.0 + 1e-15]])])
+def test_inverse_of_a_singular_matrix_raises(m):
+    with pytest.raises(SingularMatrix):
+        linalg.inverse(m)
+
+
 def test_reciprocal_condition_batched():
     stack = np.stack([np.diag([1.0, 4.0]), np.zeros((2, 2)), np.diag([2.0, 2.0])]).astype(complex)
     assert linalg.reciprocal_condition(stack).tolist() == [0.25, 0.0, 1.0]
