@@ -13,9 +13,11 @@ block are built in one batched call, the shifts C + kI inverted in one stacked
 call rather than by inverting the accumulated product, and folded in one at
 a time. A chain holds one base or a stack of bases, one per member of a
 batch of series. Reading a run never raises for a singular shift C + kI:
-the member's entries past k are NaN, and the error is raised only where a
-value is handed out (inverse(n), gamma_limit, the series engine, the
-recursions' coefficients), always as SingularShift(k) with ``shift`` k + 1.
+the member's entries past k are NaN. One checked read, ``at(n)``, hands out
+entry n and raises SingularShift(k), with ``shift`` k + 1, when n is past
+the smallest such k; product(n), inverse(n), gamma_limit and the
+recursions' coefficients all read through it, and only the series engine,
+whose members exit one by one, decides a member's singular shift itself.
 An index is an int or a numpy integer (``linalg.is_count``); a float or a
 bool is refused with ValueError. This module also provides the limit
 formula for the gamma function of a positive stable matrix, read off the
@@ -71,12 +73,12 @@ class PochhammerChain:
     inverse chain k! (A)_k^{-1}, which grows like k^(I - A), where the
     unscaled (A)_k grows like k!. The run is one contiguous (k, ...) buffer,
     and through(n) hands out its first n + 1 entries as one view, so a series
-    can slice a whole run of indices at once; product(n) and inverse(n)
-    return the unscaled (A)_n and (A)_n^{-1}. The base is one matrix or a
-    stack of b members; a stack keeps (k, b, r, r) entries whose members
-    share every batched product, rcond test and block inverse. A singular
-    shift is only recorded, as the member's ``reach``, and the entries past
-    it read as NaN; it becomes SingularShift where a value is handed out.
+    can slice a whole run of indices at once; at(n) hands out entry n, and
+    product(n) and inverse(n) unscale it to (A)_n and (A)_n^{-1}. The base
+    is one matrix or a stack of b members; a stack keeps (k, b, r, r)
+    entries whose members share every batched product, rcond test and block
+    inverse. A singular shift is only recorded, as the member's ``reach``,
+    and the entries past it read as NaN; ``at`` turns it into SingularShift.
     Confined to a single evaluation; not thread safe.
     """
 
@@ -119,8 +121,8 @@ class PochhammerChain:
         every shift of the block inverted in one stacked call. A singular shift
         base + kI stops a member at index k, its ``reach``: the NaN factor
         makes all its later entries NaN while the other members go on. The
-        read never raises for that; ``inverse``, the series engine and the
-        recursions' coefficients decide it where a value is handed out.
+        read never raises for that; ``at`` and the series engine decide it
+        where a value is handed out.
         An n that is not a nonnegative int or numpy integer, a bool among
         them, raises ValueError.
         """
@@ -152,25 +154,29 @@ class PochhammerChain:
             self._size = size
         return self._run[: n + 1]
 
+    def at(self, n: int) -> np.ndarray:
+        """Entry n of the scaled run, through(n)[n], extending the run as needed.
+
+        On an inverse chain, raises SingularShift(k) for the smallest reach k
+        of the chain's members when n is past it; a product chain has no
+        singular shift.
+        """
+        run = self.through(n)
+        if self.reach is not None and n > self.reach.min():
+            raise SingularShift(int(self.reach.min()))
+        return run[n]
+
     def product(self, n: int) -> np.ndarray:
         """(A)_n, extending the run as needed."""
         if self.reach is not None:
             raise ValueError("chain was created for inverses")
-        return functools.reduce(np.multiply, _factorial_chunks(n), self.through(n)[-1])
+        return functools.reduce(np.multiply, _factorial_chunks(n), self.at(n))
 
     def inverse(self, n: int) -> np.ndarray:
-        """(A)_n^{-1}, extending the run as needed.
-
-        Raises SingularShift(k) for the smallest reach k of the chain's
-        members when n is past it.
-        """
+        """(A)_n^{-1}, extending the run as needed; SingularShift as ``at``."""
         if self.reach is None:
             raise ValueError("chain was created without inverse tracking")
-        scaled = self.through(n)[-1]
-        reach = int(self.reach.min())
-        if n > reach:
-            raise SingularShift(reach)
-        return functools.reduce(np.divide, _factorial_chunks(n), scaled)
+        return functools.reduce(np.divide, _factorial_chunks(n), self.at(n))
 
 
 def pochhammer(a: Matrix, n: int) -> Matrix:
@@ -190,21 +196,19 @@ def gamma_limit(a: Matrix, n: int) -> Matrix:
     from the factorial-scaled inverse chain, which stays near unit scale
     where a naive (n-1)! overflows long before the interesting n. The power
     n^A is exp(ln(n) A). Raises ValueError for an n that is not a positive
-    integer (a bool among them) or an A that is not positive stable,
-    SingularShift(k) when the chain's reach k is below n (the shift A + kI is
-    singular; its ``shift`` is k + 1, as for every chain), and Overflow when
-    n^A or the product leaves the double range.
+    integer or an A that is not positive stable: a count below 1 reads "n
+    must be positive", and anything that is not a count (a bool, a float, a
+    string) is left to the chain's index check. Raises SingularShift(k) from
+    ``PochhammerChain.at`` when the shift A + kI with k < n is singular (its
+    ``shift`` is k + 1, as for every chain), and Overflow when n^A or the
+    product leaves the double range.
     """
     a = linalg.as_matrix(a)
-    if n < 1:
+    if linalg.is_count(n) and n < 1:
         raise ValueError("n must be positive")
     if not linalg.is_positive_stable(a):
         raise ValueError("gamma limit requires a positive stable matrix")
-    chain = PochhammerChain.for_inverses(a)
-    scaled = chain.through(n)[-1]
-    if n > chain.reach:
-        raise SingularShift(int(chain.reach))
-    result = scaled / n @ linalg.mat_exp(math.log(n) * a)
+    result = PochhammerChain.for_inverses(a).at(n) / n @ linalg.mat_exp(math.log(n) * a)
     if not np.isfinite(result).all():
         raise Overflow("gamma limit accumulation overflowed")
     return result

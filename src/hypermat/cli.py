@@ -42,7 +42,7 @@ from .errors import (
     UnknownIdentity,
 )
 from .recursions import DEFAULT_CAMPAIGN_TOL, catalog, run_campaign
-from .series import DEFAULT_CONFIG, SeriesConfig, evaluate
+from .series import DEFAULT_CONFIG, FunctionKind, SeriesConfig, evaluate
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     eval_cmd.add_argument("input", help="path to the evaluation document")
     eval_cmd.add_argument(
         "--kind",
-        choices=["2F1", "F1", "F2", "F3", "F4"],
+        choices=[kind.value for kind in FunctionKind],
         help="require the document to be for this function",
     )
     eval_cmd.add_argument("--tol", type=float, default=DEFAULT_CONFIG.tol, help="series tolerance")

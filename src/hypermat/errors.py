@@ -21,14 +21,19 @@ class SingularShift(SingularMatrix):
     ``SingularShift(k)`` reads "base + k*I is singular", and ``shift`` is
     k + 1, the Pochhammer index n of the first (P)_n^-1 that needs the
     singular P + kI (3 for a singular C + 2I, 1 when P itself is singular).
-    Inverse Pochhammer chains, ``calculus.gamma_limit``, the series engine
-    and the recursions' coefficients all raise it so. A singular C - kI of
-    the recursions is a plain SingularMatrix.
+    It is built in two places: ``calculus.PochhammerChain.at``, the checked
+    read behind ``inverse``, ``gamma_limit`` and the recursions'
+    coefficients, and the member exit of the series engine. A singular
+    C - kI of the recursions is a plain SingularMatrix. ``args`` is (k,), so
+    a copy or an unpickled error is built again from it.
     """
 
     def __init__(self, k: int):
-        super().__init__(f"base + {k}*I is singular")
+        super().__init__(k)
         self.shift = k + 1
+
+    def __str__(self) -> str:
+        return f"base + {self.args[0]}*I is singular"
 
 
 class NonConvergent(HypermatError):
@@ -71,8 +76,13 @@ class ParseError(HypermatError):
     """An input document failed validation.
 
     ``location`` is a dotted/indexed path such as ``matrices.A[1][0]``.
+    ``args`` is (location, message), so a copy or an unpickled error is
+    built again from it.
     """
 
     def __init__(self, location: str, message: str):
-        super().__init__(f"{location}: {message}")
+        super().__init__(location, message)
         self.location = location
+
+    def __str__(self) -> str:
+        return "{}: {}".format(*self.args)

@@ -41,7 +41,7 @@ import numpy as np
 from . import linalg
 from .calculus import CommutingFamily, PochhammerChain, random_commuting_family
 from .errors import GenerationFailed, HypermatError, HypothesisViolated, Overflow, SingularMatrix
-from .errors import SingularShift, UnknownIdentity
+from .errors import UnknownIdentity
 from .linalg import Matrix
 from .series import DEFAULT_CONFIG, EvalPoint, EvalReport, FunctionKind, ParameterSet
 from .series import SeriesConfig, evaluate_many
@@ -580,9 +580,9 @@ def _prepare(d: IdentityDescriptor, params: ParameterSet, s: int, enforce_hypoth
 
 def _atoms(params: ParameterSet, plan) -> dict[tuple[str, str, int], Matrix]:
     """Every coefficient atom of the planned terms, keyed (op, name, j): one
-    Pochhammer chain per parameter for the scaled (P)_j / j! and j! (P)_j^-1
-    (SingularShift(k) past the chain's reach k, with ``shift`` k + 1, as
-    the series engine raises it), one stacked inverse for all
+    Pochhammer chain per parameter for the scaled (P)_j / j! and j! (P)_j^-1,
+    read with ``PochhammerChain.at`` (which raises SingularShift for a
+    singular P + kI with k < j), one stacked inverse for all
     (P - jI)^-1 of a parameter, SingularMatrix if one is singular."""
     wanted: dict[tuple[str, str], set[int]] = {}
     for term, env in plan:
@@ -594,13 +594,9 @@ def _atoms(params: ParameterSet, plan) -> dict[tuple[str, str, int], Matrix]:
         base, js = params[name], sorted(js)
         if op == "P":
             lookup = [base].__getitem__
-        elif op == "poch":
-            lookup = PochhammerChain.for_products(base).through(js[-1]).__getitem__
-        elif op == "poch_inv":
-            chain = PochhammerChain.for_inverses(base)
-            lookup = chain.through(js[-1]).__getitem__
-            if js[-1] > chain.reach:
-                raise SingularShift(int(chain.reach))
+        elif op in ("poch", "poch_inv"):
+            build = PochhammerChain.for_products if op == "poch" else PochhammerChain.for_inverses
+            lookup = build(base).at
         else:
             inverses, reach = linalg.shift_inverses(base, -np.array(js))
             if reach < len(js):

@@ -164,6 +164,39 @@ def test_chain_lookups_keep_their_mode():
         PochhammerChain.for_products(c).inverse(2)
 
 
+def test_at_is_the_scaled_run_entry():
+    members = [_non_normal_with_eigenvalue(v) for v in (0.7, 1.9)]
+    for base in (members[0], members):
+        for build in (PochhammerChain.for_products, PochhammerChain.for_inverses):
+            chain = build(base)
+            for n in (0, 3, 9, 30, 12):
+                assert np.array_equal(chain.at(n), build(base).through(n)[n])
+                assert np.array_equal(chain.at(n), chain.through(n)[n])
+
+
+def test_at_raises_at_the_smallest_reach_of_a_stack():
+    members = [_non_normal_with_eigenvalue(v) for v in (-10.0, -3.0, 0.7)]
+    chain = PochhammerChain.for_inverses(members)
+    assert np.isfinite(chain.at(3)).all()
+    for n in (4, 12, 30):
+        with pytest.raises(SingularShift) as err:
+            chain.at(n)
+        assert err.value.shift == int(chain.reach.min()) + 1 == 4
+    with pytest.raises(SingularShift) as err:
+        PochhammerChain.for_inverses(members[0]).at(11)
+    assert err.value.shift == 11
+
+
+def test_at_never_raises_on_a_product_chain():
+    # (A)_n of a base with eigenvalue -3 is singular from n = 4 on, but a
+    # product needs no inverse.
+    members = [_non_normal_with_eigenvalue(v) for v in (-10.0, -3.0, 0.7)]
+    for base in (members[1], members):
+        chain = PochhammerChain.for_products(base)
+        for n in (3, 4, 12, 30):
+            assert np.isfinite(chain.at(n)).all()
+
+
 def well_conditioned_member(order, seed, max_cond=100.0):
     """P diag(spectrum) P^-1 with cond(P) <= max_cond and a generated-band spectrum."""
     rng = np.random.default_rng(seed)
@@ -202,6 +235,8 @@ def test_a_bool_index_is_refused():
     for lookup in (
         lambda n: PochhammerChain.for_products(a).through(n),
         lambda n: PochhammerChain.for_inverses(a).through(n),
+        lambda n: PochhammerChain.for_products(a).at(n),
+        lambda n: PochhammerChain.for_inverses(a).at(n),
         lambda n: PochhammerChain.for_products(a).product(n),
         lambda n: PochhammerChain.for_inverses(a).inverse(n),
         lambda n: pochhammer(a, n),
@@ -217,6 +252,14 @@ def _through(a, n):
     return PochhammerChain.for_inverses(a).through(n)
 
 
+def _product_at(a, n):
+    return PochhammerChain.for_products(a).at(n)
+
+
+def _inverse_at(a, n):
+    return PochhammerChain.for_inverses(a).at(n)
+
+
 @pytest.mark.parametrize(
     "lookup, n",
     [
@@ -225,6 +268,9 @@ def _through(a, n):
         (pochhammer_inverse, 2.5),
         (_through, 2.5),
         (_through, -1),
+        (_product_at, 2.5),
+        (_inverse_at, 2.5),
+        (_inverse_at, -1),
     ],
 )
 def test_an_index_that_is_not_a_nonnegative_integer_is_rejected(lookup, n):
@@ -235,6 +281,24 @@ def test_an_index_that_is_not_a_nonnegative_integer_is_rejected(lookup, n):
 def test_gamma_limit_rejects_n_zero():
     with pytest.raises(ValueError, match="n must be positive"):
         gamma_limit(np.array([[1.5]]), 0)
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        ("3", "Pochhammer index must be a nonnegative integer"),
+        (None, "Pochhammer index must be a nonnegative integer"),
+        (False, "Pochhammer index must be a nonnegative integer"),
+        (True, "Pochhammer index must be a nonnegative integer"),
+        (2.5, "Pochhammer index must be a nonnegative integer"),
+        (0, "n must be positive"),
+        (-1, "n must be positive"),
+    ],
+)
+def test_gamma_limit_checks_a_count_before_its_range(n, message):
+    with pytest.raises(ValueError) as err:
+        gamma_limit(np.array([[1.5]]), n)
+    assert str(err.value) == message
 
 
 def test_unscaled_lookups_past_the_double_range():

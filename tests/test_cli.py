@@ -8,7 +8,7 @@ from hypermat import cli, recursions
 from hypermat.cli import main
 from hypermat.errors import GenerationFailed
 from hypermat.recursions import DEFAULT_CAMPAIGN_TOL, VerificationReport, catalog
-from hypermat.series import DEFAULT_CONFIG
+from hypermat.series import DEFAULT_CONFIG, FunctionKind
 
 
 def write_doc(path, doc):
@@ -308,6 +308,15 @@ def test_parsed_defaults_are_the_library_defaults():
     for args in (eval_args, verify_args):
         assert (args.tol, args.max_degree) == (DEFAULT_CONFIG.tol, DEFAULT_CONFIG.max_degree)
     assert verify_args.campaign_tol == DEFAULT_CAMPAIGN_TOL
+
+
+def test_kind_choices_are_the_function_kinds(tmp_path, capsys):
+    path = write_doc(tmp_path / "doc.json", gauss_document())
+    for kind in FunctionKind:
+        assert cli._build_parser().parse_args(["eval", path, "--kind", kind.value]).kind == kind.value
+    with pytest.raises(SystemExit):
+        cli._build_parser().parse_args(["eval", path, "--kind", "F5"])
+    assert "invalid choice: 'F5'" in capsys.readouterr().err
 
 
 def test_list_prints_whole_catalog(capsys):
