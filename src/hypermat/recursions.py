@@ -96,7 +96,8 @@ class IdentityDescriptor:
     hypotheses: str = ""
 
     def effective_shift(self, s: int) -> int:
-        """The shift count actually applied; contiguous entries cap it at 1.
+        """The shift count actually applied, a Python int; contiguous entries
+        cap it at 1.
 
         An s that is not an int or a numpy integer (a bool among them), or
         is negative, raises ValueError here, for every path that applies it.
@@ -106,8 +107,8 @@ class IdentityDescriptor:
         if s < 0:
             raise ValueError("shift count must be nonnegative")
         if self.fixed_shift is None:
-            return s
-        return min(self.fixed_shift, s)
+            return int(s)
+        return min(self.fixed_shift, int(s))
 
 
 @dataclass(eq=False)
@@ -798,8 +799,10 @@ def run_campaign(
     first mention. Failures become failed reports, never exceptions; ids
     that are not in the catalog raise one UnknownIdentity naming them all,
     and bad arguments (trials, an order or a shift that is not an int or a
-    numpy integer of at least 1, a bool among them, empty pools, a
-    campaign_tol that is not positive and finite) raise ValueError.
+    numpy integer of at least 1, a bool among them, a seed that is not an
+    int or a numpy integer, empty pools, a campaign_tol that is not
+    positive and finite) raise ValueError. Numpy integers are read as the
+    Python ints they hold, so the reports hold Python ints throughout.
     """
     if ids is None:
         descriptors = list(catalog())
@@ -818,6 +821,9 @@ def run_campaign(
     for name, pool in (("orders", orders), ("shifts", s_values)):
         if not all(map(linalg.is_count, pool)) or min(pool) < 1:
             raise ValueError(f"{name} must be positive integers, got {list(pool)}")
+    if not linalg.is_count(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    orders, s_values, seed = [int(o) for o in orders], [int(v) for v in s_values], int(seed)
     if not 0.0 < campaign_tol < math.inf:
         raise ValueError(f"campaign_tol must be positive and finite, got {campaign_tol}")
     reports = []
@@ -825,8 +831,8 @@ def run_campaign(
         for trial in range(trials):
             trial_seed = _derive_seed(seed, d.id, trial)
             rng = random.Random(trial_seed)
-            order = rng.choice(list(orders))
-            s = rng.choice(list(s_values))
+            order = rng.choice(orders)
+            s = rng.choice(s_values)
             s_eff = d.effective_shift(s)
             try:
                 family = draw_family(d, order, s_eff, rng)

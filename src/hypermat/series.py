@@ -36,14 +36,16 @@ rcond test and block inverse.
 
 Series are summed diagonal by diagonal, and each member stops once three
 consecutive diagonal sums of its own fall below tol * (1 + ||partial sum||_F);
-it is then frozen with its own total and degree while the batch goes on. A
-hard max_degree cap guards divergence; hitting it raises NotConverged with
-the partial report attached. Reading a chain never raises: past a singular
-shift C + rI of a denominator, the member's chain entries are NaN, so its
-increment is first NaN at degree r + 1, and it leaves with SingularShift(r),
-whose ``shift`` is r + 1. Each member's exit is decided from its own
-increment alone: converged, overflow, singular shift or the cap, each with
-the exception it would raise alone.
+it is then frozen with its own total and degree while the batch goes on.
+Reading a chain never raises: past a singular shift C + rI of a denominator,
+the member's chain entries are NaN, so its increment is first NaN at degree
+r + 1. A member leaves at one exit, on the degree that meets the stopping
+rule, brings a non-finite increment or reaches the hard max_degree cap. The
+exit builds the member's one report and decides, in this order: converged;
+the cap, NotConverged "still moving" with the partial report attached; a
+non-finite increment with a denominator reach r below the degree,
+SingularShift(r), whose ``shift`` is r + 1; otherwise NotConverged
+"overflowed". Each is the exception the member would raise alone.
 """
 
 from __future__ import annotations
@@ -109,6 +111,16 @@ _TERMS = {
 
 #: Truncation stops after this many consecutive small diagonals.
 _CONSECUTIVE_SMALL = 3
+
+# Each index's slice of a factor's stacked scaled chain run through entry N,
+# resolved once per factor: entry N for index N, entries 0..N for m and N..0
+# for n = N - m, so every slice lines up with the index pairs (m, N - m) in
+# order of rising m.
+_SLICES = {
+    "N": lambda run, degree: run[degree],
+    "m": lambda run, degree: run,
+    "n": lambda run, degree: run[::-1],
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,9 +219,14 @@ class EvalReport:
 
 
 def check_domain(kind: FunctionKind, point: EvalPoint) -> bool:
-    """Classical convergence region of the scalar counterpart, boundary excluded."""
+    """Classical convergence region of the scalar counterpart, boundary excluded.
+
+    A point with y for 2F1, or without y for an Appell kind, raises ValueError.
+    """
     ax = abs(point.x)
     if kind is FunctionKind.GAUSS_2F1:
+        if point.y is not None:
+            raise ValueError("2F1 takes a single variable")
         return ax < 1.0
     if point.y is None:
         raise ValueError(f"{kind.value} needs a second variable")
@@ -221,22 +238,12 @@ def check_domain(kind: FunctionKind, point: EvalPoint) -> bool:
     return math.sqrt(ax) + math.sqrt(ay) < 1.0
 
 
-def _check_point(kind: FunctionKind, point: EvalPoint, cfg: SeriesConfig) -> None:
-    if kind.is_two_variable and point.y is None:
-        raise ValueError(f"{kind.value} needs a second variable")
-    if not kind.is_two_variable and point.y is not None:
-        raise ValueError("2F1 takes a single variable")
-    if cfg.enforce_domain and not check_domain(kind, point):
-        raise DomainViolation(f"point ({point.x}, {point.y}) outside the {kind.value} region")
-
-
 def _diagonal(blocks: list[np.ndarray], weights: np.ndarray, out: np.ndarray) -> None:
     """Every member's sum of the terms with m + n = N, weighted in order of rising m.
 
-    Each factor contributes one slice of its stacked scaled chain, each entry
-    of which holds one matrix per member: entry N for index N, entries 0..N
-    for m and N..0 for n = N - m. The slices are multiplied left to right in
-    the printed order, then weighted and summed over m into ``out``.
+    ``blocks`` holds each factor's _SLICES slice of its stacked scaled chain,
+    one matrix per member in each entry. The slices are multiplied left to
+    right in the printed order, then weighted and summed over m into ``out``.
     """
     term = blocks[0]
     for block in blocks[1:]:
@@ -255,12 +262,12 @@ def evaluate_many(
     a member that meets it is frozen with its own total and degrees_used,
     and the batch goes on until no member is left. Each entry of the result
     is what ``evaluate`` gives for that member alone: its EvalReport, or the
-    exception it would raise, with the same text and partial report. That
-    is ValueError or DomainViolation for the point and NotConverged when it
-    reaches max_degree. A member whose increment is not finite leaves with
-    SingularShift(r) (``shift`` r + 1) when an inverse chain's reach r is
-    below the degree (the smallest such r), and with the overflow
-    NotConverged otherwise.
+    exception it would raise, with the same text and partial report. The
+    point's ValueError or DomainViolation comes first. After that, a member
+    leaves at one exit, which decides in order: converged; NotConverged
+    "still moving" at max_degree; SingularShift(r) (``shift`` r + 1) for a
+    non-finite increment when an inverse chain's smallest reach r is below
+    the degree; NotConverged "overflowed" otherwise.
     """
     if not param_sets:
         return []
@@ -270,13 +277,14 @@ def evaluate_many(
     if any(p.order != order for p in param_sets):
         raise DimensionMismatch("a batch holds parameter sets of one order")
     try:
-        _check_point(kind, point, cfg)
+        if not check_domain(kind, point) and cfg.enforce_domain:
+            raise DomainViolation(f"point ({point.x}, {point.y}) outside the {kind.value} region")
     except (ValueError, DomainViolation) as exc:
         return [exc] * len(param_sets)
     factors = []
     for name, inverse, index in _TERMS[kind]:
         build = PochhammerChain.for_inverses if inverse else PochhammerChain.for_products
-        factors.append((build([p[name] for p in param_sets]), index))
+        factors.append((build([p[name] for p in param_sets]), _SLICES[index]))
     label = "double series" if kind.is_two_variable else "series"
     x = complex(point.x)
     y = complex(point.y) if kind.is_two_variable else 0j
@@ -287,7 +295,6 @@ def evaluate_many(
     outcomes: list[EvalReport | Exception | None] = [None] * size
     active = list(range(size))  # members neither frozen nor failed
     small_run = [0] * size
-    last_norms = [math.inf] * size
     # sums[0] is the diagonal just added and sums[1] the running total, so one
     # call takes the Frobenius norms of both for every member.
     sums = np.zeros((2, size, order, order), dtype=complex)
@@ -299,48 +306,35 @@ def evaluate_many(
                 # C(N, m) = C(N - 1, m) N / (N - m) for m < N, and C(N, N) = 1.
                 growth = np.arange(degree, 0, -1.0) ** -power * (y * degree**power)
                 row = np.concatenate((row * growth, row[-1:] * x))
-            blocks = []
-            for chain, index in factors:
-                stack = chain.through(degree)
-                if index == "N":
-                    blocks.append(stack[degree])
-                else:
-                    blocks.append(stack if index == "m" else stack[::-1])
+            blocks = [piece(chain.through(degree), degree) for chain, piece in factors]
             # m over the index pairs (m, degree - m); 2F1 has only (N, 0).
             _diagonal(blocks, row if kind.is_two_variable else row[-1:], out=increment)
             total += increment
             norms = np.sqrt(np.einsum("ij,ij->i", flat, flat)).tolist()
             if math.inf in norms:
                 norms = linalg._rescaled_norms(flat).tolist()
-            last_norms = norms[:size]
             for i in list(active):
-                last = last_norms[i]
-                if not math.isfinite(last):
-                    # Past a singular shift C + rI every entry of the chain is
-                    # NaN, so the increment is first NaN at degree r + 1.
-                    reach = min(chain.reach[i] for chain, _ in factors if chain.reach is not None)
-                    if reach < degree:
-                        outcomes[i] = SingularShift(int(reach))
-                    else:
-                        outcomes[i] = NotConverged(
-                            f"{label} overflowed at degree {degree}",
-                            report=EvalReport(total[i].copy(), degree, last, False),
-                        )
-                    active.remove(i)
-                elif last <= cfg.tol * (1.0 + norms[size + i]):
-                    small_run[i] += 1
-                    if small_run[i] >= _CONSECUTIVE_SMALL:
-                        outcomes[i] = EvalReport(total[i].copy(), degree, last, True)
-                        active.remove(i)
+                last = norms[i]
+                small_run[i] = small_run[i] + 1 if last <= cfg.tol * (1.0 + norms[size + i]) else 0
+                finite = math.isfinite(last)
+                converged = finite and small_run[i] >= _CONSECUTIVE_SMALL
+                if finite and not converged and degree != cfg.max_degree:
+                    continue
+                active.remove(i)
+                report = EvalReport(total[i].copy(), degree, last, converged)
+                # Past a singular shift C + rI every entry of the chain is NaN,
+                # so the increment is first NaN at degree r + 1.
+                reach = min(chain.reach[i] for chain, _ in factors if chain.reach is not None)
+                if converged:
+                    outcomes[i] = report
+                elif finite:
+                    outcomes[i] = NotConverged(f"{label} still moving at degree {degree}", report)
+                elif reach < degree:
+                    outcomes[i] = SingularShift(int(reach))
                 else:
-                    small_run[i] = 0
+                    outcomes[i] = NotConverged(f"{label} overflowed at degree {degree}", report)
             if not active:
                 break
-    for i in active:
-        outcomes[i] = NotConverged(
-            f"{label} still moving at degree {cfg.max_degree}",
-            report=EvalReport(total[i].copy(), cfg.max_degree, last_norms[i], False),
-        )
     return outcomes
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from hypermat import linalg, recursions
 from hypermat.calculus import random_commuting_family
-from hypermat.documents import verification_reports_to_document
+from hypermat.documents import dump_document, verification_reports_to_document
 from hypermat.errors import GenerationFailed, HypothesisViolated, NotConverged, Overflow
 from hypermat.errors import SingularMatrix
 from hypermat.errors import SingularShift
@@ -449,6 +449,36 @@ def test_campaign_rejects_a_count_that_is_not_an_integer_before_any_trial(monkey
     monkeypatch.setattr(recursions, "verify_identity", lambda *args, **kw: calls.append(args))
     with pytest.raises(ValueError, match="must be a positive integer|must be positive integers"):
         run_campaign(ids=["G-A+s-sum"], **{"trials": 1, **bad})
+    assert calls == []
+
+
+def _campaign_text(reports):
+    return dump_document(verification_reports_to_document(reports, {}, "hypermat", "test"))
+
+
+@pytest.mark.parametrize("draws", [True, False])
+def test_campaign_reads_numpy_integers_as_the_ints_they_hold(monkeypatch, draws):
+    # Rows that verify, and rows whose family cannot be drawn, which carry
+    # the drawn order and shift themselves.
+    if not draws:
+        def fail(d, order, s_eff, rng):
+            raise GenerationFailed(f"no family for {d.id}")
+
+        monkeypatch.setattr(recursions, "draw_family", fail)
+    kwargs = dict(ids=["G-A+s-sum", "G-A+1-contig", "F2-Cp-s-sum"], trials=2)
+    plain = run_campaign(orders=(1, 2), s_values=(2, 3), seed=-5, **kwargs)
+    numpy = run_campaign(
+        orders=tuple(np.arange(1, 3)), s_values=tuple(np.arange(2, 4)), seed=np.int64(-5), **kwargs
+    )
+    assert _campaign_text(numpy) == _campaign_text(plain)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, None])
+def test_campaign_rejects_a_seed_that_is_not_an_integer_before_any_trial(monkeypatch, seed):
+    calls = []
+    monkeypatch.setattr(recursions, "verify_identity", lambda *args, **kw: calls.append(args))
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        run_campaign(ids=["G-A+s-sum"], trials=1, seed=seed)
     assert calls == []
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from hypermat import linalg
 from hypermat.calculus import random_commuting_family
+from hypermat.documents import EvaluationInput, dump_document, eval_report_to_document
 from hypermat.errors import DimensionMismatch, DomainViolation, NotConverged, SingularShift
 from hypermat.series import (
     DEFAULT_CONFIG,
@@ -315,6 +316,42 @@ def test_config_accepts_a_numpy_integer_max_degree():
     assert evaluate(params, EvalPoint(0.3), cfg).converged
 
 
+# 2F1(1, 1; 2; 0.3) = -ln(0.7) / 0.3 meets the stopping rule at degree 22.
+LOG_PARAMS = {"A": 1.0, "B": 1.0, "C": 2.0}
+LOG_DEGREE = 22
+
+
+def test_a_member_that_converges_at_the_cap_is_converged():
+    params = scalar_params(FunctionKind.GAUSS_2F1, LOG_PARAMS)
+    assert evaluate(params, EvalPoint(0.3)).degrees_used == LOG_DEGREE
+    report = evaluate(params, EvalPoint(0.3), SeriesConfig(max_degree=LOG_DEGREE))
+    assert (report.converged, report.degrees_used) == (True, LOG_DEGREE)
+
+
+@pytest.mark.parametrize("max_degree", [LOG_DEGREE - 1, np.int64(LOG_DEGREE - 1)])
+def test_one_degree_short_of_convergence_is_the_cap(max_degree):
+    params = scalar_params(FunctionKind.GAUSS_2F1, LOG_PARAMS)
+    point = EvalPoint(0.3)
+    with pytest.raises(NotConverged, match=r"^series still moving at degree 21$") as err:
+        evaluate(params, point, SeriesConfig(max_degree=max_degree))
+    report = err.value.report
+    assert type(report.degrees_used) is int
+    assert (report.converged, report.degrees_used) == (False, LOG_DEGREE - 1)
+    assert math.isfinite(report.last_increment_norm) and report.last_increment_norm > 0
+    data = EvaluationInput(params, point, echo={})
+    assert '"degrees_used": 21' in dump_document(eval_report_to_document(report, data, False))
+
+
+def test_a_singular_shift_at_the_cap_is_the_singular_shift():
+    # C = -2: C + 2I is singular, so the increment is first NaN at degree 3.
+    params = scalar_params(FunctionKind.GAUSS_2F1, {"A": 1.0, "B": 1.0, "C": -2.0})
+    with pytest.raises(SingularShift) as err:
+        evaluate(params, EvalPoint(0.3), SeriesConfig(max_degree=3))
+    assert err.value.shift == 3
+    with pytest.raises(NotConverged, match=r"^series still moving at degree 2$"):
+        evaluate(params, EvalPoint(0.3), SeriesConfig(max_degree=2))
+
+
 def test_parameter_set_validation():
     with pytest.raises(ValueError):
         ParameterSet(FunctionKind.GAUSS_2F1, {"A": scal(1.0), "B": scal(1.0)})
@@ -339,6 +376,15 @@ def test_point_arity_enforced():
     fam = random_commuting_family(1, FunctionKind.APPELL_F1.parameter_names, seed=4)
     with pytest.raises(ValueError):
         evaluate(family_params(FunctionKind.APPELL_F1, fam), EvalPoint(0.1))
+
+
+def test_check_domain_refuses_a_second_variable_for_2f1():
+    with pytest.raises(ValueError, match="^2F1 takes a single variable$"):
+        check_domain(FunctionKind.GAUSS_2F1, EvalPoint(0.5, 0.1))
+    # The arity is checked with the domain guard off too.
+    params = scalar_params(FunctionKind.GAUSS_2F1, LOG_PARAMS)
+    with pytest.raises(ValueError, match="^2F1 takes a single variable$"):
+        evaluate(params, EvalPoint(0.5, 0.1), SeriesConfig(enforce_domain=False))
 
 
 def assert_same_report(batched, alone, rtol=1e-13):
