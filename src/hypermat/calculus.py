@@ -51,6 +51,8 @@ _GENERATION_ATTEMPTS = 100
 #: Chains grow by blocks of at least this many indices. Every series sums at
 #: least three diagonals and most need 15 to 40, so shorter blocks would pay
 #: the fixed cost of a batched call (rcond test, inverse, shift stack) per index.
+#: The series engine reads each chain once per block of up to eight diagonals
+#: (series._BLOCK_DIAGONALS), so such a block grows a chain at most once.
 _CHAIN_BLOCK = 8
 
 

@@ -697,10 +697,14 @@ def verify_identity(
 
     Evaluator failures (singular shifts, non-convergence, violated
     hypotheses) become a failed report with the cause, so campaigns keep
-    running; a negative s is bad input and raises ValueError as in eval_rhs.
+    running; a negative s is bad input and raises ValueError as in eval_rhs,
+    and so does a seed that is not an int or a numpy integer (a bool among
+    them). The report holds the seed as the Python int it is.
     """
+    if not linalg.is_count(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     report = VerificationReport(
-        identity_id=d.id, s=d.effective_shift(s), seed=seed, order=params.order,
+        identity_id=d.id, s=d.effective_shift(s), seed=int(seed), order=params.order,
         residual=math.inf, passed=False,
     )
     try:

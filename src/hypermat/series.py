@@ -27,12 +27,21 @@ x^m y^n C(m + n, m)^p: x^m y^n for F1 (p = 0), C(N, m) x^m y^n for F2
 One engine, evaluate_many, sums a batch of parameter sets of one kind and
 one order at one point; evaluate is the batch of one. Each parameter feeds
 one Pochhammer chain over the stack of its b members, whose entries are
-(b, r, r) arrays. Each diagonal m + n = N is one left-to-right batched
-product per factor of the stacked chain slices, in exactly the printed
-order, then one weighted sum over m for all members; nothing is ever
-algebraically reordered. A verification batches its left-hand side with
-every inner series of its right-hand side, so they share every product,
-rcond test and block inverse.
+(b, r, r) arrays. Each turn of the degree loop forms a block of consecutive
+diagonals m + n = N for all members: per factor one chain read, one gather
+of the entries of every index pair of the block and one batched product,
+left to right in exactly the printed order, then one weighting and a sum
+over m per diagonal; nothing is ever algebraically reordered. The kernel
+is chosen by order. Up to order 2 a block holds up to 8 diagonals while its
+pairs x members x r^2 stay within an entry budget, laid out entries-first
+so that each product is r multiply-adds over long vectors; each diagonal's
+sum starts from its own first pair, so a member's result is bitwise the
+same in any batch and any block, and from run to run, but rounds
+differently from a per-matrix BLAS product. From order 3 on a block is one
+diagonal, multiplied by ``@`` over zero-copy views of the runs, so those
+results keep the rounding of BLAS per-matrix products. A verification
+batches its left-hand side with every inner series of its right-hand side,
+so they share every product, rcond test and block inverse.
 
 Series are summed diagonal by diagonal, and each member stops once three
 consecutive diagonal sums of its own fall below tol * (1 + ||partial sum||_F);
@@ -112,15 +121,16 @@ _TERMS = {
 #: Truncation stops after this many consecutive small diagonals.
 _CONSECUTIVE_SMALL = 3
 
-# Each index's slice of a factor's stacked scaled chain run through entry N,
-# resolved once per factor: entry N for index N, entries 0..N for m and N..0
-# for n = N - m, so every slice lines up with the index pairs (m, N - m) in
-# order of rising m.
-_SLICES = {
-    "N": lambda run, degree: run[degree],
-    "m": lambda run, degree: run,
-    "n": lambda run, degree: run[::-1],
-}
+#: At orders up to _ENTRIES_FIRST_ORDER, one turn of the degree loop forms
+#: up to _BLOCK_DIAGONALS consecutive diagonals, as long as the block's index
+#: pairs x members x r^2 stay within _BLOCK_ENTRIES; above it a turn is one
+#: diagonal. Order 3 stays with BLAS: the entries-first kernel is faster
+#: there too, but its rounding moved an ill-conditioned order-3 campaign
+#: trial (non-normal parameters, residual 4.1e-9 with BLAS products) past
+#: the 1e-8 campaign gate in every variant tried.
+_BLOCK_DIAGONALS = 8
+_BLOCK_ENTRIES = 1 << 13
+_ENTRIES_FIRST_ORDER = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,17 +248,57 @@ def check_domain(kind: FunctionKind, point: EvalPoint) -> bool:
     return math.sqrt(ax) + math.sqrt(ay) < 1.0
 
 
-def _diagonal(blocks: list[np.ndarray], weights: np.ndarray, out: np.ndarray) -> None:
-    """Every member's sum of the terms with m + n = N, weighted in order of rising m.
+def _pair_picks(lo: int, hi: int, two_variable: bool):
+    """Each index's chain entry for the index pairs (m, N - m) of diagonals lo..hi.
 
-    ``blocks`` holds each factor's _SLICES slice of its stacked scaled chain,
-    one matrix per member in each entry. The slices are multiplied left to
-    right in the printed order, then weighted and summed over m into ``out``.
+    The pairs run diagonal by diagonal, in order of rising m on each; 2F1 has
+    only (N, 0). Returns the picks by index (N, m and n) and the offset of
+    each diagonal's first pair.
     """
-    term = blocks[0]
-    for block in blocks[1:]:
-        term = term @ block
-    (term * weights[:, np.newaxis, np.newaxis, np.newaxis]).sum(axis=0, out=out)
+    degrees = np.arange(lo, hi + 1)
+    counts = degrees + 1 if two_variable else np.ones_like(degrees)
+    offsets = np.cumsum(counts) - counts
+    total = np.repeat(degrees, counts)
+    m = np.arange(len(total)) - np.repeat(offsets, counts) if two_variable else total
+    return {"N": total, "m": m, "n": total - m}, offsets
+
+
+def _entries_first_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ right for stacks laid out entries-first, (r, r, ...): r multiply-adds."""
+    out = left[:, 0, np.newaxis] * right[0]
+    for k in range(1, len(right)):
+        out += left[:, k, np.newaxis] * right[k]
+    return out
+
+
+def _block_sums(runs, indices, lo: int, hi: int, rows: list, two_variable: bool):
+    """Every member's diagonal sums for degrees lo..hi, one (b, r, r) stack per degree.
+
+    ``runs`` holds each factor's stacked scaled chain run through entry hi,
+    and ``indices`` its index letter. The factors of every index pair of the
+    block are multiplied left to right in the printed order, weighted by
+    ``rows`` (each diagonal's weights, one per pair) and summed over m,
+    diagonal by diagonal. Up to order _ENTRIES_FIRST_ORDER the picked
+    entries are laid out entries-first, (r, r, pairs, members), so each
+    product is r multiply-adds over long vectors. Above it the block is one
+    diagonal (lo == hi), multiplied by ``@`` over zero-copy views of the
+    runs: entry N for index N, entries 0..N for m and N..0 for n = N - m.
+    """
+    if runs[0].shape[-1] > _ENTRIES_FIRST_ORDER:
+        views = {"N": lambda run: run[hi], "m": lambda run: run, "n": lambda run: run[::-1]}
+        term = views[indices[0]](runs[0])
+        for run, index in zip(runs[1:], indices[1:]):
+            term = term @ views[index](run)
+        return (term * rows[0][:, np.newaxis, np.newaxis, np.newaxis]).sum(axis=0, keepdims=True)
+    picks, offsets = _pair_picks(lo, hi, two_variable)
+    term = None
+    for run, index in zip(runs, indices):
+        block = np.ascontiguousarray(run.transpose(2, 3, 0, 1))[:, :, picks[index]]
+        term = block if term is None else _entries_first_product(term, block)
+    term *= np.concatenate(rows)[:, np.newaxis]
+    # reduceat starts each diagonal's sum from its own first pair, so a
+    # member's sum depends neither on the block nor on the batch around it.
+    return np.moveaxis(np.add.reduceat(term, offsets, axis=2), (0, 1), (2, 3))
 
 
 def evaluate_many(
@@ -256,18 +306,19 @@ def evaluate_many(
 ) -> list[EvalReport | Exception]:
     """Evaluate parameter sets of one kind and one order at one point, as one batch.
 
-    Each parameter feeds one chain over the stack of its members, so every
-    diagonal is one batched product per factor, in the printed order, and
-    one weighted sum for all members. The stopping rule is kept per member:
-    a member that meets it is frozen with its own total and degrees_used,
-    and the batch goes on until no member is left. Each entry of the result
-    is what ``evaluate`` gives for that member alone: its EvalReport, or the
-    exception it would raise, with the same text and partial report. The
-    point's ValueError or DomainViolation comes first. After that, a member
-    leaves at one exit, which decides in order: converged; NotConverged
-    "still moving" at max_degree; SingularShift(r) (``shift`` r + 1) for a
-    non-finite increment when an inverse chain's smallest reach r is below
-    the degree; NotConverged "overflowed" otherwise.
+    Each parameter feeds one chain over the stack of its members. Each turn
+    of the degree loop forms the diagonals lo..hi of every member at once
+    (_block_sums), then walks them in order: the stopping rule is kept per
+    member and per degree, so a member that meets it inside a block is
+    frozen with its own degree's total and degrees_used, and the batch goes
+    on until no member is left. Each entry of the result is what
+    ``evaluate`` gives for that member alone, bit for bit: its EvalReport,
+    or the exception it would raise, with the same text and partial report.
+    The point's ValueError or DomainViolation comes first. After that, a
+    member leaves at one exit, which decides in order: converged;
+    NotConverged "still moving" at max_degree; SingularShift(r) (``shift``
+    r + 1) for a non-finite increment when an inverse chain's smallest reach
+    r is below the degree; NotConverged "overflowed" otherwise.
     """
     if not param_sets:
         return []
@@ -281,17 +332,22 @@ def evaluate_many(
             raise DomainViolation(f"point ({point.x}, {point.y}) outside the {kind.value} region")
     except (ValueError, DomainViolation) as exc:
         return [exc] * len(param_sets)
-    factors = []
+    chains, indices = [], []
     for name, inverse, index in _TERMS[kind]:
         build = PochhammerChain.for_inverses if inverse else PochhammerChain.for_products
-        factors.append((build([p[name] for p in param_sets]), _SLICES[index]))
-    label = "double series" if kind.is_two_variable else "series"
+        chains.append(build([p[name] for p in param_sets]))
+        indices.append(index)
+    two_variable = kind.is_two_variable
+    label = "double series" if two_variable else "series"
     x = complex(point.x)
-    y = complex(point.y) if kind.is_two_variable else 0j
+    y = complex(point.y) if two_variable else 0j
     # p of the weights x^m y^n C(N, m)^p: the N-indexed products minus inverses
     power = sum(-1 if inverse else 1 for _, inverse, index in _TERMS[kind] if index == "N")
     row = np.ones(1, dtype=complex)  # the weights x^m y^n C(N, m)^p, m = 0..N
     size = len(param_sets)
+    # Diagonals per turn of the degree loop, and the entries a pair costs.
+    diagonals = _BLOCK_DIAGONALS if order <= _ENTRIES_FIRST_ORDER else 1
+    pair_entries = size * order * order
     outcomes: list[EvalReport | Exception | None] = [None] * size
     active = list(range(size))  # members neither frozen nor failed
     small_run = [0] * size
@@ -300,41 +356,55 @@ def evaluate_many(
     sums = np.zeros((2, size, order, order), dtype=complex)
     flat = sums.reshape(2 * size, -1).view(np.float64)
     increment, total = sums
+    lo = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for degree in range(cfg.max_degree + 1):
-            if degree:
-                # C(N, m) = C(N - 1, m) N / (N - m) for m < N, and C(N, N) = 1.
-                growth = np.arange(degree, 0, -1.0) ** -power * (y * degree**power)
-                row = np.concatenate((row * growth, row[-1:] * x))
-            blocks = [piece(chain.through(degree), degree) for chain, piece in factors]
-            # m over the index pairs (m, degree - m); 2F1 has only (N, 0).
-            _diagonal(blocks, row if kind.is_two_variable else row[-1:], out=increment)
-            total += increment
-            norms = np.sqrt(np.einsum("ij,ij->i", flat, flat)).tolist()
-            if math.inf in norms:
-                norms = linalg._rescaled_norms(flat).tolist()
-            for i in list(active):
-                last = norms[i]
-                small_run[i] = small_run[i] + 1 if last <= cfg.tol * (1.0 + norms[size + i]) else 0
-                finite = math.isfinite(last)
-                converged = finite and small_run[i] >= _CONSECUTIVE_SMALL
-                if finite and not converged and degree != cfg.max_degree:
-                    continue
-                active.remove(i)
-                report = EvalReport(total[i].copy(), degree, last, converged)
-                # Past a singular shift C + rI every entry of the chain is NaN,
-                # so the increment is first NaN at degree r + 1.
-                reach = min(chain.reach[i] for chain, _ in factors if chain.reach is not None)
-                if converged:
-                    outcomes[i] = report
-                elif finite:
-                    outcomes[i] = NotConverged(f"{label} still moving at degree {degree}", report)
-                elif reach < degree:
-                    outcomes[i] = SingularShift(int(reach))
-                else:
-                    outcomes[i] = NotConverged(f"{label} overflowed at degree {degree}", report)
-            if not active:
-                break
+        while active:
+            # The block lo..hi grows while its pairs stay within the budget.
+            hi, pairs = lo, (lo + 1 if two_variable else 1)
+            while hi - lo + 1 < diagonals and hi < cfg.max_degree:
+                pairs += hi + 2 if two_variable else 1
+                if pairs * pair_entries > _BLOCK_ENTRIES:
+                    break
+                hi += 1
+            rows = []
+            for degree in range(lo, hi + 1):
+                if degree:
+                    # C(N, m) = C(N - 1, m) N / (N - m) for m < N, and C(N, N) = 1.
+                    growth = np.arange(degree, 0, -1.0) ** -power * (y * degree**power)
+                    row = np.concatenate((row * growth, row[-1:] * x))
+                # m over the index pairs (m, degree - m); 2F1 has only (N, 0).
+                rows.append(row if two_variable else row[-1:])
+            runs = [chain.through(hi) for chain in chains]
+            block = _block_sums(runs, indices, lo, hi, rows, two_variable)
+            for degree, diagonal in zip(range(lo, hi + 1), block):
+                increment[...] = diagonal
+                total += increment
+                norms = np.sqrt(np.einsum("ij,ij->i", flat, flat)).tolist()
+                if math.inf in norms:
+                    norms = linalg._rescaled_norms(flat).tolist()
+                for i in list(active):
+                    last = norms[i]
+                    small_run[i] = small_run[i] + 1 if last <= cfg.tol * (1.0 + norms[size + i]) else 0
+                    finite = math.isfinite(last)
+                    converged = finite and small_run[i] >= _CONSECUTIVE_SMALL
+                    if finite and not converged and degree != cfg.max_degree:
+                        continue
+                    active.remove(i)
+                    report = EvalReport(total[i].copy(), degree, last, converged)
+                    # Past a singular shift C + rI every entry of the chain is NaN,
+                    # so the increment is first NaN at degree r + 1.
+                    reach = min(chain.reach[i] for chain in chains if chain.reach is not None)
+                    if converged:
+                        outcomes[i] = report
+                    elif finite:
+                        outcomes[i] = NotConverged(f"{label} still moving at degree {degree}", report)
+                    elif reach < degree:
+                        outcomes[i] = SingularShift(int(reach))
+                    else:
+                        outcomes[i] = NotConverged(f"{label} overflowed at degree {degree}", report)
+                if not active:
+                    break
+            lo = hi + 1
     return outcomes
 
 

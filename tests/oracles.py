@@ -7,6 +7,7 @@ agreement between the two is evidence rather than tautology.
 
 from __future__ import annotations
 
+import fractions
 import math
 
 import numpy as np
@@ -181,3 +182,74 @@ def printed_order_sum(factors, matrices, x, y=None, degree_cap: int = 60):
                 weight *= y**n / math.factorial(n)
             total += term * weight
     return total
+
+
+def _frobenius(matrix) -> float:
+    """The Frobenius norm by math.hypot, which scales instead of overflowing."""
+    return math.hypot(*np.ascontiguousarray(matrix).ravel().view(np.float64))
+
+
+def per_degree_exit(factors, matrices, x, y=None, tol=1e-12, max_degree=500):
+    """How a plain per-degree sum of the series ends, as (text, degree, shift).
+
+    The diagonals m + n = N (only (N, 0) when y is None) are summed one at a
+    time, each term multiplied in factor order from factorial-scaled shifted
+    factorials: (P)_k / k! as the product of (P + jI) / (j + 1) over j < k,
+    and k! (P)_k^{-1} as its dense inverse. The factorials left over, with
+    1 / (m! n!), make one exact rational per term. The sum ends, in order:
+    - converged, (None, N, None), on the third consecutive diagonal whose
+      Frobenius norm is at most tol * (1 + ||partial sum||);
+    - at N = max_degree, ("<label> still moving at degree N", N, None);
+    - on the first diagonal that needs an inverted factor past its first
+      singular shift P + jI, ("base + j*I is singular", None, j + 1);
+    - on the first non-finite diagonal, ("<label> overflowed at degree N", N,
+      None).
+    The label is "series" without y and "double series" with it.
+    """
+    order = next(iter(matrices.values())).shape[0]
+    eye = np.eye(order, dtype=complex)
+    label = "series" if y is None else "double series"
+    singular = {}  # per inverted factor, its first singular shift j
+    for name, inverted, _ in factors:
+        if inverted:
+            for j in range(max_degree + 1):
+                if np.linalg.matrix_rank(matrices[name] + j * eye) < order:
+                    singular[name] = j
+                    break
+    rising = {name: [eye] for name, _, _ in factors}
+
+    def scaled(name, inverted, k):
+        table = rising[name]
+        while len(table) <= k:
+            j = len(table) - 1
+            table.append(table[j] @ (matrices[name] + j * eye) / (j + 1))
+        return np.linalg.inv(table[k]) if inverted else table[k]
+
+    total = np.zeros((order, order), dtype=complex)
+    quiet = 0
+    with np.errstate(all="ignore"):
+        for degree in range(max_degree + 1):
+            diagonal = np.zeros((order, order), dtype=complex)
+            for m in range(degree + 1) if y is not None else (degree,):
+                n = degree - m
+                index = {"m": m, "n": n, "N": degree}
+                number = fractions.Fraction(1, math.factorial(m) * math.factorial(n))
+                term = eye
+                for name, inverted, which in factors:
+                    k = index[which]
+                    if inverted and k > singular.get(name, k):
+                        j = singular[name]
+                        return f"base + {j}*I is singular", None, j + 1
+                    term = term @ scaled(name, inverted, k)
+                    number *= fractions.Fraction(math.factorial(k)) ** (-1 if inverted else 1)
+                weight = np.complex128(x) ** m * (np.complex128(y) ** n if y is not None else 1)
+                diagonal += term * (weight * float(number))
+            total += diagonal
+            size = _frobenius(diagonal)
+            if not math.isfinite(size):
+                return f"{label} overflowed at degree {degree}", degree, None
+            quiet = quiet + 1 if size <= tol * (1.0 + _frobenius(total)) else 0
+            if quiet >= 3:
+                return None, degree, None
+            if degree == max_degree:
+                return f"{label} still moving at degree {degree}", degree, None

@@ -482,6 +482,23 @@ def test_campaign_rejects_a_seed_that_is_not_an_integer_before_any_trial(monkeyp
     assert calls == []
 
 
+def test_verify_identity_stores_a_numpy_integer_seed_as_a_python_int():
+    d = get("G-A+1-contig")
+    params = scal_params(d.kind, {"A": 1.5, "B": 0.5, "C": 2.5})
+    report = verify_identity(d, params, 1, EvalPoint(0.3), seed=np.int64(5))
+    assert type(report.seed) is int and report.seed == 5
+    text = dump_document(verification_reports_to_document([report], {}, "h", "v"))
+    assert '"seed": 5' in text
+
+
+@pytest.mark.parametrize("seed", [2.5, True])
+def test_verify_identity_rejects_a_seed_that_is_not_an_integer(seed):
+    d = get("G-A+1-contig")
+    params = scal_params(d.kind, {"A": 1.5, "B": 0.5, "C": 2.5})
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        verify_identity(d, params, 1, EvalPoint(0.3), seed=seed)
+
+
 @pytest.mark.parametrize("identity_id", ["G-A+s-sum", "G-A+1-contig"])
 def test_residual_of_values_past_the_square_root_of_the_double_range(identity_id):
     # A = B = 80 at x = 0.9 sums to about 1e192: the squares of the plain

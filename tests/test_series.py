@@ -18,11 +18,13 @@ from hypermat.series import (
     ParameterSet,
     SeriesConfig,
     check_domain,
+    _BLOCK_DIAGONALS,
+    _BLOCK_ENTRIES,
     evaluate,
     evaluate_many,
 )
 
-from oracles import PRINTED_TERMS, printed_order_sum, scalar_value
+from oracles import PRINTED_TERMS, per_degree_exit, printed_order_sum, scalar_value
 
 TWO_LN_TWO = 1.3862943611198906
 
@@ -387,32 +389,48 @@ def test_check_domain_refuses_a_second_variable_for_2f1():
         evaluate(params, EvalPoint(0.5, 0.1), SeriesConfig(enforce_domain=False))
 
 
-def assert_same_report(batched, alone, rtol=1e-13):
+def assert_same_report(batched, alone):
+    # A member's sum depends neither on its batch nor on the blocks of
+    # diagonals the batch is formed in, so the two agree to the last bit.
     assert (batched.degrees_used, batched.converged) == (alone.degrees_used, alone.converged)
-    assert np.linalg.norm(batched.value - alone.value) <= rtol * np.linalg.norm(alone.value)
+    assert np.array_equal(batched.value, alone.value, equal_nan=True)
+    assert batched.last_increment_norm == alone.last_increment_norm
 
 
-@pytest.mark.parametrize("size", [1, 2, 5])
+def budget_size(order):
+    """A batch size past which even the 2F1 block is cut short by the entry budget."""
+    return _BLOCK_ENTRIES // (_BLOCK_DIAGONALS * order * order) + 1
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, "budget"])
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_batch_members_equal_lone_evaluations(kind, size):
     # Pairwise non-commuting members, every other one an integer-shifted copy
     # of the first as a right-hand side builds them, each summed to its own
-    # stopping degree inside the batch.
+    # stopping degree inside the batch, at orders on both sides of the
+    # entries-first kernel. The "budget" batch repeats five members until the
+    # entry budget shortens every block.
     rng = np.random.default_rng(11)
     names = kind.parameter_names
-    first = ParameterSet(kind, {name: non_commuting_matrix(rng, 3) for name in names})
-    members = [first]
-    while len(members) < size:
-        if len(members) % 2:
-            members.append(first.shifted(names[len(members) % len(names)], len(members)))
-        else:
-            members.append(ParameterSet(kind, {n: non_commuting_matrix(rng, 3) for n in names}))
-    point = ORDER_POINTS[kind]
-    batch = evaluate_many(members, point)
-    for member, report in zip(members, batch):
-        assert_same_report(report, evaluate(member, point))
-    if size == 5:
-        assert len({report.degrees_used for report in batch}) > 1
+    for order in (1, 2, 3, 5):
+        first = ParameterSet(kind, {name: non_commuting_matrix(rng, order) for name in names})
+        members = [first]
+        while len(members) < (5 if size == "budget" else size):
+            if len(members) % 2:
+                members.append(first.shifted(names[len(members) % len(names)], len(members)))
+            else:
+                members.append(
+                    ParameterSet(kind, {n: non_commuting_matrix(rng, order) for n in names})
+                )
+        alone = [evaluate(member, ORDER_POINTS[kind]) for member in members]
+        if size == "budget":
+            count = budget_size(order)
+            members, alone = members * (count // 5 + 1), alone * (count // 5 + 1)
+        batch = evaluate_many(members, ORDER_POINTS[kind])
+        for report, lone in zip(batch, alone):
+            assert_same_report(report, lone)
+        if len(members) >= 5:
+            assert len({report.degrees_used for report in batch}) > 1
 
 
 def raised(params, point, cfg):
@@ -447,6 +465,68 @@ def test_batch_members_fail_alone(kind):
     for index in (0, 3):
         assert batch[index].converged
         assert_same_report(batch[index], evaluate(members[index], point, cfg))
+
+
+# Points near each region's edge, where every kind is still moving at degree 21
+# and no kind converges before degree 11.
+EDGE_POINTS = {
+    FunctionKind.GAUSS_2F1: EvalPoint(0.9),
+    FunctionKind.APPELL_F1: EvalPoint(0.8, -0.7),
+    FunctionKind.APPELL_F2: EvalPoint(0.5, 0.4j),
+    FunctionKind.APPELL_F3: EvalPoint(-0.8, 0.7),
+    FunctionKind.APPELL_F4: EvalPoint(0.25, 0.2),
+}
+
+
+def block_exit_case(kind, order, exit):
+    """Inputs whose one member ends by ``exit``, and the degree it must end at."""
+    rng = np.random.default_rng(8)
+    matrices = {name: non_commuting_matrix(rng, order) for name in kind.parameter_names}
+    if exit == "stop":
+        return matrices, ORDER_POINTS[kind], SeriesConfig()
+    if exit == "cap":
+        return matrices, EDGE_POINTS[kind], SeriesConfig(max_degree=21)
+    if exit == "singular":
+        # C + 10I is singular, so the diagonal of degree 11 needs its inverse.
+        matrices["C"] = np.diag([-10.0] + [1.5] * (order - 1)).astype(complex)
+        return matrices, EDGE_POINTS[kind], SeriesConfig()
+    # Every scaled factor is I, so each term is its weight, and x^26 = 1e312.
+    eye = np.eye(order, dtype=complex)
+    point = EvalPoint(1e12, 0.1) if kind.is_two_variable else EvalPoint(1e12)
+    return dict.fromkeys(matrices, eye), point, SeriesConfig(enforce_domain=False)
+
+
+@pytest.mark.parametrize("exit", ["stop", "cap", "singular", "overflow"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_an_exit_inside_a_block_matches_a_per_degree_loop(kind, order, exit):
+    # The engine forms up to _BLOCK_DIAGONALS diagonals per turn (orders 1
+    # and 2) or one (order 3); a member that ends inside a block reports what
+    # a loop over one diagonal at a time reports: the same degree, text and
+    # shift.
+    matrices, point, cfg = block_exit_case(kind, order, exit)
+    (outcome,) = evaluate_many([ParameterSet(kind, matrices)], point, cfg)
+    if isinstance(outcome, SingularShift):
+        got = (str(outcome), None, outcome.shift)
+    elif isinstance(outcome, NotConverged):
+        got = (str(outcome), outcome.report.degrees_used, None)
+    else:
+        got = (None, outcome.degrees_used, None)
+    expected = per_degree_exit(
+        PRINTED_TERMS[kind.value], matrices, point.x, point.y, cfg.tol, cfg.max_degree
+    )
+    assert got == expected
+    text, degree, shift = expected
+    label = "double series" if kind.is_two_variable else "series"
+    verdicts = {
+        "stop": text is None,
+        "cap": text == f"{label} still moving at degree 21",
+        "singular": shift == 11,
+        "overflow": text == f"{label} overflowed at degree 26",
+    }
+    assert verdicts[exit]
+    # Not the last diagonal of a block the budget left whole.
+    assert ((degree or shift) + 1) % _BLOCK_DIAGONALS
 
 
 def test_batch_shares_one_kind_one_order_and_the_point_checks():
