@@ -8,21 +8,22 @@ and every series in this package is built from such products together with
 inverse chains (C)_n^{-1}. A chain keeps one convention, the factorial-scaled
 run (A)_n / n! or n! (C)_n^{-1}, which grows like a power of n where the
 unscaled products overflow double precision near n = 170. It grows by whole
-blocks of shifts: the factors (A + kI)/(k+1) or (k+1)(C + kI)^{-1} of a
-block are built in one batched call, the shifts C + kI inverted in one stacked
-call rather than by inverting the accumulated product, and folded in one at
-a time. A chain holds one base or a stack of bases, one per member of a
-batch of series. Reading a run never raises for a singular shift C + kI:
-the member's entries past k are NaN. One checked read, ``at(n)``, hands out
-entry n and raises SingularShift(k), with ``shift`` k + 1, when n is past
-the smallest such k; product(n), inverse(n), gamma_limit and the
-recursions' coefficients all read through it, and only the series engine,
-whose members exit one by one, decides a member's singular shift itself.
-An index is an int or a numpy integer (``linalg.is_count``); a float or a
-bool is refused with ValueError. This module also provides the limit
-formula for the gamma function of a positive stable matrix, read off the
-scaled inverse chain, and a generator of families of simultaneously
-diagonalized (hence commuting) parameter matrices.
+blocks of at least CHAIN_BLOCK shifts: the factors (A + kI)/(k+1) or
+(k+1)(C + kI)^{-1} of a block are built in one batched call, the shifts
+C + kI inverted in one stacked call rather than by inverting the accumulated
+product, and folded in one at a time. A chain holds one base or a stack of
+bases, one per member of a batch of series. Reading a run never raises for a
+singular shift C + kI: the member's entries past k are NaN. One checked
+read, ``at(n)``, hands out entry n and raises SingularShift(k), with
+``shift`` k + 1, when n is past the smallest such k; product(n), inverse(n),
+gamma_limit and the recursions' coefficients all read through it, and only
+the series engine, whose members exit one by one, decides a member's
+singular shift itself. An index is an int or a numpy integer
+(``linalg.is_count``); a float or a bool is refused with ValueError. This
+module also provides the limit formula for the gamma function of a positive
+stable matrix, read off the scaled inverse chain, and a generator of
+families of simultaneously diagonalized (hence commuting) parameter
+matrices.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ _GENERATION_ATTEMPTS = 100
 #: Chains grow by blocks of at least this many indices. Every series sums at
 #: least three diagonals and most need 15 to 40, so shorter blocks would pay
 #: the fixed cost of a batched call (rcond test, inverse, shift stack) per index.
-#: The series engine reads each chain once per block of up to eight diagonals
-#: (series._BLOCK_DIAGONALS), so such a block grows a chain at most once.
-_CHAIN_BLOCK = 8
+#: This is the one block length: the series engine forms up to this many
+#: diagonals per turn at orders 1-2, so a full turn grows each chain once.
+CHAIN_BLOCK = 8
 
 
 def _factorial_chunks(n: int):
@@ -116,7 +117,7 @@ class PochhammerChain:
         """(A)_k / k! or k! (A)_k^{-1} for k = 0, ..., n as one (n + 1, ...) view.
 
         When n is not held, the run grows by one whole block of the shifts
-        k, ..., k + max(n - k, _CHAIN_BLOCK) - 1 after the last held index k,
+        k, ..., k + max(n - k, CHAIN_BLOCK) - 1 after the last held index k,
         so it may end past n. A product chain
         folds (A)_{j+1}/(j+1)! = (A)_j/j! (A + jI)/(j+1), and an inverse chain
         folds (j+1)! (A)_{j+1}^{-1} = (j+1) (A + jI)^{-1} j! (A)_j^{-1}, with
@@ -133,7 +134,7 @@ class PochhammerChain:
         products = self.reach is None
         if n >= self._size:
             k = self._size - 1
-            shifts = np.arange(k, k + max(n - k, _CHAIN_BLOCK))
+            shifts = np.arange(k, k + max(n - k, CHAIN_BLOCK))
             scale = (shifts + 1.0).reshape((-1,) + (1,) * self.base.ndim)
             if products:
                 factors = linalg.shifted(self.base, shifts)

@@ -113,14 +113,14 @@ class IdentityDescriptor:
 
 @dataclass(eq=False)
 class VerificationReport:
-    """Outcome of one LHS-vs-RHS comparison."""
+    """Outcome of one LHS-vs-RHS comparison; failed until a residual passes."""
 
     identity_id: str
     s: int
     seed: int
     order: int
-    residual: float
-    passed: bool
+    residual: float = math.inf
+    passed: bool = False
     lhs_report: EvalReport | None = None
     rhs_degrees: int = 0
     error: str | None = None
@@ -704,8 +704,7 @@ def verify_identity(
     if not linalg.is_count(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     report = VerificationReport(
-        identity_id=d.id, s=d.effective_shift(s), seed=int(seed), order=params.order,
-        residual=math.inf, passed=False,
+        identity_id=d.id, s=d.effective_shift(s), seed=int(seed), order=params.order
     )
     try:
         s_eff, row, row_params = _prepare(d, params, s, enforce_hypotheses)
@@ -843,12 +842,7 @@ def run_campaign(
             except GenerationFailed as exc:
                 reports.append(
                     VerificationReport(
-                        identity_id=d.id,
-                        s=s_eff,
-                        seed=trial_seed,
-                        order=order,
-                        residual=math.inf,
-                        passed=False,
+                        identity_id=d.id, s=s_eff, seed=trial_seed, order=order,
                         error=f"GenerationFailed: {exc}",
                     )
                 )

@@ -22,7 +22,8 @@ weights into the factors. In every row the m- and n-indexed factors net
 N-indexed factors, so the scaled term carries the weight
 x^m y^n C(m + n, m)^p: x^m y^n for F1 (p = 0), C(N, m) x^m y^n for F2
 (p = 1), x^m y^n / C(N, m) for F3 (p = -1), C(N, m)^2 x^m y^n for F4
-(p = 2) and x^N for 2F1.
+(p = 2) and x^N for 2F1. Each diagonal's row of weights is grown from the
+last one's; for 2F1 it is the one weight x^N.
 
 One engine, evaluate_many, sums a batch of parameter sets of one kind and
 one order at one point; evaluate is the batch of one. Each parameter feeds
@@ -32,14 +33,16 @@ diagonals m + n = N for all members: per factor one chain read, one gather
 of the entries of every index pair of the block and one batched product,
 left to right in exactly the printed order, then one weighting and a sum
 over m per diagonal; nothing is ever algebraically reordered. The kernel
-is chosen by order. Up to order 2 a block holds up to 8 diagonals while its
-pairs x members x r^2 stay within an entry budget, laid out entries-first
-so that each product is r multiply-adds over long vectors; each diagonal's
-sum starts from its own first pair, so a member's result is bitwise the
-same in any batch and any block, and from run to run, but rounds
-differently from a per-matrix BLAS product. From order 3 on a block is one
-diagonal, multiplied by ``@`` over zero-copy views of the runs, so those
-results keep the rounding of BLAS per-matrix products. A verification
+is chosen by order. Up to order 2 a block holds up to calculus.CHAIN_BLOCK
+diagonals, the length the chains grow by, so a full block grows each chain
+once; it stops short where its pairs x members x r^2 would pass an entry
+budget. Its entries are laid out entries-first so that each product is r
+multiply-adds over long vectors; each diagonal's sum starts from its own
+first pair, so a member's result is bitwise the same in any batch and any
+block, and from run to run, but rounds differently from a per-matrix BLAS
+product. From order 3 on a block is one diagonal, multiplied by ``@`` over
+zero-copy views of the runs, so those results keep the rounding of BLAS
+per-matrix products. A verification
 batches its left-hand side with every inner series of its right-hand side,
 so they share every product, rcond test and block inverse.
 
@@ -68,7 +71,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import linalg
-from .calculus import PochhammerChain
+from .calculus import CHAIN_BLOCK, PochhammerChain
 from .errors import DimensionMismatch, DomainViolation, NotConverged, SingularShift
 from .linalg import Matrix
 
@@ -122,13 +125,12 @@ _TERMS = {
 _CONSECUTIVE_SMALL = 3
 
 #: At orders up to _ENTRIES_FIRST_ORDER, one turn of the degree loop forms
-#: up to _BLOCK_DIAGONALS consecutive diagonals, as long as the block's index
-#: pairs x members x r^2 stay within _BLOCK_ENTRIES; above it a turn is one
-#: diagonal. Order 3 stays with BLAS: the entries-first kernel is faster
+#: up to calculus.CHAIN_BLOCK consecutive diagonals, as long as the block's
+#: index pairs x members x r^2 stay within _BLOCK_ENTRIES; above it a turn is
+#: one diagonal. Order 3 stays with BLAS: the entries-first kernel is faster
 #: there too, but its rounding moved an ill-conditioned order-3 campaign
 #: trial (non-normal parameters, residual 4.1e-9 with BLAS products) past
 #: the 1e-8 campaign gate in every variant tried.
-_BLOCK_DIAGONALS = 8
 _BLOCK_ENTRIES = 1 << 13
 _ENTRIES_FIRST_ORDER = 2
 
@@ -277,12 +279,14 @@ def _block_sums(runs, indices, lo: int, hi: int, rows: list, two_variable: bool)
     ``runs`` holds each factor's stacked scaled chain run through entry hi,
     and ``indices`` its index letter. The factors of every index pair of the
     block are multiplied left to right in the printed order, weighted by
-    ``rows`` (each diagonal's weights, one per pair) and summed over m,
-    diagonal by diagonal. Up to order _ENTRIES_FIRST_ORDER the picked
-    entries are laid out entries-first, (r, r, pairs, members), so each
-    product is r multiply-adds over long vectors. Above it the block is one
-    diagonal (lo == hi), multiplied by ``@`` over zero-copy views of the
-    runs: entry N for index N, entries 0..N for m and N..0 for n = N - m.
+    ``rows`` (each diagonal's weights, one per pair; 2F1's one pair (N, 0)
+    has the one weight x^N) and summed over m, diagonal by diagonal. Up to
+    order _ENTRIES_FIRST_ORDER the block holds at most calculus.CHAIN_BLOCK
+    diagonals, and the picked entries are laid out entries-first,
+    (r, r, pairs, members), so each product is r multiply-adds over long
+    vectors. Above it the block is one diagonal (lo == hi), multiplied by
+    ``@`` over zero-copy views of the runs: entry N for index N, entries
+    0..N for m and N..0 for n = N - m.
     """
     if runs[0].shape[-1] > _ENTRIES_FIRST_ORDER:
         views = {"N": lambda run: run[hi], "m": lambda run: run, "n": lambda run: run[::-1]}
@@ -343,10 +347,11 @@ def evaluate_many(
     y = complex(point.y) if two_variable else 0j
     # p of the weights x^m y^n C(N, m)^p: the N-indexed products minus inverses
     power = sum(-1 if inverse else 1 for _, inverse, index in _TERMS[kind] if index == "N")
-    row = np.ones(1, dtype=complex)  # the weights x^m y^n C(N, m)^p, m = 0..N
+    # The weights of diagonal N's pairs (m, N - m), m = 0..N; 2F1 carries x^N.
+    row = np.ones(1, dtype=complex)
     size = len(param_sets)
     # Diagonals per turn of the degree loop, and the entries a pair costs.
-    diagonals = _BLOCK_DIAGONALS if order <= _ENTRIES_FIRST_ORDER else 1
+    diagonals = CHAIN_BLOCK if order <= _ENTRIES_FIRST_ORDER else 1
     pair_entries = size * order * order
     outcomes: list[EvalReport | Exception | None] = [None] * size
     active = list(range(size))  # members neither frozen nor failed
@@ -368,12 +373,13 @@ def evaluate_many(
                 hi += 1
             rows = []
             for degree in range(lo, hi + 1):
-                if degree:
+                if degree and two_variable:
                     # C(N, m) = C(N - 1, m) N / (N - m) for m < N, and C(N, N) = 1.
                     growth = np.arange(degree, 0, -1.0) ** -power * (y * degree**power)
                     row = np.concatenate((row * growth, row[-1:] * x))
-                # m over the index pairs (m, degree - m); 2F1 has only (N, 0).
-                rows.append(row if two_variable else row[-1:])
+                elif degree:
+                    row = row * x
+                rows.append(row)
             runs = [chain.through(hi) for chain in chains]
             block = _block_sums(runs, indices, lo, hi, rows, two_variable)
             for degree, diagonal in zip(range(lo, hi + 1), block):

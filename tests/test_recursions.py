@@ -404,6 +404,20 @@ def test_campaign_subset_passes():
     assert max(r.residual for r in reports) <= 1e-8
 
 
+def test_the_benchmarks_near_gate_campaign_trial_passes():
+    # The campaign workload's trial at seed 0, pass index 12, order 3, s = 3
+    # (pass seed campaign_seed(0, 12, 3, 3)): non-normal, ill-conditioned
+    # parameters put its residual within a factor 3 of the gate, so a change
+    # of rounding at order 3 can fail it. A trial seed depends only on the
+    # pass seed and the id, so this one call draws the same trial.
+    (report,) = run_campaign(
+        ids=["F2-C-s-sum"], trials=1, orders=(3,), s_values=(3,), seed=1499463640
+    )
+    assert (report.order, report.s, report.seed) == (3, 3, 3980235082629649220)
+    assert report.passed
+    assert report.residual <= recursions.DEFAULT_CAMPAIGN_TOL
+
+
 def test_contiguous_entries_pin_shift_to_one():
     d = get("F1-A+1-contig")
     assert d.effective_shift(3) == 1

@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hypermat import linalg
-from hypermat.calculus import random_commuting_family
+from hypermat import linalg, series
+from hypermat.calculus import CHAIN_BLOCK, random_commuting_family
 from hypermat.documents import EvaluationInput, dump_document, eval_report_to_document
 from hypermat.errors import DimensionMismatch, DomainViolation, NotConverged, SingularShift
 from hypermat.series import (
@@ -18,7 +18,6 @@ from hypermat.series import (
     ParameterSet,
     SeriesConfig,
     check_domain,
-    _BLOCK_DIAGONALS,
     _BLOCK_ENTRIES,
     evaluate,
     evaluate_many,
@@ -399,7 +398,7 @@ def assert_same_report(batched, alone):
 
 def budget_size(order):
     """A batch size past which even the 2F1 block is cut short by the entry budget."""
-    return _BLOCK_ENTRIES // (_BLOCK_DIAGONALS * order * order) + 1
+    return _BLOCK_ENTRIES // (CHAIN_BLOCK * order * order) + 1
 
 
 @pytest.mark.parametrize("size", [1, 2, 5, "budget"])
@@ -500,7 +499,7 @@ def block_exit_case(kind, order, exit):
 @pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_an_exit_inside_a_block_matches_a_per_degree_loop(kind, order, exit):
-    # The engine forms up to _BLOCK_DIAGONALS diagonals per turn (orders 1
+    # The engine forms up to CHAIN_BLOCK diagonals per turn (orders 1
     # and 2) or one (order 3); a member that ends inside a block reports what
     # a loop over one diagonal at a time reports: the same degree, text and
     # shift.
@@ -526,7 +525,41 @@ def test_an_exit_inside_a_block_matches_a_per_degree_loop(kind, order, exit):
     }
     assert verdicts[exit]
     # Not the last diagonal of a block the budget left whole.
-    assert ((degree or shift) + 1) % _BLOCK_DIAGONALS
+    assert ((degree or shift) + 1) % CHAIN_BLOCK
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("kind", [FunctionKind.GAUSS_2F1, FunctionKind.APPELL_F2])
+def test_each_inverse_chain_grows_once_per_turn(kind, order, monkeypatch):
+    # A turn of the degree loop reads each chain once, through the end of its
+    # block, and a chain grows by at least CHAIN_BLOCK entries past the last it
+    # holds. At orders 1 and 2 a turn forms CHAIN_BLOCK diagonals, so every
+    # turn grows each inverse chain exactly once. From order 3 on a turn is
+    # one diagonal, and a growth covers CHAIN_BLOCK of them past entry 0.
+    growths, turns = {}, []
+    shift_inverses, block_sums = linalg.shift_inverses, series._block_sums
+
+    def counted_growth(base, shifts):
+        growths[id(base)] = growths.get(id(base), 0) + 1
+        return shift_inverses(base, shifts)
+
+    def counted_turn(*args):
+        turns.append(args)
+        return block_sums(*args)
+
+    monkeypatch.setattr(linalg, "shift_inverses", counted_growth)
+    monkeypatch.setattr(series, "_block_sums", counted_turn)
+    rng = np.random.default_rng(5)
+    names = kind.parameter_names
+    params = ParameterSet(kind, {name: non_commuting_matrix(rng, order) for name in names})
+    degrees = evaluate(params, ORDER_POINTS[kind]).degrees_used
+    if order <= 2:
+        expected = len(turns)
+        assert expected == math.ceil((degrees + 1) / CHAIN_BLOCK)
+    else:
+        assert len(turns) == degrees + 1
+        expected = math.ceil(degrees / CHAIN_BLOCK)
+    assert sorted(growths.values()) == [expected] * len(kind.denominator_names)
 
 
 def test_batch_shares_one_kind_one_order_and_the_point_checks():
