@@ -12,18 +12,19 @@ blocks of at least CHAIN_BLOCK shifts: the factors (A + kI)/(k+1) or
 (k+1)(C + kI)^{-1} of a block are built in one batched call, the shifts
 C + kI inverted in one stacked call rather than by inverting the accumulated
 product, and folded in one at a time. A chain holds one base or a stack of
-bases, one per member of a batch of series. Reading a run never raises for a
-singular shift C + kI: the member's entries past k are NaN. One checked
-read, ``at(n)``, hands out entry n and raises SingularShift(k), with
-``shift`` k + 1, when n is past the smallest such k; product(n), inverse(n),
-gamma_limit and the recursions' coefficients all read through it, and only
-the series engine, whose members exit one by one, decides a member's
-singular shift itself. An index is an int or a numpy integer
-(``linalg.is_count``); a float or a bool is refused with ValueError. This
-module also provides the limit formula for the gamma function of a positive
-stable matrix, read off the scaled inverse chain, and a generator of
-families of simultaneously diagonalized (hence commuting) parameter
-matrices.
+bases; the series engine stacks the members of all numerator parameters of
+a batch in one product chain and those of all denominators in one inverse
+chain. Reading a run never raises for a singular shift C + kI: the member's
+entries past k are NaN. One checked read, ``at(n)``, hands out entry n and
+raises SingularShift(k), with ``shift`` k + 1, when n is past the smallest
+such k; product(n), inverse(n), gamma_limit and the recursions' coefficients
+all read through it, and only the series engine, whose members exit one by
+one, decides a member's singular shift itself. An index is an int or a
+numpy integer (``linalg.is_count``); a float or a bool is refused with
+ValueError. This module also provides the limit formula for the gamma
+function of a positive stable matrix, read off the scaled inverse chain, and
+a generator of families of simultaneously diagonalized (hence commuting)
+parameter matrices.
 """
 
 from __future__ import annotations
@@ -78,10 +79,13 @@ class PochhammerChain:
     and through(n) hands out its first n + 1 entries as one view, so a series
     can slice a whole run of indices at once; at(n) hands out entry n, and
     product(n) and inverse(n) unscale it to (A)_n and (A)_n^{-1}. The base
-    is one matrix or a stack of b members; a stack keeps (k, b, r, r)
-    entries whose members share every batched product, rcond test and block
-    inverse. A singular shift is only recorded, as the member's ``reach``,
-    and the entries past it read as NaN; ``at`` turns it into SingularShift.
+    is one matrix or a stack of b members, which may be the members of
+    several parameters; a stack keeps (k, b, r, r) entries whose members
+    share every batched product, rcond test and block inverse. Each member
+    is multiplied and inverted on its own, so its run is bitwise that of its
+    base's chain alone. A singular shift is only recorded, as the member's
+    ``reach``, and the entries past it read as NaN; ``at`` turns it into
+    SingularShift.
     Confined to a single evaluation; not thread safe.
     """
 

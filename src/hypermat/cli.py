@@ -12,11 +12,12 @@ exits with the code of the first row of ``_FAILURES`` that matches it:
     NotConverged             3  did not converge: <message>
     any other HypermatError  3  evaluation failed: <Type>: <message>
 
-Bad arguments are out-of-range options such as ``--tol 0``, ``--trials 0``
-or ``--s 0``, an ``--ids`` list that names no identity, and
-a ``verify --out`` path whose directory does not exist, which is checked
-before any trial runs. A report that still cannot be written, say because
-``--out`` names a directory, is an OSError.
+Bad arguments are malformed options such as ``--trials abc`` or a missing
+input, which the parser rejects before any command runs, out-of-range
+options such as ``--tol 0``, ``--trials 0`` or ``--s 0``, an ``--ids`` list
+that names no identity, and a ``verify --out`` path whose directory does
+not exist, which is checked before any trial runs. A report that still
+cannot be written, say because ``--out`` names a directory, is an OSError.
 """
 
 from __future__ import annotations
@@ -71,8 +72,19 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are bad arguments: one line, exit 1.
+
+    Subparsers are built from the same class, so ``eval`` and ``verify``
+    errors take the same form; ``--help`` and ``--version`` still exit 0.
+    """
+
+    def error(self, message):
+        self.exit(_EXIT_USAGE, f"bad arguments: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hypermat",
         description=(
             "Evaluate Gauss/Appell matrix hypergeometric functions and verify "

@@ -26,25 +26,28 @@ x^m y^n C(m + n, m)^p: x^m y^n for F1 (p = 0), C(N, m) x^m y^n for F2
 last one's; for 2F1 it is the one weight x^N.
 
 One engine, evaluate_many, sums a batch of parameter sets of one kind and
-one order at one point; evaluate is the batch of one. Each parameter feeds
-one Pochhammer chain over the stack of its b members, whose entries are
-(b, r, r) arrays. Each turn of the degree loop forms a block of consecutive
-diagonals m + n = N for all members: per factor one chain read, one gather
-of the entries of every index pair of the block and one batched product,
-left to right in exactly the printed order, then one weighting and a sum
-over m per diagonal; nothing is ever algebraically reordered. The kernel
-is chosen by order. Up to order 2 a block holds up to calculus.CHAIN_BLOCK
-diagonals, the length the chains grow by, so a full block grows each chain
-once; it stops short where its pairs x members x r^2 would pass an entry
-budget. Its entries are laid out entries-first so that each product is r
-multiply-adds over long vectors; each diagonal's sum starts from its own
-first pair, so a member's result is bitwise the same in any batch and any
-block, and from run to run, but rounds differently from a per-matrix BLAS
-product. From order 3 on a block is one diagonal, multiplied by ``@`` over
-zero-copy views of the runs, so those results keep the rounding of BLAS
-per-matrix products. A verification
-batches its left-hand side with every inner series of its right-hand side,
-so they share every product, rcond test and block inverse.
+one order at one point; evaluate is the batch of one. A batch of b members
+grows two Pochhammer chains: one product chain over the members of every
+numerator parameter and one inverse chain over those of every denominator,
+stacked parameter-major: an entry of a chain over q parameters is a
+(qb, r, r) array, and a factor's run is the zero-copy slice of its parameter's b
+members. Each turn of the degree loop forms a block of consecutive diagonals
+m + n = N for all members: one read of each chain, then per factor one
+gather of the entries of every index pair of the block and one batched
+product, left to right in exactly the printed order, then one weighting and
+a sum over m per diagonal; nothing is ever algebraically reordered. The
+kernel is chosen by order. Up to order 2 a block holds up to
+calculus.CHAIN_BLOCK diagonals, the length the chains grow by, so a full
+block grows each chain once; it stops short where its pairs x members x r^2
+would pass an entry budget. Its entries are laid out entries-first so that
+each product is r multiply-adds over long vectors; each diagonal's sum
+starts from its own first pair, so a member's result is bitwise the same in
+any batch and any block, and from run to run, but rounds differently from a
+per-matrix BLAS product. From order 3 on a block is one diagonal, multiplied
+by ``@`` over zero-copy views of the runs, so those results keep the
+rounding of BLAS per-matrix products. A verification batches its left-hand
+side with every inner series of its right-hand side, so they share every
+product, rcond test and block inverse.
 
 Series are summed diagonal by diagonal, and each member stops once three
 consecutive diagonal sums of its own fall below tol * (1 + ||partial sum||_F);
@@ -310,7 +313,8 @@ def evaluate_many(
 ) -> list[EvalReport | Exception]:
     """Evaluate parameter sets of one kind and one order at one point, as one batch.
 
-    Each parameter feeds one chain over the stack of its members. Each turn
+    Every numerator's members share one product chain and every
+    denominator's one inverse chain, stacked parameter-major. Each turn
     of the degree loop forms the diagonals lo..hi of every member at once
     (_block_sums), then walks them in order: the stopping rule is kept per
     member and per degree, so a member that meets it inside a block is
@@ -321,8 +325,9 @@ def evaluate_many(
     The point's ValueError or DomainViolation comes first. After that, a
     member leaves at one exit, which decides in order: converged;
     NotConverged "still moving" at max_degree; SingularShift(r) (``shift``
-    r + 1) for a non-finite increment when an inverse chain's smallest reach
-    r is below the degree; NotConverged "overflowed" otherwise.
+    r + 1) for a non-finite increment when the smallest reach r of the
+    member's denominator slots is below the degree; NotConverged
+    "overflowed" otherwise.
     """
     if not param_sets:
         return []
@@ -336,11 +341,21 @@ def evaluate_many(
             raise DomainViolation(f"point ({point.x}, {point.y}) outside the {kind.value} region")
     except (ValueError, DomainViolation) as exc:
         return [exc] * len(param_sets)
-    chains, indices = [], []
+    size = len(param_sets)
+    # One product chain over every numerator's members and one inverse chain
+    # over every denominator's, parameter-major: a factor's members are the
+    # slots j*size .. (j+1)*size - 1 of its chain, j its parameter's place.
+    stacked = {False: [], True: []}
+    factors, indices = [], []
     for name, inverse, index in _TERMS[kind]:
-        build = PochhammerChain.for_inverses if inverse else PochhammerChain.for_products
-        chains.append(build([p[name] for p in param_sets]))
+        j = len(stacked[inverse])
+        stacked[inverse].append(name)
+        factors.append((inverse, slice(j * size, (j + 1) * size)))
         indices.append(index)
+    chains = {
+        False: PochhammerChain.for_products([p[n] for n in stacked[False] for p in param_sets]),
+        True: PochhammerChain.for_inverses([p[n] for n in stacked[True] for p in param_sets]),
+    }
     two_variable = kind.is_two_variable
     label = "double series" if two_variable else "series"
     x = complex(point.x)
@@ -349,7 +364,6 @@ def evaluate_many(
     power = sum(-1 if inverse else 1 for _, inverse, index in _TERMS[kind] if index == "N")
     # The weights of diagonal N's pairs (m, N - m), m = 0..N; 2F1 carries x^N.
     row = np.ones(1, dtype=complex)
-    size = len(param_sets)
     # Diagonals per turn of the degree loop, and the entries a pair costs.
     diagonals = CHAIN_BLOCK if order <= _ENTRIES_FIRST_ORDER else 1
     pair_entries = size * order * order
@@ -380,7 +394,8 @@ def evaluate_many(
                 elif degree:
                     row = row * x
                 rows.append(row)
-            runs = [chain.through(hi) for chain in chains]
+            held = {inverse: chain.through(hi) for inverse, chain in chains.items()}
+            runs = [held[inverse][:, members] for inverse, members in factors]
             block = _block_sums(runs, indices, lo, hi, rows, two_variable)
             for degree, diagonal in zip(range(lo, hi + 1), block):
                 increment[...] = diagonal
@@ -399,7 +414,7 @@ def evaluate_many(
                     report = EvalReport(total[i].copy(), degree, last, converged)
                     # Past a singular shift C + rI every entry of the chain is NaN,
                     # so the increment is first NaN at degree r + 1.
-                    reach = min(chain.reach[i] for chain in chains if chain.reach is not None)
+                    reach = chains[True].reach[i::size].min()
                     if converged:
                         outcomes[i] = report
                     elif finite:

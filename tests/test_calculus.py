@@ -156,6 +156,40 @@ def test_stacked_inverse_raises_at_the_smallest_reach():
     assert np.isnan(chain.through(4)[4, 1]).all()  # the read itself does not raise
 
 
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 8, 16])
+def test_a_chain_over_two_parameters_holds_each_parameters_own_run(order):
+    # The series engine stacks the members of several parameters in one
+    # chain. A stacked product or inversion treats each matrix on its own, so
+    # every slot holds bitwise its parameter's lone run, and a singular shift
+    # C + 5I stops its own member only.
+    rng = np.random.default_rng(order)
+
+    def member():
+        p = np.eye(order) + 0.3 * (
+            rng.standard_normal((order, order)) + 1j * rng.standard_normal((order, order))
+        ) / math.sqrt(order)
+        spectrum = rng.uniform(0.5, 3.0, order) + 1j * rng.uniform(-0.5, 0.5, order)
+        return p @ np.diag(spectrum) @ np.linalg.inv(p)
+
+    singular = member()
+    singular[:, 0] = 0.0
+    singular[0, 0] = -5.0  # C + 5I has a zero first column
+    first = [member(), member()]
+    second = [member(), singular, member()]
+    for build in (PochhammerChain.for_products, PochhammerChain.for_inverses):
+        stacked, alone = build(first + second), (build(first), build(second))
+        for n in (0, 3, 9, 20):
+            run = stacked.through(n)
+            assert np.array_equal(run[:, :2], alone[0].through(n), equal_nan=True)
+            assert np.array_equal(run[:, 2:], alone[1].through(n), equal_nan=True)
+        if stacked.reach is not None:
+            held = len(stacked.inverse_products) - 1
+            assert stacked.reach.tolist() == [held, held, held, 5, held]
+            assert stacked.reach.tolist() == alone[0].reach.tolist() + alone[1].reach.tolist()
+            assert np.isnan(run[6:, 3]).all()
+        assert np.isfinite(np.delete(run, 3, axis=1)).all()
+
 def test_chain_lookups_keep_their_mode():
     c = _non_normal_with_eigenvalue(0.7)
     with pytest.raises(ValueError):

@@ -130,6 +130,26 @@ def test_out_of_range_arguments_exit_one(args, tmp_path, capsys):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("args", [["verify", "--trials", "abc"], ["verify", "--orders", "x"], ["eval"]])
+def test_malformed_arguments_are_one_line_and_exit_one(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("bad arguments:")
+
+
+@pytest.mark.parametrize("args", [["--version"], ["--help"], ["verify", "--help"]])
+def test_help_and_version_exit_zero(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
 def test_verify_past_order_eight(capsys):
     assert main(["verify", "--orders", "9", "--ids", "G-A+s-sum", "--trials", "1"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hypermat import linalg, series
-from hypermat.calculus import CHAIN_BLOCK, random_commuting_family
+from hypermat.calculus import CHAIN_BLOCK, PochhammerChain, random_commuting_family
 from hypermat.documents import EvaluationInput, dump_document, eval_report_to_document
 from hypermat.errors import DimensionMismatch, DomainViolation, NotConverged, SingularShift
 from hypermat.series import (
@@ -559,8 +559,33 @@ def test_each_inverse_chain_grows_once_per_turn(kind, order, monkeypatch):
     else:
         assert len(turns) == degrees + 1
         expected = math.ceil(degrees / CHAIN_BLOCK)
-    assert sorted(growths.values()) == [expected] * len(kind.denominator_names)
+    assert sorted(growths.values()) == [expected]
 
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_batch_builds_one_product_chain_and_one_inverse_chain(kind, order, monkeypatch):
+    # Every numerator's members share one product chain and every
+    # denominator's one inverse chain, so a turn pays each chain's fixed
+    # growth cost once rather than once per parameter.
+    builds = {"for_products": [], "for_inverses": []}
+    for name, bases in builds.items():
+        def counted(base, build=getattr(PochhammerChain, name), bases=bases):
+            bases.append(len(base))
+            return build(base)
+
+        monkeypatch.setattr(PochhammerChain, name, counted)
+    rng = np.random.default_rng(11)
+    members = [
+        ParameterSet(kind, {name: non_commuting_matrix(rng, order) for name in kind.parameter_names})
+        for _ in range(3)
+    ]
+    outcomes = evaluate_many(members, ORDER_POINTS[kind])
+    assert all(report.converged for report in outcomes)
+    denominators = len(kind.denominator_names)
+    numerators = len(kind.parameter_names) - denominators
+    assert builds == {"for_products": [numerators * 3], "for_inverses": [denominators * 3]}
 
 def test_batch_shares_one_kind_one_order_and_the_point_checks():
     gauss = scalar_params(FunctionKind.GAUSS_2F1, {"A": 1.0, "B": 1.0, "C": 2.0})
