@@ -93,19 +93,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"hypermat {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
+    # The series options of eval and verify, declared once.
+    series_options = _Parser(add_help=False)
+    series_options.add_argument(
+        "--tol", type=float, default=DEFAULT_CONFIG.tol, help="series tolerance"
+    )
+    series_options.add_argument(
+        "--max-degree", type=int, default=DEFAULT_CONFIG.max_degree, help="truncation degree cap"
+    )
 
     eval_cmd = commands.add_parser(
-        "eval", help="evaluate a function from a JSON matrix document"
+        "eval", parents=[series_options], help="evaluate a function from a JSON matrix document"
     )
     eval_cmd.add_argument("input", help="path to the evaluation document")
     eval_cmd.add_argument(
         "--kind",
         choices=[kind.value for kind in FunctionKind],
         help="require the document to be for this function",
-    )
-    eval_cmd.add_argument("--tol", type=float, default=DEFAULT_CONFIG.tol, help="series tolerance")
-    eval_cmd.add_argument(
-        "--max-degree", type=int, default=DEFAULT_CONFIG.max_degree, help="truncation degree cap"
     )
     eval_cmd.add_argument(
         "--allow-boundary",
@@ -119,7 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     verify_cmd = commands.add_parser(
-        "verify", help="run a seeded verification campaign over the catalog"
+        "verify", parents=[series_options],
+        help="run a seeded verification campaign over the catalog",
     )
     verify_cmd.add_argument(
         "--ids",
@@ -136,10 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify_cmd.add_argument("--seed", type=int, default=0)
     verify_cmd.add_argument("--campaign-tol", type=float, default=DEFAULT_CAMPAIGN_TOL)
-    verify_cmd.add_argument(
-        "--tol", type=float, default=DEFAULT_CONFIG.tol, help="series tolerance"
-    )
-    verify_cmd.add_argument("--max-degree", type=int, default=DEFAULT_CONFIG.max_degree)
     verify_cmd.add_argument("--out", type=str, default=None, help="report file path")
 
     commands.add_parser("list", help="print the identity catalog")

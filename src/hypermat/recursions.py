@@ -44,7 +44,7 @@ from .errors import GenerationFailed, HypermatError, HypothesisViolated, Overflo
 from .errors import UnknownIdentity
 from .linalg import Matrix
 from .series import DEFAULT_CONFIG, EvalPoint, EvalReport, FunctionKind, ParameterSet
-from .series import SeriesConfig, evaluate_many
+from .series import SeriesConfig, _member_report, evaluate_many
 
 # ``recursions.evaluate`` stays bound: perfbench/tracer.py wraps it by that name.
 from .series import evaluate  # noqa: F401
@@ -410,14 +410,6 @@ _TABLE = (
 
 _TOKEN = re.compile(r"\d+|k[12]?|s")
 
-# Each kind's numerator and denominator slots, in argument order.
-_SIGNATURES = {
-    kind: ([n for n in kind.parameter_names if n not in kind.denominator_names],
-           kind.denominator_names)
-    for kind in FunctionKind
-}
-
-
 def _shown(text: str, env: dict[str, int] | None) -> str:
     return text if env is None else str(_at(text, env))
 
@@ -437,7 +429,7 @@ def _plus(name: str, j: str, sign: str = "+") -> str:
 
 def _shown_function(kind: FunctionKind, shifts: dict[str, str], names) -> str:
     slots = [",".join([_plus(names[n], shifts.get(n, "0")) for n in group])
-             for group in _SIGNATURES[kind]]
+             for group in (kind.numerator_names, kind.denominator_names)]
     return f"{kind.value}({';'.join(slots)})"
 
 
@@ -628,13 +620,6 @@ def _scalar(term: _Term, s: int, env: dict[str, int], point: EvalPoint):
     return w.sign * value
 
 
-def _outcome(outcome: EvalReport | Exception) -> EvalReport:
-    """The report of one batch member, or the exception it raised."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 def _rhs(
     row: _Row,
     params: ParameterSet,
@@ -653,11 +638,11 @@ def _rhs(
     plan = [(t, env) for t in row.terms for env in (envs if t.indexed else [{}])]
     inner = [params.moved({n: _at(j, env) for n, j in t.slot.items()}) for t, env in plan]
     outcomes = evaluate_many(([] if lhs is None else [lhs]) + inner, point, cfg)
-    lhs_report = None if lhs is None else _outcome(outcomes.pop(0))
+    lhs_report = None if lhs is None else _member_report(outcomes.pop(0))
     atoms = _atoms(params, plan)
     total, degrees = linalg.zeros(params.order), 0
     for (term, env), outcome in zip(plan, outcomes):
-        report = _outcome(outcome)
+        report = _member_report(outcome)
         degrees = max(degrees, report.degrees_used)
         factors = [
             report.value if isinstance(f, dict) else atoms[f.op, f.name, _at(f.index, env)]
@@ -698,18 +683,20 @@ def verify_identity(
     Evaluator failures (singular shifts, non-convergence, violated
     hypotheses) become a failed report with the cause, so campaigns keep
     running; a negative s is bad input and raises ValueError as in eval_rhs,
-    and so does a seed that is not an int or a numpy integer (a bool among
-    them). The report holds the seed as the Python int it is.
+    and so do a seed that is not an int or a numpy integer (a bool among
+    them) and a campaign_tol that is not positive and finite, as in
+    run_campaign. The report holds the seed as the Python int it is.
     """
     if not linalg.is_count(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
+    _check_campaign_tol(campaign_tol)
     report = VerificationReport(
         identity_id=d.id, s=d.effective_shift(s), seed=int(seed), order=params.order
     )
     try:
         s_eff, row, row_params = _prepare(d, params, s, enforce_hypotheses)
         delta = s_eff if row.direction == DIRECTION_INCREMENT else -s_eff
-        lhs = row_params.shifted(row.moved, delta)
+        lhs = row_params.moved({row.moved: delta})
         rhs_value, report.rhs_degrees, lhs_report = _rhs(
             row, row_params, s_eff, point, cfg, lhs
         )
@@ -722,6 +709,11 @@ def verify_identity(
     except HypermatError as exc:
         report.error = f"{type(exc).__name__}: {exc}"
     return report
+
+
+def _check_campaign_tol(campaign_tol: float) -> None:
+    if not 0.0 < campaign_tol < math.inf:
+        raise ValueError(f"campaign_tol must be positive and finite, got {campaign_tol}")
 
 
 def _derive_seed(seed: int, identity_id: str, trial: int) -> int:
@@ -827,8 +819,7 @@ def run_campaign(
     if not linalg.is_count(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     orders, s_values, seed = [int(o) for o in orders], [int(v) for v in s_values], int(seed)
-    if not 0.0 < campaign_tol < math.inf:
-        raise ValueError(f"campaign_tol must be positive and finite, got {campaign_tol}")
+    _check_campaign_tol(campaign_tol)
     reports = []
     for d in descriptors:
         for trial in range(trials):

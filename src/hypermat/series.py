@@ -13,7 +13,11 @@ with the two-variable kinds weighted by x^m y^n / (m! n!). The parameters do
 not commute in general, so these rows are kept as one term table (_TERMS):
 per kind, the ordered factors (parameter, inverse?, index) with index m, n or
 N = m + n. 2F1 is the single-variable case, whose only index pair on
-diagonal N is (N, 0).
+diagonal N is (N, 0). A kind's signature is read off the same table:
+FunctionKind.numerator_names and denominator_names, the product and inverse
+slots in printed order. A ParameterSet is checked once, by its constructor;
+its copies, ``moved`` (integer multiples of I added) and ``renamed`` (slots
+permuted), are built by one unchecked copy.
 
 The chains hold the factorial-scaled runs (P)_k / k! and k! (P)_k^{-1}, which
 grow like a power of k where (P)_k overflows, so the factorials move from the
@@ -93,6 +97,10 @@ class FunctionKind(enum.Enum):
         return tuple(name for name, _, _ in _TERMS[self])
 
     @property
+    def numerator_names(self) -> tuple[str, ...]:
+        return tuple(name for name, inverse, _ in _TERMS[self] if not inverse)
+
+    @property
     def denominator_names(self) -> tuple[str, ...]:
         return tuple(name for name, inverse, _ in _TERMS[self] if inverse)
 
@@ -146,13 +154,7 @@ class ParameterSet:
     matrices: Mapping[str, Matrix]
 
     def __post_init__(self):
-        expected = set(self.kind.parameter_names)
-        present = set(self.matrices)
-        if present != expected:
-            raise ValueError(
-                f"{self.kind.value} needs parameters {sorted(expected)}, "
-                f"got {sorted(present)}"
-            )
+        _check_slots(self.kind, self.matrices)
         validated = {
             name: linalg.as_matrix(m) for name, m in self.matrices.items()
         }
@@ -168,29 +170,42 @@ class ParameterSet:
     def __getitem__(self, name: str) -> Matrix:
         return self.matrices[name]
 
-    def shifted(self, name: str, amount: int) -> "ParameterSet":
-        """A copy with ``amount * I`` added to the named parameter."""
-        return self.moved({name: amount})
-
     def moved(self, shifts: dict[str, int]) -> "ParameterSet":
-        """A copy with ``shifts[name] * I`` added to each named parameter.
-
-        Adding an integer multiple of I keeps checked matrices square, of one
-        order and finite, so the copy skips the checks of the constructor.
-        """
+        """A copy with ``shifts[name] * I`` added to each named parameter."""
         eye = linalg.identity(self.order)
         updated = dict(self.matrices)
         for name, amount in shifts.items():
             updated[name] = updated[name] + amount * eye
-        copy = object.__new__(ParameterSet)
-        object.__setattr__(copy, "kind", self.kind)
-        object.__setattr__(copy, "matrices", MappingProxyType(updated))
-        return copy
+        return self._unchecked(updated)
 
     def renamed(self, mapping: dict[str, str]) -> "ParameterSet":
-        """A copy with parameters moved to new slots (used for A <-> B swaps)."""
+        """A copy with parameters moved to new slots (used for A <-> B swaps).
+
+        The copy holds this set's own arrays. A mapping that does not permute
+        the kind's slots raises ValueError, as the constructor would.
+        """
         updated = {mapping.get(name, name): m for name, m in self.matrices.items()}
-        return ParameterSet(self.kind, updated)
+        _check_slots(self.kind, updated)
+        return self._unchecked(updated)
+
+    def _unchecked(self, matrices: dict[str, Matrix]) -> "ParameterSet":
+        """A copy of this kind over ``matrices``, skipping the constructor's checks.
+
+        Shifting checked matrices by integer multiples of I, or moving them
+        between slots, keeps them square, of one order and finite, so
+        ``moved`` and ``renamed`` build their copies here.
+        """
+        copy = object.__new__(ParameterSet)
+        object.__setattr__(copy, "kind", self.kind)
+        object.__setattr__(copy, "matrices", MappingProxyType(matrices))
+        return copy
+
+
+def _check_slots(kind: FunctionKind, names) -> None:
+    """Raise ValueError unless ``names`` are exactly the kind's parameter slots."""
+    expected, present = set(kind.parameter_names), set(names)
+    if present != expected:
+        raise ValueError(f"{kind.value} needs parameters {sorted(expected)}, got {sorted(present)}")
 
 
 @dataclass(frozen=True)
@@ -345,11 +360,10 @@ def evaluate_many(
     # One product chain over every numerator's members and one inverse chain
     # over every denominator's, parameter-major: a factor's members are the
     # slots j*size .. (j+1)*size - 1 of its chain, j its parameter's place.
-    stacked = {False: [], True: []}
+    stacked = {False: kind.numerator_names, True: kind.denominator_names}
     factors, indices = [], []
     for name, inverse, index in _TERMS[kind]:
-        j = len(stacked[inverse])
-        stacked[inverse].append(name)
+        j = stacked[inverse].index(name)
         factors.append((inverse, slice(j * size, (j + 1) * size)))
         indices.append(index)
     chains = {
@@ -439,6 +453,11 @@ def evaluate(
     domain guard off) fail immediately instead of spinning to max_degree.
     """
     (outcome,) = evaluate_many([params], point, cfg)
+    return _member_report(outcome)
+
+
+def _member_report(outcome: EvalReport | Exception) -> EvalReport:
+    """A batch member's report, or the exception it gave, raised."""
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

@@ -150,6 +150,22 @@ def test_help_and_version_exit_zero(args, capsys):
     assert capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["eval", "verify"])
+def test_eval_and_verify_share_the_series_options(command, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--tol TOL series tolerance" in text
+    assert "--max-degree MAX_DEGREE truncation degree cap" in text
+    path = write_doc(tmp_path / "doc.json", gauss_document())
+    with pytest.raises(SystemExit) as exc:
+        main([command] + ([path] if command == "eval" else []) + ["--tol", "abc"])
+    assert exc.value.code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("bad arguments: argument --tol")
+
+
 def test_verify_past_order_eight(capsys):
     assert main(["verify", "--orders", "9", "--ids", "G-A+s-sum", "--trials", "1"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -250,9 +250,9 @@ def test_increment_then_decrement_returns_original():
     params = family_params(d_down, 2, seed=41, s_eff=2)
     point = EvalPoint(0.2 + 0.1j)
     up = eval_rhs(d_up, params, 2, point)
-    back = eval_rhs(d_down, params.shifted("A", 2), 2, point)
+    back = eval_rhs(d_down, params.moved({"A": 2}), 2, point)
     original = evaluate(params, point).value
-    assert np.linalg.norm(up - evaluate(params.shifted("A", 2), point).value) <= 1e-8
+    assert np.linalg.norm(up - evaluate(params.moved({"A": 2}), point).value) <= 1e-8
     assert np.linalg.norm(back - original) <= 1e-8 * (1.0 + np.linalg.norm(original))
 
 
@@ -511,6 +511,15 @@ def test_verify_identity_rejects_a_seed_that_is_not_an_integer(seed):
     params = scal_params(d.kind, {"A": 1.5, "B": 0.5, "C": 2.5})
     with pytest.raises(ValueError, match="seed must be an integer"):
         verify_identity(d, params, 1, EvalPoint(0.3), seed=seed)
+
+
+@pytest.mark.parametrize("campaign_tol", [math.nan, -1.0, 0.0, math.inf])
+def test_verify_identity_rejects_a_campaign_tol_that_is_not_positive_and_finite(campaign_tol):
+    d = get("G-A+s-sum")
+    params = scal_params(d.kind, {"A": 1.5, "B": 0.5, "C": 2.5})
+    assert verify_identity(d, params, 2, EvalPoint(0.3)).passed
+    with pytest.raises(ValueError, match="campaign_tol must be positive and finite"):
+        verify_identity(d, params, 2, EvalPoint(0.3), campaign_tol=campaign_tol)
 
 
 @pytest.mark.parametrize("identity_id", ["G-A+s-sum", "G-A+1-contig"])
@@ -782,7 +791,7 @@ def test_inner_series_failure_after_a_converged_left_hand_side():
     d = get("G-A-s-sum")
     params = ParameterSet(d.kind, {"A": diag(2.0, 2.0), "B": diag(1.0, 1.0), "C": diag(2.0, 2.0)})
     point, cfg = EvalPoint(0.9), SeriesConfig(max_degree=20)
-    assert evaluate(params.shifted("A", -2), point, cfg).converged
+    assert evaluate(params.moved({"A": -2}), point, cfg).converged
     report = verify_identity(d, params, 2, point, cfg, enforce_hypotheses=False)
     assert report.error == "NotConverged: series still moving at degree 20"
     assert (report.passed, report.lhs_report, report.rhs_degrees) == (False, None, 0)
@@ -812,7 +821,7 @@ def test_truncated_campaign_failure_rows(identity_id, seed, side):
     family = draw_family(d, order, d.effective_shift(s), rng)
     params = ParameterSet(d.kind, {n: family.realize(n) for n in d.kind.parameter_names})
     moved = d.shifted_parameter
-    lhs = params.shifted(moved, s if d.direction == "increment" else -s)
+    lhs = params.moved({moved: s if d.direction == "increment" else -s})
     point = draw_point(d.kind, rng)
     if side == "lhs":
         with pytest.raises(NotConverged):

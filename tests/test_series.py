@@ -365,9 +365,46 @@ def test_parameter_set_validation():
 
 def test_parameter_set_matrices_are_read_only():
     params = scalar_params(FunctionKind.GAUSS_2F1, {"A": 1.0, "B": 1.0, "C": 2.0})
-    for copy in (params, params.shifted("A", 1), params.moved({"B": 2})):
+    for copy in (params, params.moved({"A": 1}), params.moved({"B": 2})):
         with pytest.raises(TypeError):
             copy.matrices["C"] = np.eye(3, dtype=complex)
+
+
+SIGNATURES = {
+    FunctionKind.GAUSS_2F1: (("A", "B"), ("C",)),
+    FunctionKind.APPELL_F1: (("A", "B", "Bp"), ("C",)),
+    FunctionKind.APPELL_F2: (("A", "B", "Bp"), ("C", "Cp")),
+    FunctionKind.APPELL_F3: (("A", "Ap", "B", "Bp"), ("C",)),
+    FunctionKind.APPELL_F4: (("A", "B"), ("C", "Cp")),
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_kinds_numerators_and_denominators_split_its_slots_in_term_order(kind):
+    terms = series._TERMS[kind]
+    assert (kind.numerator_names, kind.denominator_names) == SIGNATURES[kind]
+    assert kind.numerator_names == tuple(name for name, inverse, _ in terms if not inverse)
+    assert kind.denominator_names == tuple(name for name, inverse, _ in terms if inverse)
+    slots = kind.numerator_names + kind.denominator_names
+    assert sorted(slots) == sorted(kind.parameter_names) and len(set(slots)) == len(slots)
+
+
+def test_renaming_onto_an_occupied_slot_is_refused():
+    params = scalar_params(FunctionKind.GAUSS_2F1, {"A": 1.0, "B": 1.5, "C": 2.0})
+    with pytest.raises(ValueError, match="needs parameters"):
+        params.renamed({"A": "B"})
+    with pytest.raises(ValueError, match="needs parameters"):
+        params.renamed({"A": "Z"})
+
+
+def test_a_renamed_copy_holds_the_callers_arrays():
+    params = scalar_params(FunctionKind.GAUSS_2F1, {"A": 1.0, "B": 1.5, "C": 2.0})
+    copy = params.renamed({"A": "B", "B": "A"})
+    assert copy.kind is params.kind
+    assert copy["C"] is params["C"]
+    assert copy["A"] is params["B"] and copy["B"] is params["A"]
+    with pytest.raises(TypeError):
+        copy.matrices["C"] = np.eye(1, dtype=complex)
 
 
 def test_point_arity_enforced():
@@ -416,7 +453,7 @@ def test_batch_members_equal_lone_evaluations(kind, size):
         members = [first]
         while len(members) < (5 if size == "budget" else size):
             if len(members) % 2:
-                members.append(first.shifted(names[len(members) % len(names)], len(members)))
+                members.append(first.moved({names[len(members) % len(names)]: len(members)}))
             else:
                 members.append(
                     ParameterSet(kind, {n: non_commuting_matrix(rng, order) for n in names})
@@ -449,10 +486,10 @@ def test_batch_members_fail_alone(kind):
     slow = plain
     for name in names:
         if name not in kind.denominator_names:
-            slow = slow.shifted(name, 8)
+            slow = slow.moved({name: 8})
     point = EvalPoint(0.1, 0.05) if kind.is_two_variable else EvalPoint(0.1)
     cfg = SeriesConfig(max_degree=evaluate(plain, point).degrees_used + 2)
-    members = [plain, singular, slow, plain.shifted("A", 1)]
+    members = [plain, singular, slow, plain.moved({"A": 1})]
     batch = evaluate_many(members, point, cfg)
     assert isinstance(batch[1], SingularShift) and batch[1].shift == 3
     assert isinstance(batch[2], NotConverged)
@@ -596,7 +633,7 @@ def test_batch_shares_one_kind_one_order_and_the_point_checks():
     wide = ParameterSet(FunctionKind.GAUSS_2F1, {n: np.eye(2, dtype=complex) for n in "ABC"})
     with pytest.raises(DimensionMismatch):
         evaluate_many([gauss, wide], EvalPoint(0.1))
-    outside = evaluate_many([gauss, gauss.shifted("A", 1)], EvalPoint(1.0))
+    outside = evaluate_many([gauss, gauss.moved({"A": 1})], EvalPoint(1.0))
     assert [type(outcome) for outcome in outside] == [DomainViolation] * 2
 
 
