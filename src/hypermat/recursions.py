@@ -9,8 +9,12 @@ with a weight of sign, C(s,k) or M(s,k1,k2) and powers of x and y, and
 coefficients built from P, (P)_j, (P)_j^-1 and (P - jI)^-1, j affine in the
 index. _TABLE holds them as data in catalog order: a base row gives its index
 set and terms (the base value F(P) names no index and is not summed), a swap
-row is a base row on the renamed parameter set, and a contiguous row pins
-the shift to 1. One interpreter (_rhs) serves eval_rhs and verify_identity:
+row is a base row on the renamed parameter set, a contiguous row pins the
+shift to 1, and a decrement row with an increment twin is derived from it
+(_down): a telescoping sum flips the sign of each indexed term, sums over
+k=0..s-1 and moves the parameter by -k inside; a binomial or multinomial
+sum takes -x and -y and leaves the moved parameter out of the inner slot.
+One interpreter (_rhs) serves eval_rhs and verify_identity:
 it builds each coefficient once per right-hand side (one Pochhammer chain per
 parameter, one stacked inverse for all (P - jI)^-1 of a parameter) and keeps
 every factor list in printed order, since non-commuting factors never cross
@@ -210,6 +214,13 @@ class _Contig(NamedTuple):
     of: str
 
 
+class _Down(NamedTuple):
+    """The decrement twin of increment row ``of`` (see _down)."""
+
+    id: str
+    of: str
+
+
 def _row(identity_id, kind, moved, direction, form, pairs, index, *terms) -> _Row:
     return _Row(identity_id, kind, moved, direction, form, tuple(pairs), index, terms)
 
@@ -226,18 +237,36 @@ def _t(weight: _Weight, *factors) -> _Term:
     return _Term(weight, factors, slots[0], any("k" in text for text in texts))
 
 
+def _down(row: _Row, identity_id: str) -> _Row:
+    """The decrement twin of an increment row. A telescoping sum flips the
+    sign of each indexed term, moves its index set from k=1..s to k=0..s-1
+    and the moved parameter's inner shift from j to -j; a binomial or
+    multinomial sum negates x and y and drops the moved parameter from the
+    inner slot. The base value F(P), the factors and their order stay."""
+    telescoping = row.form == FORM_TELESCOPING
+
+    def down(term: _Term) -> _Term:
+        slot, w = dict(term.slot), term.weight
+        if telescoping:
+            slot[row.moved], w = "-" + slot[row.moved], w._replace(sign=-w.sign)
+        else:
+            del slot[row.moved]
+            w = w._replace(negated=True)
+        return _t(w, *[slot if isinstance(f, dict) else f for f in term.factors])
+
+    index = "k=0..s-1" if telescoping else row.index
+    terms = tuple(down(t) if t.indexed else t for t in row.terms)
+    return row._replace(id=identity_id, direction=DIRECTION_DECREMENT, index=index, terms=terms)
+
+
 _F = dict  # the inner slot: _F(A="k", B="1") is F at A + kI, B + I
 _P, _poch, _pinv, _res = (
     functools.partial(_Atom, op) for op in ("P", "poch", "poch_inv", "shift_inv")
 )
 
-_X, _NX = _Weight(x="1"), _Weight(sign=-1, x="1")
-_Y, _NY = _Weight(y="1"), _Weight(sign=-1, y="1")
+_X, _Y = _Weight(x="1"), _Weight(y="1")
 _BX, _BY = _Weight(coefficient=("k",), x="k"), _Weight(coefficient=("k",), y="k")
-_BNX = _Weight(coefficient=("k",), negated=True, x="k")
-_BNY = _Weight(coefficient=("k",), negated=True, y="k")
 _M = _Weight(coefficient=("k1", "k2"), x="k1", y="k2")
-_MN = _Weight(coefficient=("k1", "k2"), negated=True, x="k1", y="k2")
 
 #: The base value F(P), which stands outside every sum.
 _BASE = _t(_Weight(), _F())
@@ -264,12 +293,10 @@ _TABLE = (
     _Contig("G-A-1-contig", "G-A-s-sum"),
     _row("G-A+s-sum", _G, "A", _INC, _TEL, _PAIRS_G, "k=1..s", _BASE,
          _t(_X, _F(A="k", B="1", C="1"), _P("B"), _res("C", "0"))),
-    _row("G-A-s-sum", _G, "A", _DEC, _TEL, _PAIRS_G, "k=0..s-1", _BASE,
-         _t(_NX, _F(A="-k", B="1", C="1"), _P("B"), _res("C", "0"))),
+    _Down("G-A-s-sum", "G-A+s-sum"),
     _row("G-A+s-binom", _G, "A", _INC, _BIN, _PAIRS_G, "k=0..s",
          _t(_BX, _F(A="k", B="k", C="k"), _poch("B", "k"), _pinv("C", "k"))),
-    _row("G-A-s-binom", _G, "A", _DEC, _BIN, _PAIRS_G, "k=0..s",
-         _t(_BNX, _F(B="k", C="k"), _poch("B", "k"), _pinv("C", "k"))),
+    _Down("G-A-s-binom", "G-A+s-binom"),
     _Swap("G-B+s-sum", "G-A+s-sum", _GAUSS_SWAP),
     _Swap("G-B-s-sum", "G-A-s-sum", _GAUSS_SWAP),
     _Swap("G-B+s-binom", "G-A+s-binom", _GAUSS_SWAP),
@@ -283,31 +310,23 @@ _TABLE = (
     _row("F1-A+s-sum", _F1, "A", _INC, _TEL, _PAIRS_F1, "k=1..s", _BASE,
          _t(_X, _P("B"), _F(A="k", B="1", C="1"), _res("C", "0")),
          _t(_Y, _F(A="k", Bp="1", C="1"), _P("Bp"), _res("C", "0"))),
-    _row("F1-A-s-sum", _F1, "A", _DEC, _TEL, _PAIRS_F1, "k=0..s-1", _BASE,
-         _t(_NX, _P("B"), _F(A="-k", B="1", C="1"), _res("C", "0")),
-         _t(_NY, _F(A="-k", Bp="1", C="1"), _P("Bp"), _res("C", "0"))),
+    _Down("F1-A-s-sum", "F1-A+s-sum"),
     _row("F1-A+s-multinom", _F1, "A", _INC, _MUL, _PAIRS_F1, "k1+k2<=s", _t(
         _M, _poch("B", "k1"), _F(A="k1+k2", B="k1", Bp="k2", C="k1+k2"),
         _poch("Bp", "k2"), _pinv("C", "k1+k2"))),
-    _row("F1-A-s-multinom", _F1, "A", _DEC, _MUL, _PAIRS_F1, "k1+k2<=s", _t(
-        _MN, _poch("B", "k1"), _F(B="k1", Bp="k2", C="k1+k2"),
-        _poch("Bp", "k2"), _pinv("C", "k1+k2"))),
+    _Down("F1-A-s-multinom", "F1-A+s-multinom"),
     _row("F1-B+s-sum", _F1, "B", _INC, _TEL, [], "k=1..s", _BASE,
          _t(_X, _P("A"), _F(A="1", B="k", C="1"), _res("C", "0"))),
-    _row("F1-B-s-sum", _F1, "B", _DEC, _TEL, [], "k=0..s-1", _BASE,
-         _t(_NX, _P("A"), _F(A="1", B="-k", C="1"), _res("C", "0"))),
+    _Down("F1-B-s-sum", "F1-B+s-sum"),
     _row("F1-Bp+s-sum", _F1, "Bp", _INC, _TEL, [], "k=1..s", _BASE,
          _t(_Y, _P("A"), _F(A="1", Bp="k", C="1"), _res("C", "0"))),
-    _row("F1-Bp-s-sum", _F1, "Bp", _DEC, _TEL, [], "k=0..s-1", _BASE,
-         _t(_NY, _P("A"), _F(A="1", Bp="-k", C="1"), _res("C", "0"))),
+    _Down("F1-Bp-s-sum", "F1-Bp+s-sum"),
     _row("F1-B+s-binom", _F1, "B", _INC, _BIN, [], "k=0..s",
          _t(_BX, _poch("A", "k"), _F(A="k", B="k", C="k"), _pinv("C", "k"))),
-    _row("F1-B-s-binom", _F1, "B", _DEC, _BIN, [], "k=0..s",
-         _t(_BNX, _poch("A", "k"), _F(A="k", C="k"), _pinv("C", "k"))),
+    _Down("F1-B-s-binom", "F1-B+s-binom"),
     _row("F1-Bp+s-binom", _F1, "Bp", _INC, _BIN, [], "k=0..s",
          _t(_BY, _poch("A", "k"), _F(A="k", Bp="k", C="k"), _pinv("C", "k"))),
-    _row("F1-Bp-s-binom", _F1, "Bp", _DEC, _BIN, [], "k=0..s",
-         _t(_BNY, _poch("A", "k"), _F(A="k", C="k"), _pinv("C", "k"))),
+    _Down("F1-Bp-s-binom", "F1-Bp+s-binom"),
     _row("F1-C-1-contig", _F1, "C", _DEC, _CON, _PAIRS_F1, "k=1..s", _BASE,
          _t(_X, _P("A"), _P("B"), _F(A="1", B="1", C="2-k"), _res("C", "k-1"),
             _res("C", "k")),
@@ -321,31 +340,23 @@ _TABLE = (
     _row("F2-A+s-sum", _F2, "A", _INC, _TEL, _PAIRS_F2, "k=1..s", _BASE,
          _t(_X, _P("B"), _F(A="k", B="1", C="1"), _res("C", "0")),
          _t(_Y, _F(A="k", Bp="1", Cp="1"), _P("Bp"), _res("Cp", "0"))),
-    _row("F2-A-s-sum", _F2, "A", _DEC, _TEL, _PAIRS_F2, "k=0..s-1", _BASE,
-         _t(_NX, _P("B"), _F(A="-k", B="1", C="1"), _res("C", "0")),
-         _t(_NY, _F(A="-k", Bp="1", Cp="1"), _P("Bp"), _res("Cp", "0"))),
+    _Down("F2-A-s-sum", "F2-A+s-sum"),
     _row("F2-A+s-multinom", _F2, "A", _INC, _MUL, _PAIRS_F2, "k1+k2<=s", _t(
         _M, _poch("B", "k1"), _F(A="k1+k2", B="k1", Bp="k2", C="k1", Cp="k2"),
         _poch("Bp", "k2"), _pinv("C", "k1"), _pinv("Cp", "k2"))),
-    _row("F2-A-s-multinom", _F2, "A", _DEC, _MUL, _PAIRS_F2, "k1+k2<=s", _t(
-        _MN, _poch("B", "k1"), _F(B="k1", Bp="k2", C="k1", Cp="k2"),
-        _poch("Bp", "k2"), _pinv("C", "k1"), _pinv("Cp", "k2"))),
+    _Down("F2-A-s-multinom", "F2-A+s-multinom"),
     _row("F2-B+s-sum", _F2, "B", _INC, _TEL, [("C", "Cp")], "k=1..s", _BASE,
          _t(_X, _P("A"), _F(A="1", B="k", C="1"), _res("C", "0"))),
-    _row("F2-B-s-sum", _F2, "B", _DEC, _TEL, [("C", "Cp")], "k=0..s-1", _BASE,
-         _t(_NX, _P("A"), _F(A="1", B="-k", C="1"), _res("C", "0"))),
+    _Down("F2-B-s-sum", "F2-B+s-sum"),
     _row("F2-Bp+s-sum", _F2, "Bp", _INC, _TEL, [("C", "Cp")], "k=1..s", _BASE,
          _t(_Y, _P("A"), _F(A="1", Bp="k", Cp="1"), _res("Cp", "0"))),
-    _row("F2-Bp-s-sum", _F2, "Bp", _DEC, _TEL, [("C", "Cp")], "k=0..s-1", _BASE,
-         _t(_NY, _P("A"), _F(A="1", Bp="-k", Cp="1"), _res("Cp", "0"))),
+    _Down("F2-Bp-s-sum", "F2-Bp+s-sum"),
     _row("F2-B+s-binom", _F2, "B", _INC, _BIN, [("C", "Cp")], "k=0..s",
          _t(_BX, _poch("A", "k"), _F(A="k", B="k", C="k"), _pinv("C", "k"))),
-    _row("F2-B-s-binom", _F2, "B", _DEC, _BIN, [("C", "Cp")], "k=0..s",
-         _t(_BNX, _poch("A", "k"), _F(A="k", C="k"), _pinv("C", "k"))),
+    _Down("F2-B-s-binom", "F2-B+s-binom"),
     _row("F2-Bp+s-binom", _F2, "Bp", _INC, _BIN, [("C", "Cp")], "k=0..s",
          _t(_BY, _poch("A", "k"), _F(A="k", Bp="k", Cp="k"), _pinv("Cp", "k"))),
-    _row("F2-Bp-s-binom", _F2, "Bp", _DEC, _BIN, [("C", "Cp")], "k=0..s",
-         _t(_BNY, _poch("A", "k"), _F(A="k", Cp="k"), _pinv("Cp", "k"))),
+    _Down("F2-Bp-s-binom", "F2-Bp+s-binom"),
     _row("F2-C-s-sum", _F2, "C", _DEC, _CSH, _PAIRS_F2, "k=1..s", _BASE, _t(
         _X, _P("A"), _P("B"), _F(A="1", B="1", C="2-k"), _res("C", "k"), _res("C", "k-1"))),
     _row("F2-Cp-s-sum", _F2, "Cp", _DEC, _CSH, _PAIRS_F2, "k=1..s", _BASE, _t(
@@ -353,20 +364,16 @@ _TABLE = (
         _P("Bp"))),
     _row("F3-A+s-sum", _F3, "A", _INC, _TEL, _PAIRS_F3, "k=1..s", _BASE,
          _t(_X, _P("B"), _F(A="k", B="1", C="1"), _res("C", "0"))),
-    _row("F3-A-s-sum", _F3, "A", _DEC, _TEL, _PAIRS_F3, "k=0..s-1", _BASE,
-         _t(_NX, _P("B"), _F(A="-k", B="1", C="1"), _res("C", "0"))),
+    _Down("F3-A-s-sum", "F3-A+s-sum"),
     _row("F3-Ap+s-sum", _F3, "Ap", _INC, _TEL, _PAIRS_F3, "k=1..s", _BASE,
          _t(_Y, _F(Ap="k", Bp="1", C="1"), _P("Bp"), _res("C", "0"))),
-    _row("F3-Ap-s-sum", _F3, "Ap", _DEC, _TEL, _PAIRS_F3, "k=0..s-1", _BASE,
-         _t(_NY, _F(Ap="-k", Bp="1", C="1"), _P("Bp"), _res("C", "0"))),
+    _Down("F3-Ap-s-sum", "F3-Ap+s-sum"),
     _row("F3-A+s-binom", _F3, "A", _INC, _BIN, _PAIRS_F3, "k=0..s",
          _t(_BX, _poch("B", "k"), _F(A="k", B="k", C="k"), _pinv("C", "k"))),
-    _row("F3-A-s-binom", _F3, "A", _DEC, _BIN, _PAIRS_F3, "k=0..s",
-         _t(_BNX, _poch("B", "k"), _F(B="k", C="k"), _pinv("C", "k"))),
+    _Down("F3-A-s-binom", "F3-A+s-binom"),
     _row("F3-Ap+s-binom", _F3, "Ap", _INC, _BIN, _PAIRS_F3, "k=0..s",
          _t(_BY, _F(Ap="k", Bp="k", C="k"), _poch("Bp", "k"), _pinv("C", "k"))),
-    _row("F3-Ap-s-binom", _F3, "Ap", _DEC, _BIN, _PAIRS_F3, "k=0..s",
-         _t(_BNY, _F(Bp="k", C="k"), _poch("Bp", "k"), _pinv("C", "k"))),
+    _Down("F3-Ap-s-binom", "F3-Ap+s-binom"),
     _Swap("F3-B+s-sum", "F3-A+s-sum", _F3_SWAP),
     _Swap("F3-B-s-sum", "F3-A-s-sum", _F3_SWAP),
     _Swap("F3-Bp+s-sum", "F3-Ap+s-sum", _F3_SWAP),
@@ -383,15 +390,11 @@ _TABLE = (
     _row("F4-A+s-sum", _F4, "A", _INC, _TEL, _PAIRS_F4, "k=1..s", _BASE,
          _t(_X, _P("B"), _F(A="k", B="1", C="1"), _res("C", "0")),
          _t(_Y, _P("B"), _F(A="k", B="1", Cp="1"), _res("Cp", "0"))),
-    _row("F4-A-s-sum", _F4, "A", _DEC, _TEL, _PAIRS_F4, "k=0..s-1", _BASE,
-         _t(_NX, _P("B"), _F(A="-k", B="1", C="1"), _res("C", "0")),
-         _t(_NY, _P("B"), _F(A="-k", B="1", Cp="1"), _res("Cp", "0"))),
+    _Down("F4-A-s-sum", "F4-A+s-sum"),
     _row("F4-A+s-multinom", _F4, "A", _INC, _MUL, _PAIRS_F4, "k1+k2<=s", _t(
         _M, _poch("B", "k1+k2"), _F(A="k1+k2", B="k1+k2", C="k1", Cp="k2"),
         _pinv("C", "k1"), _pinv("Cp", "k2"))),
-    _row("F4-A-s-multinom", _F4, "A", _DEC, _MUL, _PAIRS_F4, "k1+k2<=s", _t(
-        _MN, _poch("B", "k1+k2"), _F(B="k1+k2", C="k1", Cp="k2"),
-        _pinv("C", "k1"), _pinv("Cp", "k2"))),
+    _Down("F4-A-s-multinom", "F4-A+s-multinom"),
     _Swap("F4-B+s-sum", "F4-A+s-sum", _F4_SWAP),
     _Swap("F4-B-s-sum", "F4-A-s-sum", _F4_SWAP),
     _Swap("F4-B+s-multinom", "F4-A+s-multinom", _F4_SWAP),
@@ -485,16 +488,18 @@ def _render(row: _Row, names: dict[str, str], fixed: bool) -> str:
 
 
 def _build_catalog() -> tuple[tuple[IdentityDescriptor, ...], dict[str, _Row]]:
-    """Descriptors in catalog order, and the row each non-swap id evaluates."""
-    base_rows = {entry.id: entry for entry in _TABLE if isinstance(entry, _Row)}
-    descriptors, rows = [], {}
+    """Descriptors in catalog order, and the row each non-swap id evaluates.
+
+    Decrement twins are derived first: contiguous and swap entries may name
+    them, and may come before them in the table."""
+    rows = {e.id: e for e in _TABLE if isinstance(e, _Row)}
+    rows |= {e.id: _down(rows[e.of], e.id) for e in _TABLE if isinstance(e, _Down)}
+    descriptors = []
     for entry in _TABLE:
-        row = entry if isinstance(entry, _Row) else base_rows[entry.of]
+        row = rows[entry.id if isinstance(entry, (_Row, _Down)) else entry.of]
         if isinstance(entry, _Contig):
-            row = row._replace(id=entry.id, form=FORM_CONTIGUOUS)
+            row = rows[entry.id] = row._replace(id=entry.id, form=FORM_CONTIGUOUS)
         rename = dict(entry.mapping) if isinstance(entry, _Swap) else {}
-        if not rename:
-            rows[entry.id] = row
         fixed = row.form == FORM_CONTIGUOUS
         names = {n: rename.get(n, n).replace("p", "'") for n in row.kind.parameter_names}
         pairs = tuple((rename.get(a, a), rename.get(b, b)) for a, b in row.pairs)

@@ -171,10 +171,16 @@ class ParameterSet:
         return self.matrices[name]
 
     def moved(self, shifts: dict[str, int]) -> "ParameterSet":
-        """A copy with ``shifts[name] * I`` added to each named parameter."""
+        """A copy with ``shifts[name] * I`` added to each named parameter.
+
+        A name outside the kind's slots raises ValueError naming them, as the
+        constructor would.
+        """
         eye = linalg.identity(self.order)
         updated = dict(self.matrices)
         for name, amount in shifts.items():
+            if name not in updated:
+                _check_slots(self.kind, [*updated, name])
             updated[name] = updated[name] + amount * eye
         return self._unchecked(updated)
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import re
@@ -5,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from hypermat import linalg, recursions
+from hypermat import cli, linalg, recursions
 from hypermat.calculus import random_commuting_family
 from hypermat.documents import dump_document, verification_reports_to_document
 from hypermat.errors import GenerationFailed, HypothesisViolated, NotConverged, Overflow
@@ -716,6 +717,44 @@ def test_rendered_formulas_are_pinned():
         "[x*A*B*F3(A+I,A',B+I,B';C+(2-k)I)*(C-kI)^-1*(C-(k-1)I)^-1"
         " + y*A'*F3(A,A'+I,B,B'+I;C+(2-k)I)*(C-kI)^-1*(C-(k-1)I)^-1*B']"
     )
+
+
+def test_derived_decrement_rows_are_pinned():
+    # A telescoping twin: signs flip, k runs 0..s-1, A moves by -k inside.
+    assert get("G-A-s-sum").formula == (
+        "2F1(A-sI,B;C) = 2F1(A,B;C) - sum_{k=0..s-1} [x*2F1(A-kI,B+I;C+I)*B*C^-1]"
+    )
+    # A multinomial twin: -x and -y, and A leaves the inner slot.
+    assert get("F1-A-s-multinom").formula == (
+        "F1(A-sI,B,B';C) = sum_{k1+k2<=s} [M(s,k1,k2)*(-x)^k1*(-y)^k2*(B)_k1"
+        "*F1(A,B+k1I,B'+k2I;C+(k1+k2)I)*(B')_k2*(C)_{k1+k2}^-1]"
+    )
+
+
+def test_the_whole_catalog_listing_is_pinned(capsys):
+    assert cli.main(["list"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 70
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "5007c4f0b8cae9ba2c40d0e398a626234277b98f0109be1512b7319e58ddffe0"
+    )
+
+
+def test_each_decrement_recursion_is_stated_once():
+    table = recursions._TABLE
+    ids = {entry.id for entry in table}
+    written = {entry.id: entry for entry in table if isinstance(entry, recursions._Row)}
+    downs = [entry for entry in table if isinstance(entry, recursions._Down)]
+    assert (len(written), len(downs)) == (29, 20)
+    sums = (recursions.FORM_TELESCOPING, recursions.FORM_BINOMIAL, recursions.FORM_MULTINOMIAL)
+    for row in written.values():
+        if row.direction == recursions.DIRECTION_DECREMENT and row.form in sums:
+            assert row.id.replace("-s-", "+s-") not in ids, row.id
+    for entry in downs:
+        twin = written[entry.of]
+        assert twin.direction == recursions.DIRECTION_INCREMENT
+        assert twin.form in sums
+        assert entry.of == entry.id.replace("-s-", "+s-")
 
 
 def test_contiguous_rows_render_at_shift_one():

@@ -397,6 +397,14 @@ def test_renaming_onto_an_occupied_slot_is_refused():
         params.renamed({"A": "Z"})
 
 
+def test_moving_an_unknown_parameter_is_refused_by_name():
+    params = scalar_params(FunctionKind.GAUSS_2F1, {"A": 1.0, "B": 1.5, "C": 2.0})
+    with pytest.raises(ValueError, match=r"2F1 needs parameters \['A', 'B', 'C'\], got .*'Z'"):
+        params.moved({"Z": 1})
+    moved = params.moved({"A": 2, "C": -1})
+    assert moved["A"][0, 0] == 3.0 and moved["C"][0, 0] == 1.0 and moved["B"] is params["B"]
+
+
 def test_a_renamed_copy_holds_the_callers_arrays():
     params = scalar_params(FunctionKind.GAUSS_2F1, {"A": 1.0, "B": 1.5, "C": 2.0})
     copy = params.renamed({"A": "B", "B": "A"})
