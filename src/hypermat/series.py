@@ -36,10 +36,17 @@ numerator parameter and one inverse chain over those of every denominator,
 stacked parameter-major: an entry of a chain over q parameters is a
 (qb, r, r) array, and a factor's run is the zero-copy slice of its parameter's b
 members. Each turn of the degree loop forms a block of consecutive diagonals
-m + n = N for all members: one read of each chain, then per factor one
-gather of the entries of every index pair of the block and one batched
-product, left to right in exactly the printed order, then one weighting and
-a sum over m per diagonal; nothing is ever algebraically reordered. The
+m + n = N for all members: one read of each chain. A term's N-indexed
+factors before its first m- or n-indexed factor (the lead) and after its
+last (the trail) are the same for every pair of a diagonal, so by left and
+right distributivity they multiply the diagonal's weighted sum over m once:
+(A)_N for F1, F2 and F4, (B)_N for F4, (C)_N^{-1} for F1 and F3. Per factor
+of the middle there is one gather of the entries of every index pair of the
+block and one batched product, then one weighting and a sum over m per
+diagonal, then lead @ sum @ trail once per diagonal and member. Every
+product runs left to right, and no factor ever changes its place relative
+to another. 2F1 has no m- or n-indexed factor and one pair per diagonal,
+so all its factors stay in the middle, multiplied per pair as printed. The
 kernel is chosen by order. Up to order 2 a block holds up to
 calculus.CHAIN_BLOCK diagonals, the length the chains grow by, so a full
 block grows each chain once; it stops short where its pairs x members x r^2
@@ -48,10 +55,11 @@ each product is r multiply-adds over long vectors; each diagonal's sum
 starts from its own first pair, so a member's result is bitwise the same in
 any batch and any block, and from run to run, but rounds differently from a
 per-matrix BLAS product. From order 3 on a block is one diagonal, multiplied
-by ``@`` over zero-copy views of the runs, so those results keep the
-rounding of BLAS per-matrix products. A verification batches its left-hand
-side with every inner series of its right-hand side, so they share every
-product, rcond test and block inverse.
+by ``@`` over zero-copy views of the runs, with BLAS per-matrix products.
+At every order the Appell values round differently from a per-pair product
+of all the factors, while 2F1 values are bitwise that product. A
+verification batches its left-hand side with every inner series of its
+right-hand side, so they share every product, rcond test and block inverse.
 
 Series are summed diagonal by diagonal, and each member stops once three
 consecutive diagonal sums of its own fall below tol * (1 + ||partial sum||_F);
@@ -73,6 +81,7 @@ import enum
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import reduce
 from types import MappingProxyType
 
 import numpy as np
@@ -140,8 +149,8 @@ _CONSECUTIVE_SMALL = 3
 #: index pairs x members x r^2 stay within _BLOCK_ENTRIES; above it a turn is
 #: one diagonal. Order 3 stays with BLAS: the entries-first kernel is faster
 #: there too, but its rounding moved an ill-conditioned order-3 campaign
-#: trial (non-normal parameters, residual 4.1e-9 with BLAS products) past
-#: the 1e-8 campaign gate in every variant tried.
+#: trial (non-normal parameters, residual 8.7e-9 with BLAS products and the
+#: hoisted end factors) past the 1e-8 campaign gate in every variant tried.
 _BLOCK_ENTRIES = 1 << 13
 _ENTRIES_FIRST_ORDER = 2
 
@@ -297,36 +306,46 @@ def _entries_first_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_sums(runs, indices, lo: int, hi: int, rows: list, two_variable: bool):
+def _block_sums(runs, indices, middle: slice, lo: int, hi: int, rows: list, two_variable: bool):
     """Every member's diagonal sums for degrees lo..hi, one (b, r, r) stack per degree.
 
     ``runs`` holds each factor's stacked scaled chain run through entry hi,
-    and ``indices`` its index letter. The factors of every index pair of the
-    block are multiplied left to right in the printed order, weighted by
-    ``rows`` (each diagonal's weights, one per pair; 2F1's one pair (N, 0)
-    has the one weight x^N) and summed over m, diagonal by diagonal. Up to
-    order _ENTRIES_FIRST_ORDER the block holds at most calculus.CHAIN_BLOCK
+    and ``indices`` its index letter. The factors before the ``middle``
+    slice (the lead) and after it (the trail) are N-indexed, the same for
+    every index pair of a diagonal. The middle factors of every pair of the
+    block are multiplied left to right, weighted by ``rows`` (each
+    diagonal's weights, one per pair; 2F1's one pair (N, 0) has the one
+    weight x^N) and summed over m, diagonal by diagonal. Each sum is then
+    multiplied once, lead @ sum @ trail, left to right, so no factor
+    changes its place relative to another. For 2F1 lead and trail are
+    empty, so every factor is multiplied per pair. Up to order
+    _ENTRIES_FIRST_ORDER the block holds at most calculus.CHAIN_BLOCK
     diagonals, and the picked entries are laid out entries-first,
     (r, r, pairs, members), so each product is r multiply-adds over long
     vectors. Above it the block is one diagonal (lo == hi), multiplied by
     ``@`` over zero-copy views of the runs: entry N for index N, entries
     0..N for m and N..0 for n = N - m.
     """
+    lead, trail = runs[:middle.start], runs[middle.stop:]
+    factors = zip(runs[middle], indices[middle])
     if runs[0].shape[-1] > _ENTRIES_FIRST_ORDER:
         views = {"N": lambda run: run[hi], "m": lambda run: run, "n": lambda run: run[::-1]}
-        term = views[indices[0]](runs[0])
-        for run, index in zip(runs[1:], indices[1:]):
-            term = term @ views[index](run)
-        return (term * rows[0][:, np.newaxis, np.newaxis, np.newaxis]).sum(axis=0, keepdims=True)
+        term = reduce(np.matmul, (views[index](run) for run, index in factors))
+        sums = (term * rows[0][:, np.newaxis, np.newaxis, np.newaxis]).sum(axis=0)
+        lead, trail = ([run[hi] for run in part] for part in (lead, trail))
+        return reduce(np.matmul, [*lead, sums, *trail])[np.newaxis]
     picks, offsets = _pair_picks(lo, hi, two_variable)
-    term = None
-    for run, index in zip(runs, indices):
-        block = np.ascontiguousarray(run.transpose(2, 3, 0, 1))[:, :, picks[index]]
-        term = block if term is None else _entries_first_product(term, block)
+    # Gathered lazily, so only one factor's block is alive beside the product.
+    term = reduce(_entries_first_product, (
+        np.ascontiguousarray(run.transpose(2, 3, 0, 1))[:, :, picks[index]] for run, index in factors
+    ))
     term *= np.concatenate(rows)[:, np.newaxis]
     # reduceat starts each diagonal's sum from its own first pair, so a
     # member's sum depends neither on the block nor on the batch around it.
-    return np.moveaxis(np.add.reduceat(term, offsets, axis=2), (0, 1), (2, 3))
+    sums = np.add.reduceat(term, offsets, axis=2)
+    lead, trail = ([run[lo:hi + 1].transpose(2, 3, 0, 1) for run in part] for part in (lead, trail))
+    sums = reduce(_entries_first_product, [*lead, sums, *trail])
+    return np.moveaxis(sums, (0, 1), (2, 3))
 
 
 def evaluate_many(
@@ -372,6 +391,10 @@ def evaluate_many(
         j = stacked[inverse].index(name)
         factors.append((inverse, slice(j * size, (j + 1) * size)))
         indices.append(index)
+    # The middle runs from the first m- or n-indexed factor to the last; 2F1,
+    # with none, keeps every factor in it.
+    inner = [k for k, index in enumerate(indices) if index != "N"] or [0, len(indices) - 1]
+    middle = slice(inner[0], inner[-1] + 1)
     chains = {
         False: PochhammerChain.for_products([p[n] for n in stacked[False] for p in param_sets]),
         True: PochhammerChain.for_inverses([p[n] for n in stacked[True] for p in param_sets]),
@@ -416,7 +439,7 @@ def evaluate_many(
                 rows.append(row)
             held = {inverse: chain.through(hi) for inverse, chain in chains.items()}
             runs = [held[inverse][:, members] for inverse, members in factors]
-            block = _block_sums(runs, indices, lo, hi, rows, two_variable)
+            block = _block_sums(runs, indices, middle, lo, hi, rows, two_variable)
             for degree, diagonal in zip(range(lo, hi + 1), block):
                 increment[...] = diagonal
                 total += increment

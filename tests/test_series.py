@@ -229,6 +229,26 @@ def test_printed_order_is_load_bearing(kind):
         assert np.linalg.norm(moved - reference) > 10 * cfg.tol * scale
 
 
+@pytest.mark.parametrize("order", [2, 5])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_every_kernel_matches_the_printed_order_sum(kind, order):
+    # A batch of three pairwise non-commuting members, at an order of the
+    # entries-first kernel (2) and of the per-matrix kernel (5): each member
+    # matches the term-by-term printed-order sum, so multiplying a
+    # diagonal's shared N-indexed end factors once, outside its sum over m,
+    # keeps every factor in its printed place.
+    rng = np.random.default_rng(23)
+    names = kind.parameter_names
+    members = [
+        ParameterSet(kind, {name: non_commuting_matrix(rng, order) for name in names})
+        for _ in range(3)
+    ]
+    point = ORDER_POINTS[kind]
+    for member, report in zip(members, evaluate_many(members, point)):
+        reference = printed_order_sum(PRINTED_TERMS[kind.value], member.matrices, point.x, point.y)
+        assert np.linalg.norm(report.value - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
 # Each denominator with eigenvalue -2: its shift C + 2I is singular, which the
 # inverse chain meets at (C)_3^-1.
 SINGULAR_DENOMINATORS = [(kind, "C") for kind in ALL_KINDS] + [
