@@ -3,8 +3,8 @@
 Matrices are square numpy arrays of complex128, treated as immutable values.
 Downstream modules take inverses, norms, the invertibility verdict, the
 matrix exponential and the one integer-count test (``is_count``) from here;
-series, calculus and recursions call ``@``, ``np.matmul`` and ``np.einsum``
-themselves. Products are never reordered: ``a @ b`` is a*b, full stop.
+series, calculus and recursions call ``@`` and ``np.matmul`` themselves.
+Products are never reordered: ``a @ b`` is a*b, full stop.
 
 Inverses, condition numbers and eigenvalues are LAPACK through
 ``numpy.linalg``, with no order cap. Invertibility has one contract: a
@@ -15,7 +15,9 @@ stack, is factored once for its verdict and its inverse together; a matrix
 with an exact zero pivot, the zero matrix among them, reads 0.
 ``shift_inverses`` inverts a whole run of shifts base + kI in one stacked
 call, for one base or a stack of them, and reports how far each base reaches
-before its first singular shift. Frobenius norms stay finite up to the
+before its first singular shift. Frobenius norms, of one matrix
+(``frobenius_norm``) or of a whole stack viewed as rows (``row_norms``,
+which the series engine calls once per diagonal), stay finite up to the
 double range. The matrix exponential uses scaling and squaring around a
 truncated Taylor core and raises Overflow past the double range; only the
 eigenvalue iteration of ``spectrum`` raises NonConvergent.
@@ -90,6 +92,18 @@ def _rescaled_norms(rows: np.ndarray) -> np.ndarray:
     _, e = np.frexp(np.abs(rows).max(axis=1))
     scaled = np.ldexp(rows, -e[:, np.newaxis])
     return np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), e)
+
+
+def row_norms(rows: np.ndarray) -> list[float]:
+    """Euclidean norms of the rows of a real 2-D array, as floats, finite
+    up to the double range: the plain sum of squares, and the rescaled one
+    for every row once a square passes the range. A stack of complex
+    matrices viewed as float64 rows, one matrix a row, gives their Frobenius
+    norms in one call. A row past the range itself reads inf, and numpy
+    warns of that overflow unless the caller ignores it, as the series
+    engine does."""
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows)).tolist()
+    return _rescaled_norms(rows).tolist() if math.inf in norms else norms
 
 
 def frobenius_norm(m: Matrix) -> float:

@@ -30,24 +30,29 @@ x^m y^n C(m + n, m)^p: x^m y^n for F1 (p = 0), C(N, m) x^m y^n for F2
 last one's; for 2F1 it is the one weight x^N.
 
 One engine, evaluate_many, sums a batch of parameter sets of one kind and
-one order at one point; evaluate is the batch of one. A batch of b members
-grows two Pochhammer chains: one product chain over the members of every
-numerator parameter and one inverse chain over those of every denominator,
-stacked parameter-major: an entry of a chain over q parameters is a
-(qb, r, r) array, and a factor's run is the zero-copy slice of its parameter's b
-members. Each turn of the degree loop forms a block of consecutive diagonals
-m + n = N for all members: one read of each chain. A term's N-indexed
-factors before its first m- or n-indexed factor (the lead) and after its
-last (the trail) are the same for every pair of a diagonal, so by left and
-right distributivity they multiply the diagonal's weighted sum over m once:
-(A)_N for F1, F2 and F4, (B)_N for F4, (C)_N^{-1} for F1 and F3. Per factor
-of the middle there is one gather of the entries of every index pair of the
-block and one batched product, then one weighting and a sum over m per
-diagonal, then lead @ sum @ trail once per diagonal and member. Every
-product runs left to right, and no factor ever changes its place relative
-to another. 2F1 has no m- or n-indexed factor and one pair per diagonal,
-so all its factors stay in the middle, multiplied per pair as printed. The
-kernel is chosen by order. Up to order 2 a block holds up to
+one order at one point; evaluate is the batch of one. The engine is two
+parts. A generator, _diagonals, owns the chains, the blocks and the weights,
+and yields each diagonal's (b, r, r) stack of member sums in order of
+degree, with every member's denominator reach. Its one consumer,
+evaluate_many, owns the norms, the stopping rule and the member exit, and
+stops drawing once no member is left, so no later block is formed. A batch
+of b members grows two Pochhammer chains: one product chain over the members
+of every numerator parameter and one inverse chain over those of every
+denominator, stacked parameter-major: an entry of a chain over q parameters
+is a (qb, r, r) array, and a factor's run is the zero-copy slice of its
+parameter's b members. Each turn of the generator forms a block of
+consecutive diagonals m + n = N for all members: one read of each chain. A
+term's N-indexed factors before its first m- or n-indexed factor (the lead)
+and after its last (the trail) are the same for every pair of a diagonal, so
+by left and right distributivity they multiply the diagonal's weighted sum
+over m once: (A)_N for F1, F2 and F4, (B)_N for F4, (C)_N^{-1} for F1 and
+F3. Per factor of the middle there is one gather of the entries of every
+index pair of the block and one batched product, then one weighting and a
+sum over m per diagonal, then lead @ sum @ trail once per diagonal and
+member. Every product runs left to right, and no factor ever changes its
+place relative to another. 2F1 has no m- or n-indexed factor and one pair
+per diagonal, so all its factors stay in the middle, multiplied per pair as
+printed. The kernel is chosen by order. Up to order 2 a block holds up to
 calculus.CHAIN_BLOCK diagonals, the length the chains grow by, so a full
 block grows each chain once; it stops short where its pairs x members x r^2
 would pass an entry budget. Its entries are laid out entries-first so that
@@ -55,11 +60,11 @@ each product is r multiply-adds over long vectors; each diagonal's sum
 starts from its own first pair, so a member's result is bitwise the same in
 any batch and any block, and from run to run, but rounds differently from a
 per-matrix BLAS product. From order 3 on a block is one diagonal, multiplied
-by ``@`` over zero-copy views of the runs, with BLAS per-matrix products.
-At every order the Appell values round differently from a per-pair product
-of all the factors, while 2F1 values are bitwise that product. A
-verification batches its left-hand side with every inner series of its
-right-hand side, so they share every product, rcond test and block inverse.
+by ``@`` over zero-copy views of the runs, with BLAS per-matrix products. At
+every order the Appell values round differently from a per-pair product of
+all the factors, while 2F1 values are bitwise that product. A verification
+batches its left-hand side with every inner series of its right-hand side,
+so they share every product, rcond test and block inverse.
 
 Series are summed diagonal by diagonal, and each member stops once three
 consecutive diagonal sums of its own fall below tol * (1 + ||partial sum||_F);
@@ -72,7 +77,10 @@ exit builds the member's one report and decides, in this order: converged;
 the cap, NotConverged "still moving" with the partial report attached; a
 non-finite increment with a denominator reach r below the degree,
 SingularShift(r), whose ``shift`` is r + 1; otherwise NotConverged
-"overflowed". Each is the exception the member would raise alone.
+"overflowed". Each is the exception the member would raise alone. The
+reach is the one _diagonals yields with the diagonal, taken once the
+chains have grown for its block, so a member that leaves in a later block
+sees the shifts that block inverted.
 """
 
 from __future__ import annotations
@@ -144,7 +152,7 @@ _TERMS = {
 #: Truncation stops after this many consecutive small diagonals.
 _CONSECUTIVE_SMALL = 3
 
-#: At orders up to _ENTRIES_FIRST_ORDER, one turn of the degree loop forms
+#: At orders up to _ENTRIES_FIRST_ORDER, one turn of _diagonals forms
 #: up to calculus.CHAIN_BLOCK consecutive diagonals, as long as the block's
 #: index pairs x members x r^2 stay within _BLOCK_ENTRIES; above it a turn is
 #: one diagonal. Order 3 stays with BLAS: the entries-first kernel is faster
@@ -348,43 +356,20 @@ def _block_sums(runs, indices, middle: slice, lo: int, hi: int, rows: list, two_
     return np.moveaxis(sums, (0, 1), (2, 3))
 
 
-def evaluate_many(
-    param_sets: list[ParameterSet], point: EvalPoint, cfg: SeriesConfig = DEFAULT_CONFIG
-) -> list[EvalReport | Exception]:
-    """Evaluate parameter sets of one kind and one order at one point, as one batch.
+def _diagonals(param_sets: list[ParameterSet], x, y, max_degree: int):
+    """Yield (degree, stack, reach) for the degrees 0..max_degree in order.
 
-    Every numerator's members share one product chain and every
-    denominator's one inverse chain, stacked parameter-major. Each turn
-    of the degree loop forms the diagonals lo..hi of every member at once
-    (_block_sums), then walks them in order: the stopping rule is kept per
-    member and per degree, so a member that meets it inside a block is
-    frozen with its own degree's total and degrees_used, and the batch goes
-    on until no member is left. Each entry of the result is what
-    ``evaluate`` gives for that member alone, bit for bit: its EvalReport,
-    or the exception it would raise, with the same text and partial report.
-    The point's ValueError or DomainViolation comes first. After that, a
-    member leaves at one exit, which decides in order: converged;
-    NotConverged "still moving" at max_degree; SingularShift(r) (``shift``
-    r + 1) for a non-finite increment when the smallest reach r of the
-    member's denominator slots is below the degree; NotConverged
-    "overflowed" otherwise.
+    ``stack`` is the (b, r, r) sum of diagonal ``degree`` for the b members,
+    and ``reach`` each member's smallest denominator reach once the chains
+    have grown for the block that holds it. The batch grows one product
+    chain over every numerator's members and one inverse chain over every
+    denominator's, stacked parameter-major. Each turn forms a block of
+    consecutive diagonals (_block_sums) from one read of each chain, then
+    yields them in order; a consumer that stops drawing forms no later block.
     """
-    if not param_sets:
-        return []
-    kind, order = param_sets[0].kind, param_sets[0].order
-    if any(p.kind is not kind for p in param_sets):
-        raise ValueError("a batch holds parameter sets of one kind")
-    if any(p.order != order for p in param_sets):
-        raise DimensionMismatch("a batch holds parameter sets of one order")
-    try:
-        if not check_domain(kind, point) and cfg.enforce_domain:
-            raise DomainViolation(f"point ({point.x}, {point.y}) outside the {kind.value} region")
-    except (ValueError, DomainViolation) as exc:
-        return [exc] * len(param_sets)
-    size = len(param_sets)
-    # One product chain over every numerator's members and one inverse chain
-    # over every denominator's, parameter-major: a factor's members are the
-    # slots j*size .. (j+1)*size - 1 of its chain, j its parameter's place.
+    kind, order, size = param_sets[0].kind, param_sets[0].order, len(param_sets)
+    # A factor's members are the slots j*size .. (j+1)*size - 1 of its chain,
+    # j its parameter's place among the chain's parameters.
     stacked = {False: kind.numerator_names, True: kind.denominator_names}
     factors, indices = [], []
     for name, inverse, index in _TERMS[kind]:
@@ -400,16 +385,73 @@ def evaluate_many(
         True: PochhammerChain.for_inverses([p[n] for n in stacked[True] for p in param_sets]),
     }
     two_variable = kind.is_two_variable
-    label = "double series" if two_variable else "series"
-    x = complex(point.x)
-    y = complex(point.y) if two_variable else 0j
+    x, y = complex(x), complex(y) if two_variable else 0j
     # p of the weights x^m y^n C(N, m)^p: the N-indexed products minus inverses
     power = sum(-1 if inverse else 1 for _, inverse, index in _TERMS[kind] if index == "N")
     # The weights of diagonal N's pairs (m, N - m), m = 0..N; 2F1 carries x^N.
     row = np.ones(1, dtype=complex)
-    # Diagonals per turn of the degree loop, and the entries a pair costs.
+    # Diagonals per turn, and the entries a pair costs.
     diagonals = CHAIN_BLOCK if order <= _ENTRIES_FIRST_ORDER else 1
     pair_entries = size * order * order
+    lo = 0
+    while lo <= max_degree:
+        # The block lo..hi grows while its pairs stay within the budget.
+        hi, pairs = lo, (lo + 1 if two_variable else 1)
+        while hi - lo + 1 < diagonals and hi < max_degree:
+            pairs += hi + 2 if two_variable else 1
+            if pairs * pair_entries > _BLOCK_ENTRIES:
+                break
+            hi += 1
+        rows = []
+        for degree in range(lo, hi + 1):
+            if degree and two_variable:
+                # C(N, m) = C(N - 1, m) N / (N - m) for m < N, and C(N, N) = 1.
+                growth = np.arange(degree, 0, -1.0) ** -power * (y * degree**power)
+                row = np.concatenate((row * growth, row[-1:] * x))
+            elif degree:
+                row = row * x
+            rows.append(row)
+        held = {inverse: chain.through(hi) for inverse, chain in chains.items()}
+        runs = [held[inverse][:, members] for inverse, members in factors]
+        block = _block_sums(runs, indices, middle, lo, hi, rows, two_variable)
+        reach = chains[True].reach.reshape(-1, size).min(axis=0)
+        for degree, diagonal in zip(range(lo, hi + 1), block):
+            yield degree, diagonal, reach
+        lo = hi + 1
+
+
+def evaluate_many(
+    param_sets: list[ParameterSet], point: EvalPoint, cfg: SeriesConfig = DEFAULT_CONFIG
+) -> list[EvalReport | Exception]:
+    """Evaluate parameter sets of one kind and one order at one point, as one batch.
+
+    The consumer of _diagonals: it draws the batch's diagonal sums one degree
+    at a time and keeps the stopping rule per member and per degree, so a
+    member that meets it inside a block is frozen with its own degree's
+    total and degrees_used, and the batch goes on until no member is left;
+    then no further block is formed. Each entry of the result is what
+    ``evaluate`` gives for that member alone, bit for bit: its EvalReport,
+    or the exception it would raise, with the same text and partial report.
+    The point's ValueError or DomainViolation comes first. After that, a
+    member leaves at one exit, which decides in order: converged;
+    NotConverged "still moving" at max_degree; SingularShift(r) (``shift``
+    r + 1) for a non-finite increment when the smallest reach r of the
+    member's denominator slots is below the degree; NotConverged
+    "overflowed" otherwise.
+    """
+    if not param_sets:
+        return []
+    kind, order, size = param_sets[0].kind, param_sets[0].order, len(param_sets)
+    if any(p.kind is not kind for p in param_sets):
+        raise ValueError("a batch holds parameter sets of one kind")
+    if any(p.order != order for p in param_sets):
+        raise DimensionMismatch("a batch holds parameter sets of one order")
+    try:
+        if not check_domain(kind, point) and cfg.enforce_domain:
+            raise DomainViolation(f"point ({point.x}, {point.y}) outside the {kind.value} region")
+    except (ValueError, DomainViolation) as exc:
+        return [exc] * size
+    label = "double series" if kind.is_two_variable else "series"
     outcomes: list[EvalReport | Exception | None] = [None] * size
     active = list(range(size))  # members neither frozen nor failed
     small_run = [0] * size
@@ -418,57 +460,32 @@ def evaluate_many(
     sums = np.zeros((2, size, order, order), dtype=complex)
     flat = sums.reshape(2 * size, -1).view(np.float64)
     increment, total = sums
-    lo = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while active:
-            # The block lo..hi grows while its pairs stay within the budget.
-            hi, pairs = lo, (lo + 1 if two_variable else 1)
-            while hi - lo + 1 < diagonals and hi < cfg.max_degree:
-                pairs += hi + 2 if two_variable else 1
-                if pairs * pair_entries > _BLOCK_ENTRIES:
-                    break
-                hi += 1
-            rows = []
-            for degree in range(lo, hi + 1):
-                if degree and two_variable:
-                    # C(N, m) = C(N - 1, m) N / (N - m) for m < N, and C(N, N) = 1.
-                    growth = np.arange(degree, 0, -1.0) ** -power * (y * degree**power)
-                    row = np.concatenate((row * growth, row[-1:] * x))
-                elif degree:
-                    row = row * x
-                rows.append(row)
-            held = {inverse: chain.through(hi) for inverse, chain in chains.items()}
-            runs = [held[inverse][:, members] for inverse, members in factors]
-            block = _block_sums(runs, indices, middle, lo, hi, rows, two_variable)
-            for degree, diagonal in zip(range(lo, hi + 1), block):
-                increment[...] = diagonal
-                total += increment
-                norms = np.sqrt(np.einsum("ij,ij->i", flat, flat)).tolist()
-                if math.inf in norms:
-                    norms = linalg._rescaled_norms(flat).tolist()
-                for i in list(active):
-                    last = norms[i]
-                    small_run[i] = small_run[i] + 1 if last <= cfg.tol * (1.0 + norms[size + i]) else 0
-                    finite = math.isfinite(last)
-                    converged = finite and small_run[i] >= _CONSECUTIVE_SMALL
-                    if finite and not converged and degree != cfg.max_degree:
-                        continue
-                    active.remove(i)
-                    report = EvalReport(total[i].copy(), degree, last, converged)
-                    # Past a singular shift C + rI every entry of the chain is NaN,
-                    # so the increment is first NaN at degree r + 1.
-                    reach = chains[True].reach[i::size].min()
-                    if converged:
-                        outcomes[i] = report
-                    elif finite:
-                        outcomes[i] = NotConverged(f"{label} still moving at degree {degree}", report)
-                    elif reach < degree:
-                        outcomes[i] = SingularShift(int(reach))
-                    else:
-                        outcomes[i] = NotConverged(f"{label} overflowed at degree {degree}", report)
-                if not active:
-                    break
-            lo = hi + 1
+        for degree, diagonal, reach in _diagonals(param_sets, point.x, point.y, cfg.max_degree):
+            increment[...] = diagonal
+            total += increment
+            norms = linalg.row_norms(flat)
+            for i in list(active):
+                last = norms[i]
+                small_run[i] = small_run[i] + 1 if last <= cfg.tol * (1.0 + norms[size + i]) else 0
+                finite = math.isfinite(last)
+                converged = finite and small_run[i] >= _CONSECUTIVE_SMALL
+                if finite and not converged and degree != cfg.max_degree:
+                    continue
+                active.remove(i)
+                report = EvalReport(total[i].copy(), degree, last, converged)
+                # Past a singular shift C + rI every entry of the chain is NaN,
+                # so the increment is first NaN at degree r + 1.
+                if converged:
+                    outcomes[i] = report
+                elif finite:
+                    outcomes[i] = NotConverged(f"{label} still moving at degree {degree}", report)
+                elif reach[i] < degree:
+                    outcomes[i] = SingularShift(int(reach[i]))
+                else:
+                    outcomes[i] = NotConverged(f"{label} overflowed at degree {degree}", report)
+            if not active:
+                break
     return outcomes
 
 

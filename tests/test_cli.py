@@ -233,6 +233,16 @@ def test_eval_unreadable_document_exit_one(text, prefix, tmp_path, capsys):
     assert line.startswith(prefix)
 
 
+def test_eval_deeply_nested_document_is_one_parse_error_line(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    code = main(["eval", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"parse error: {path}: invalid JSON: nested too deeply"]
+
+
 def test_verify_writes_deterministic_reports(tmp_path, capsys):
     args = [
         "verify",

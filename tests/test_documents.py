@@ -163,6 +163,16 @@ def test_document_that_is_not_utf8(tmp_path):
     assert "\n" not in str(caught.value)
 
 
+def test_document_nested_past_the_recursion_limit(tmp_path):
+    # json.load recurses once per bracket, so nesting this deep raises
+    # RecursionError inside the decoder; it reads as one parse error.
+    path = tmp_path / "doc.json"
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    with pytest.raises(ParseError) as caught:
+        load_evaluation_document(str(path))
+    assert str(caught.value) == f"{path}: invalid JSON: nested too deeply"
+
+
 def test_entries_keep_their_signed_zeros():
     doc = gauss_document()
     doc["matrices"]["A"] = [[[-0.0, -0.0]]]

@@ -223,6 +223,23 @@ def test_frobenius_norm_past_the_square_root_of_the_double_range(scale, recwarn)
     assert linalg.frobenius_norm(small) == float(np.linalg.norm(small))
 
 
+def test_row_norms_of_a_stack_are_its_frobenius_norms_up_to_the_double_range(recwarn):
+    # A stack viewed as float64 rows, one matrix a row: the plain sum of
+    # squares while every square is finite, the rescaled one for every row
+    # once one square passes the range, and inf only past the range itself.
+    m = np.array([[3.0, 4.0j], [0.0, -12.0]])
+    stack = np.stack([m, 2 * m, m * 1e200, np.full((2, 2), 1e308 + 1e308j)])
+    rows = stack.reshape(len(stack), -1).view(np.float64)
+    plain = linalg.row_norms(rows[:2])
+    assert plain == np.sqrt(np.einsum("ij,ij->i", rows[:2], rows[:2])).tolist() == [13.0, 26.0]
+    rescaled = linalg.row_norms(rows[:3])
+    assert rescaled == pytest.approx([13.0, 26.0, 13.0e200], rel=1e-15)
+    assert all(type(norm) is float for norm in rescaled)
+    assert not recwarn.list
+    with np.errstate(over="ignore"):
+        assert linalg.row_norms(rows)[3] == math.inf
+
+
 def test_mat_exp_zero():
     assert np.array_equal(linalg.mat_exp(linalg.zeros(3)), linalg.identity(3))
 

@@ -531,6 +531,31 @@ def test_batch_members_fail_alone(kind):
         assert_same_report(batch[index], evaluate(members[index], point, cfg))
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_singular_members_keep_their_own_reach_across_blocks(kind):
+    # At order 2 a block is CHAIN_BLOCK diagonals, and the inverse chain grows
+    # once per block. C + 2I stops one member in block 0; C + 10I stops the
+    # other in block 1, whose reach is known only once the chain has grown
+    # again for that block. Read before that growth, it would be 8, not 10.
+    assert (3 // CHAIN_BLOCK, 11 // CHAIN_BLOCK) == (0, 1)
+    rng = np.random.default_rng(27)
+    names = kind.parameter_names
+    plain = ParameterSet(kind, {name: non_commuting_matrix(rng, 2) for name in names})
+    members = [
+        ParameterSet(kind, {**plain.matrices, "C": np.diag([-2.0, 1.5]).astype(complex)}),
+        ParameterSet(kind, {**plain.matrices, "C": np.diag([-10.0, 1.5]).astype(complex)}),
+        plain,
+    ]
+    point = ORDER_POINTS[kind]
+    batch = evaluate_many(members, point)
+    assert [getattr(outcome, "shift", None) for outcome in batch] == [3, 11, None]
+    for member, outcome in zip(members[:2], batch[:2]):
+        alone = raised(member, point, DEFAULT_CONFIG)
+        assert (type(outcome), str(outcome)) == (type(alone), str(alone))
+    assert batch[2].converged
+    assert_same_report(batch[2], evaluate(plain, point))
+
+
 # Points near each region's edge, where every kind is still moving at degree 21
 # and no kind converges before degree 11.
 EDGE_POINTS = {
