@@ -215,25 +215,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    rows = [
-        (
-            d.id,
-            d.kind.value,
-            d.shifted_parameter,
-            d.direction,
-            d.form,
-            d.hypotheses,
-            d.formula,
-        )
+    rows = [("id", "function", "parameter", "direction", "form", "hypotheses", "reference")]
+    rows += [
+        (d.id, d.kind.value, d.shifted_parameter, d.direction, d.form, d.hypotheses, d.formula)
         for d in catalog()
     ]
-    headers = ("id", "function", "parameter", "direction", "form", "hypotheses", "reference")
-    widths = [
-        max(len(headers[col]), max(len(row[col]) for row in rows))
-        for col in range(len(headers) - 1)
-    ]
-    line = "  ".join(h.ljust(w) for h, w in zip(headers[:-1], widths))
-    print(f"{line}  {headers[-1]}")
+    widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]) - 1)]
     for row in rows:
         body = "  ".join(cell.ljust(w) for cell, w in zip(row[:-1], widths))
         print(f"{body}  {row[-1]}")

@@ -146,6 +146,8 @@ def load_evaluation_document(path: str, expected_kind: str | None = None) -> Eva
         raise ParseError(
             path, f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ParseError(path, f"invalid JSON: {exc}") from exc
     except RecursionError as exc:  # brackets or braces nested past the interpreter's depth
         raise ParseError(path, "invalid JSON: nested too deeply") from exc
     return parse_evaluation_document(payload, expected_kind)

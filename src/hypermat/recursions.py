@@ -83,8 +83,9 @@ class IdentityDescriptor:
     ``direction`` (all shifts by 0..s of the moved parameter, in the moving
     direction). ``formula`` and ``hypotheses`` are plain-text renderings of
     the term table, used in listings. ``swap_of``/``swap_map`` mark entries
-    realized by argument transposition of another entry. Contiguous entries
-    carry ``fixed_shift = 1``; campaign shift counts do not apply to them.
+    realized by argument transposition of another entry. A contiguous entry
+    (``form`` FORM_CONTIGUOUS) is a single step by its form, so it caps every
+    shift count at 1; campaign shift counts do not apply to it.
     """
 
     id: str
@@ -96,7 +97,6 @@ class IdentityDescriptor:
     formula: str
     swap_of: str | None = None
     swap_map: tuple[tuple[str, str], ...] | None = None
-    fixed_shift: int | None = None
     hypotheses: str = ""
 
     def effective_shift(self, s: int) -> int:
@@ -110,9 +110,7 @@ class IdentityDescriptor:
             raise ValueError(f"shift count must be an integer, got {s!r}")
         if s < 0:
             raise ValueError("shift count must be nonnegative")
-        if self.fixed_shift is None:
-            return int(s)
-        return min(self.fixed_shift, int(s))
+        return min(1, int(s)) if self.form == FORM_CONTIGUOUS else int(s)
 
 
 @dataclass(eq=False)
@@ -490,15 +488,16 @@ def _render(row: _Row, names: dict[str, str], fixed: bool) -> str:
 def _build_catalog() -> tuple[tuple[IdentityDescriptor, ...], dict[str, _Row]]:
     """Descriptors in catalog order, and the row each non-swap id evaluates.
 
-    Decrement twins are derived first: contiguous and swap entries may name
-    them, and may come before them in the table."""
+    Every derived row is built before any descriptor, decrement twins first:
+    contiguous and swap entries may name them, and may come before them in
+    the table."""
     rows = {e.id: e for e in _TABLE if isinstance(e, _Row)}
     rows |= {e.id: _down(rows[e.of], e.id) for e in _TABLE if isinstance(e, _Down)}
+    rows |= {e.id: rows[e.of]._replace(id=e.id, form=FORM_CONTIGUOUS)
+             for e in _TABLE if isinstance(e, _Contig)}
     descriptors = []
     for entry in _TABLE:
-        row = rows[entry.id if isinstance(entry, (_Row, _Down)) else entry.of]
-        if isinstance(entry, _Contig):
-            row = rows[entry.id] = row._replace(id=entry.id, form=FORM_CONTIGUOUS)
+        row = rows[entry.of if isinstance(entry, _Swap) else entry.id]
         rename = dict(entry.mapping) if isinstance(entry, _Swap) else {}
         fixed = row.form == FORM_CONTIGUOUS
         names = {n: rename.get(n, n).replace("p", "'") for n in row.kind.parameter_names}
@@ -513,7 +512,6 @@ def _build_catalog() -> tuple[tuple[IdentityDescriptor, ...], dict[str, _Row]]:
             formula=_render(row, names, fixed),
             swap_of=entry.of if rename else None,
             swap_map=entry.mapping if rename else None,
-            fixed_shift=1 if fixed else None,
             hypotheses="; ".join(hypotheses),
         ))
     if len({d.id for d in descriptors}) != len(descriptors):
@@ -564,16 +562,13 @@ def check_hypotheses(d: IdentityDescriptor, params: ParameterSet, s: int) -> boo
 
 
 def _prepare(d: IdentityDescriptor, params: ParameterSet, s: int, enforce_hypotheses: bool):
-    """Check s and the hypotheses, then follow a swap: (effective shift, row to
-    interpret, parameter set in that row's slots)."""
-    if params.kind is not d.kind:
-        raise ValueError(f"parameter set is for {params.kind.value}, not {d.kind.value}")
-    s_eff = d.effective_shift(s)
-    if enforce_hypotheses and not check_hypotheses(d, params, s_eff):
+    """Check the kind, s and, when enforced, the hypotheses, then follow a
+    swap: (effective shift, row to interpret, parameter set in that row's
+    slots)."""
+    if not check_hypotheses(d, params, s) and enforce_hypotheses:
         raise HypothesisViolated(f"hypotheses of {d.id} fail on these parameters")
-    if d.swap_of is None:
-        return s_eff, _ROWS[d.id], params
-    return s_eff, _ROWS[d.swap_of], params.renamed(dict(d.swap_map))
+    row_params = params.renamed(dict(d.swap_map)) if d.swap_map else params
+    return d.effective_shift(s), _ROWS[d.swap_of or d.id], row_params
 
 
 def _atoms(params: ParameterSet, plan) -> dict[tuple[str, str, int], Matrix]:

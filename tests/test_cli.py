@@ -130,7 +130,10 @@ def test_out_of_range_arguments_exit_one(args, tmp_path, capsys):
     assert len(captured.err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("args", [["verify", "--trials", "abc"], ["verify", "--orders", "x"], ["eval"]])
+@pytest.mark.parametrize(
+    "args",
+    [["verify", "--trials", "abc"], ["verify", "--orders", "x"], ["verify", "--orders", " "], ["eval"]],
+)
 def test_malformed_arguments_are_one_line_and_exit_one(args, capsys):
     with pytest.raises(SystemExit) as exc:
         main(args)
@@ -218,9 +221,14 @@ def test_verify_unknown_ids_on_one_line(capsys):
             b' "B": [[[1, 0]]], "C": [[[2, 0]]]}, "point": {"x": [0.5, 0]}}',
             "parse error: matrices.A[0][0]: entries must be finite",
         ),
+        (
+            b'{"kind": "2F1", "order": 1, "matrices": {"A": [[[' + b"9" * 5000 + b', 0]]],'
+            b' "B": [[[1, 0]]], "C": [[[2, 0]]]}, "point": {"x": [0.5, 0]}}',
+            "parse error: ",
+        ),
         (b"\xff\xfe{}", "parse error: "),
     ],
-    ids=["integer-past-the-double-range", "not-utf-8"],
+    ids=["integer-past-the-double-range", "integer-past-the-digit-limit", "not-utf-8"],
 )
 def test_eval_unreadable_document_exit_one(text, prefix, tmp_path, capsys):
     path = tmp_path / "doc.json"

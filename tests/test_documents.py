@@ -163,6 +163,25 @@ def test_document_that_is_not_utf8(tmp_path):
     assert "\n" not in str(caught.value)
 
 
+def test_json_syntax_error_is_positioned(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{"kind": "2F1",,}', encoding="utf-8")
+    with pytest.raises(ParseError) as caught:
+        load_evaluation_document(str(path))
+    assert str(caught.value).startswith(f"{path}: invalid JSON at line 1, column 16: ")
+
+
+def test_integer_literal_past_the_digit_limit(tmp_path):
+    # Python caps int() of a decimal string at 4300 digits by default, and
+    # json then raises a plain ValueError; on an interpreter without the cap
+    # the entry is not finite. Either way the document fails to parse.
+    path = tmp_path / "doc.json"
+    doc = json.dumps(gauss_document()).replace("[[[1.0, 0.0]]]", "[[[" + "9" * 5000 + ", 0]]]", 1)
+    path.write_text(doc, encoding="utf-8")
+    with pytest.raises(ParseError):
+        load_evaluation_document(str(path))
+
+
 def test_document_nested_past_the_recursion_limit(tmp_path):
     # json.load recurses once per bracket, so nesting this deep raises
     # RecursionError inside the decoder; it reads as one parse error.

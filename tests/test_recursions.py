@@ -14,6 +14,7 @@ from hypermat.errors import SingularMatrix
 from hypermat.errors import SingularShift
 from hypermat.errors import UnknownIdentity
 from hypermat.recursions import (
+    FORM_CONTIGUOUS,
     catalog,
     check_hypotheses,
     draw_family,
@@ -299,6 +300,15 @@ def test_campaign_rejects_an_order_below_one_before_any_trial(monkeypatch):
     assert calls == []
 
 
+def test_campaign_rejects_an_empty_pool_before_any_trial(monkeypatch):
+    calls = []
+    monkeypatch.setattr(recursions, "verify_identity", lambda *args, **kw: calls.append(args))
+    for pools in ({"orders": ()}, {"s_values": ()}):
+        with pytest.raises(ValueError, match="must be non-empty"):
+            run_campaign(trials=2, **pools)
+    assert calls == []
+
+
 def test_campaign_rejects_an_infinite_campaign_tol_before_any_trial(monkeypatch):
     calls = []
     monkeypatch.setattr(recursions, "verify_identity", lambda *args, **kw: calls.append(args))
@@ -546,6 +556,8 @@ def test_parameter_set_of_another_kind_is_rejected():
     d = get("F1-A+s-sum")
     params = scal_params(FunctionKind.GAUSS_2F1, {"A": 1.3, "B": 1.7, "C": 2.2})
     point = EvalPoint(0.2, 0.1)
+    with pytest.raises(ValueError, match="parameter set is for 2F1"):
+        check_hypotheses(d, params, 1)
     for enforce in (True, False):
         with pytest.raises(ValueError, match="parameter set is for 2F1"):
             eval_rhs(d, params, 1, point, enforce_hypotheses=enforce)
@@ -758,7 +770,7 @@ def test_each_decrement_recursion_is_stated_once():
 
 
 def test_contiguous_rows_render_at_shift_one():
-    contiguous = [d for d in catalog() if d.fixed_shift is not None]
+    contiguous = [d for d in catalog() if d.form == FORM_CONTIGUOUS]
     assert len(contiguous) == 6
     for d in catalog():
         bound = "k<=1" if d in contiguous else "k<=s"
