@@ -15,16 +15,19 @@ product, and folded in one at a time. A chain holds one base or a stack of
 bases; the series engine stacks the members of all numerator parameters of
 a batch in one product chain and those of all denominators in one inverse
 chain. Reading a run never raises for a singular shift C + kI: the member's
-entries past k are NaN. One checked read, ``at(n)``, hands out entry n and
-raises SingularShift(k), with ``shift`` k + 1, when n is past the smallest
-such k; product(n), inverse(n), gamma_limit and the recursions' coefficients
-all read through it, and only the series engine, whose members exit one by
-one, decides a member's singular shift itself. An index is an int or a
-numpy integer (``linalg.is_count``); a float or a bool is refused with
-ValueError. This module also provides the limit formula for the gamma
-function of a positive stable matrix, read off the scaled inverse chain, and
-a generator of families of simultaneously diagonalized (hence commuting)
-parameter matrices.
+entries past k are NaN. One checked read of a chain, ``at(n)``, hands out
+entry n; the recursions' coefficients read through it, and only the series
+engine, whose members exit one by one, decides a member's singular shift
+itself. A reader of a single entry, pochhammer, pochhammer_inverse and
+gamma_limit, keeps no run: it builds the entry's n factors in one stacked
+call and multiplies them as a balanced product tree, ceil(log2 n) stacked
+products where a chain makes n. Both checked reads share one verdict: entry
+n raises SingularShift(k), with ``shift`` k + 1, when n is past the smallest
+singular k. An index is an int or a numpy integer (``linalg.is_count``); a
+float or a bool is refused with ValueError. This module also provides the
+limit formula for the gamma function of a positive stable matrix, read off
+one scaled inverse entry, and a generator of families of simultaneously
+diagonalized (hence commuting) parameter matrices.
 """
 
 from __future__ import annotations
@@ -70,6 +73,35 @@ def _factorial_chunks(n: int):
     yield float(chunk)
 
 
+def _require_index(n) -> None:
+    """ValueError unless n is a nonnegative int or numpy integer (no bool)."""
+    if not linalg.is_count(n) or n < 0:
+        raise ValueError("Pochhammer index must be a nonnegative integer")
+
+
+def _scaled_factors(base: np.ndarray, shifts: np.ndarray, inverse: bool):
+    """The factors (A + kI)/(k+1), or for ``inverse`` (k+1)(A + kI)^{-1}, over
+    the shifts k in one stacked call, and for inverses each member's reach
+    (``linalg.shift_inverses``; None for products)."""
+    scale = (shifts + 1.0).reshape((-1,) + (1,) * base.ndim)
+    if not inverse:
+        factors = linalg.shifted(base, shifts)
+        factors *= 1.0 / scale
+        return factors, None
+    factors, reach = linalg.shift_inverses(base, shifts)
+    factors *= scale
+    return factors, reach
+
+
+def _check_reach(n: int, reach: np.ndarray) -> None:
+    """The one singular-shift verdict of a checked read of entry n: raises
+    SingularShift(k) for the smallest reach k among the members when n is
+    past it, since entry n needs the singular shift base + kI."""
+    k = int(reach.min())
+    if n > k:
+        raise SingularShift(k)
+
+
 class PochhammerChain:
     """Grow-only cache of the factorial-scaled run of (A)_k or of (A)_k^{-1}.
 
@@ -78,14 +110,14 @@ class PochhammerChain:
     unscaled (A)_k grows like k!. The run is one contiguous (k, ...) buffer,
     and through(n) hands out its first n + 1 entries as one view, so a series
     can slice a whole run of indices at once; at(n) hands out entry n, and
-    product(n) and inverse(n) unscale it to (A)_n and (A)_n^{-1}. The base
-    is one matrix or a stack of b members, which may be the members of
-    several parameters; a stack keeps (k, b, r, r) entries whose members
-    share every batched product, rcond test and block inverse. Each member
-    is multiplied and inverted on its own, so its run is bitwise that of its
-    base's chain alone. A singular shift is only recorded, as the member's
-    ``reach``, and the entries past it read as NaN; ``at`` turns it into
-    SingularShift.
+    product(n) and inverse(n), which no package code calls, unscale it to
+    (A)_n and (A)_n^{-1}. The base is one matrix or a stack of b members,
+    which may be the members of several parameters; a stack keeps
+    (k, b, r, r) entries whose members share every batched product, rcond
+    test and block inverse. Each member is multiplied and inverted on its
+    own, so its run is bitwise that of its base's chain alone. A singular
+    shift is only recorded, as the member's ``reach``, and the entries past
+    it read as NaN; ``at`` turns it into SingularShift.
     Confined to a single evaluation; not thread safe.
     """
 
@@ -133,19 +165,13 @@ class PochhammerChain:
         An n that is not a nonnegative int or numpy integer, a bool among
         them, raises ValueError.
         """
-        if not linalg.is_count(n) or n < 0:
-            raise ValueError("Pochhammer index must be a nonnegative integer")
+        _require_index(n)
         products = self.reach is None
         if n >= self._size:
             k = self._size - 1
             shifts = np.arange(k, k + max(n - k, CHAIN_BLOCK))
-            scale = (shifts + 1.0).reshape((-1,) + (1,) * self.base.ndim)
-            if products:
-                factors = linalg.shifted(self.base, shifts)
-                factors *= 1.0 / scale
-            else:
-                factors, reach = linalg.shift_inverses(self.base, shifts)
-                factors *= scale
+            factors, reach = _scaled_factors(self.base, shifts, inverse=not products)
+            if not products:
                 self.reach = np.where(self.reach < k, self.reach, k + reach)
             size = self._size + len(shifts)
             if size > len(self._run):
@@ -169,10 +195,11 @@ class PochhammerChain:
         singular shift.
         """
         run = self.through(n)
-        if self.reach is not None and n > self.reach.min():
-            raise SingularShift(int(self.reach.min()))
+        if self.reach is not None:
+            _check_reach(n, self.reach)
         return run[n]
 
+    # Unused by the package; kept because perfbench/tracer.py patches product and inverse by name.
     def product(self, n: int) -> np.ndarray:
         """(A)_n, extending the run as needed."""
         if self.reach is not None:
@@ -186,36 +213,63 @@ class PochhammerChain:
         return functools.reduce(np.divide, _factorial_chunks(n), self.at(n))
 
 
+def _scaled_entry(base: Matrix, n: int, inverse: bool) -> Matrix:
+    """(A)_n / n! or, for ``inverse``, n! (A)_n^{-1} of one base, as a product tree.
+
+    The n factors (A + kI)/(k+1) or (k+1)(A + kI)^{-1} are built in one
+    stacked call, as a chain builds a block, and stay near unit scale. Each
+    round multiplies adjacent pairs with one stacked ``@`` and carries an odd
+    leftover to the next, so the product takes ceil(log2 n) calls, and its
+    rounding grows like log n rather than n. Products ascend,
+    A (A + I) ... (A + (n-1)I); inverses descend,
+    (A + (n-1)I)^{-1} ... A^{-1}. n = 0 gives I. The index check and the
+    singular-shift verdict are those of ``PochhammerChain.at``.
+    """
+    _require_index(n)
+    if n == 0:
+        return linalg.identity(base.shape[-1])
+    factors, reach = _scaled_factors(base, np.arange(n), inverse)
+    if inverse:
+        _check_reach(n, reach)
+        factors = factors[::-1]
+    while len(factors) > 1:
+        paired = factors[:-1:2] @ factors[1::2]
+        factors = np.concatenate((paired, factors[-1:])) if len(factors) % 2 else paired
+    return factors[0]
+
+
 def pochhammer(a: Matrix, n: int) -> Matrix:
     """The ordered product (a)_n; identity for n = 0."""
-    return PochhammerChain.for_products(a).product(n)
+    entry = _scaled_entry(linalg.as_matrix(a), n, inverse=False)
+    return functools.reduce(np.multiply, _factorial_chunks(n), entry)
 
 
 def pochhammer_inverse(a: Matrix, n: int) -> Matrix:
-    """(a)_n^{-1} built through an inverse chain."""
-    return PochhammerChain.for_inverses(a).inverse(n)
+    """(a)_n^{-1}; SingularShift(k) when a shift a + kI with k < n is singular."""
+    entry = _scaled_entry(linalg.as_matrix(a), n, inverse=True)
+    return functools.reduce(np.divide, _factorial_chunks(n), entry)
 
 
 def gamma_limit(a: Matrix, n: int) -> Matrix:
     """Gamma function of a positive stable matrix via the factorial limit.
 
     Returns (n-1)! (A)_n^{-1} n^A for the given n, read as n! (A)_n^{-1} / n
-    from the factorial-scaled inverse chain, which stays near unit scale
-    where a naive (n-1)! overflows long before the interesting n. The power
-    n^A is exp(ln(n) A). Raises ValueError for an n that is not a positive
-    integer or an A that is not positive stable: a count below 1 reads "n
-    must be positive", and anything that is not a count (a bool, a float, a
-    string) is left to the chain's index check. Raises SingularShift(k) from
-    ``PochhammerChain.at`` when the shift A + kI with k < n is singular (its
-    ``shift`` is k + 1, as for every chain), and Overflow when n^A or the
-    product leaves the double range.
+    from one factorial-scaled entry, which stays near unit scale where a
+    naive (n-1)! overflows long before the interesting n; its n factors are
+    multiplied as a balanced product tree. The power n^A is exp(ln(n) A).
+    Raises ValueError for an n that is not a positive integer or an A that
+    is not positive stable: a count below 1 reads "n must be positive", and
+    anything that is not a count (a bool, a float, a string) is left to the
+    entry's index check. Raises SingularShift(k) when the shift A + kI with
+    k < n is singular (its ``shift`` is k + 1, as for every chain), and
+    Overflow when n^A or the product leaves the double range.
     """
     a = linalg.as_matrix(a)
     if linalg.is_count(n) and n < 1:
         raise ValueError("n must be positive")
     if not linalg.is_positive_stable(a):
         raise ValueError("gamma limit requires a positive stable matrix")
-    result = PochhammerChain.for_inverses(a).at(n) / n @ linalg.mat_exp(math.log(n) * a)
+    result = _scaled_entry(a, n, inverse=True) / n @ linalg.mat_exp(math.log(n) * a)
     if not np.isfinite(result).all():
         raise Overflow("gamma limit accumulation overflowed")
     return result

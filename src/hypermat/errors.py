@@ -21,11 +21,13 @@ class SingularShift(SingularMatrix):
     ``SingularShift(k)`` reads "base + k*I is singular", and ``shift`` is
     k + 1, the Pochhammer index n of the first (P)_n^-1 that needs the
     singular P + kI (3 for a singular C + 2I, 1 when P itself is singular).
-    It is built in two places: ``calculus.PochhammerChain.at``, the checked
-    read behind ``inverse``, ``gamma_limit`` and the recursions'
-    coefficients, and the member exit of the series engine. A singular
-    C - kI of the recursions is a plain SingularMatrix. ``args`` is (k,), so
-    a copy or an unpickled error is built again from it.
+    It is built in two places: ``calculus._check_reach``, the one verdict of
+    the checked reads of a single entry (``PochhammerChain.at``, behind the
+    recursions' coefficients, and the product tree behind ``gamma_limit``,
+    ``pochhammer`` and ``pochhammer_inverse``), and the member exit of the
+    series engine. A singular C - kI of the recursions is a plain
+    SingularMatrix. ``args`` is (k,), so a copy or an unpickled error is
+    built again from it.
     """
 
     def __init__(self, k: int):

@@ -427,18 +427,73 @@ def test_gamma_limit_error_shrinks_with_n():
     assert err_2n < err_n
 
 
-def test_gamma_limit_above_order_eight():
+def _lifted_finite_gamma(p, spectrum, n):
+    """(n-1)! (A)_n^-1 n^A by mpmath on each eigenvalue, lifted by P."""
     mpmath = pytest.importorskip("mpmath")
-    p, spectrum, a = well_conditioned_member(12, seed=12)
-    n = 250
     mpmath.mp.dps = 30
     finite = [
         complex(mpmath.gamma(n) * mpmath.gamma(z) * mpmath.power(n, z) / mpmath.gamma(z + n))
         for z in map(mpmath.mpc, spectrum)
     ]
-    expected = p @ np.diag(finite) @ np.linalg.inv(p)
-    value = gamma_limit(a, n)
+    return p @ np.diag(finite) @ np.linalg.inv(p)
+
+
+def test_gamma_limit_above_order_eight():
+    p, spectrum, a = well_conditioned_member(12, seed=12)
+    expected = _lifted_finite_gamma(p, spectrum, 250)
+    value = gamma_limit(a, 250)
     assert np.linalg.norm(value - expected) <= 1e-5 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 8])
+def test_gamma_limit_stays_within_the_gate_of_the_finite_formula(order):
+    # The reference is mpmath's finite-n value, not a sequential fold: n^A
+    # amplifies rounding, so two product orders give gamma values up to about
+    # 1e-6 apart while their scaled entries agree to 1e-14.
+    p, spectrum, a = well_conditioned_member(order, seed=50 + order)
+    for n in (250, 1000):
+        expected = _lifted_finite_gamma(p, spectrum, n)
+        value = gamma_limit(a, n)
+        assert np.linalg.norm(value - expected) <= 1e-5 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 8])
+def test_one_entry_tree_agrees_with_the_chain(order):
+    # The same factors in another association: a balanced tree against the
+    # chain's one-at-a-time fold.
+    _, _, a = well_conditioned_member(order, seed=30 + order)
+    for inverse, build in ((False, PochhammerChain.for_products), (True, PochhammerChain.for_inverses)):
+        chain = build(a)
+        for n in (0, 1, 2, 3, 7, 8, 9, 250, 1000):
+            expected = chain.at(n)
+            entry = calculus._scaled_entry(a, n, inverse)
+            assert np.linalg.norm(entry - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_one_entry_tree_raises_the_singular_shift_of_at():
+    c = _with_eigenvalue_minus_five()
+    for n in range(6):  # entry n needs the shifts below n only
+        assert np.isfinite(calculus._scaled_entry(c, n, inverse=True)).all()
+        assert np.isfinite(pochhammer_inverse(c, n)).all()
+    for n in (6, 7, 30):
+        with pytest.raises(SingularShift) as tree:
+            calculus._scaled_entry(c, n, inverse=True)
+        with pytest.raises(SingularShift) as chain:
+            PochhammerChain.for_inverses(c).at(n)
+        raised = [(str(err.value), err.value.shift) for err in (tree, chain)]
+        assert raised[0] == raised[1] == ("base + 5*I is singular", 6)
+
+
+@pytest.mark.parametrize("n", [True, False, 2.0, 2.5, "3", -1])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_one_entry_tree_refuses_an_index_as_at_does(n, inverse):
+    a = _non_normal_with_eigenvalue(0.7)
+    build = PochhammerChain.for_inverses if inverse else PochhammerChain.for_products
+    with pytest.raises(ValueError) as chain:
+        build(a).at(n)
+    with pytest.raises(ValueError) as tree:
+        calculus._scaled_entry(a, n, inverse)
+    assert str(tree.value) == str(chain.value) == "Pochhammer index must be a nonnegative integer"
 
 
 def test_gamma_limit_singular_shift_names_the_matrix():
