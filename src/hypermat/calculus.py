@@ -57,7 +57,7 @@ _GENERATION_ATTEMPTS = 100
 #: least three diagonals and most need 15 to 40, so shorter blocks would pay
 #: the fixed cost of a batched call (rcond test, inverse, shift stack) per index.
 #: This is the one block length: the series engine forms up to this many
-#: diagonals per turn at orders 1-2, so a full turn grows each chain once.
+#: diagonals per turn at orders 1-3, so a full turn grows each chain once.
 CHAIN_BLOCK = 8
 
 

@@ -146,10 +146,16 @@ _INDEX_ATOM = r"(\d+|k[12]?)"
 _INDEX = re.compile(rf"-?{_INDEX_ATOM}([+-]{_INDEX_ATOM})*")
 
 
+@functools.cache
+def _signed_atoms(text: str) -> tuple[tuple[int, str], ...]:
+    """The (sign, atom) terms of an index text, parsed once per distinct text."""
+    return tuple((int(sign + "1"), a) for sign, a in re.findall(rf"([+-]?){_INDEX_ATOM}", text))
+
+
 def _at(text: str | None, env: dict[str, int]) -> int:
     """The value of an index at the index values ``env``; no index is 0."""
-    terms = re.findall(rf"([+-]?){_INDEX_ATOM}", text or "0")
-    return sum(int(sign + "1") * (int(a) if a.isdigit() else env[a]) for sign, a in terms)
+    terms = _signed_atoms(text or "0")
+    return sum(sign * (int(a) if a.isdigit() else env[a]) for sign, a in terms)
 
 
 class _Weight(NamedTuple):
@@ -753,25 +759,31 @@ def draw_point(kind: FunctionKind, rng: random.Random) -> EvalPoint:
 def draw_family(
     d: IdentityDescriptor, order: int, s_eff: int, rng: random.Random
 ) -> CommutingFamily:
-    """A commuting family whose spectra satisfy the identity's hypotheses.
+    """A commuting family whose spectra satisfy the identity's hypotheses,
+    in Schur form.
 
     Decrement and c-shift identities must invert the moved parameter minus
     kI for k up to s, so its sampled eigenvalues are redrawn until they keep
-    a clearance of 0.1 from the integers 0..s.
+    a clearance of 0.1 from the integers 0..s. The accepted family's
+    transform P = QR is then replaced by its triangular factor R, so each
+    member R diag(spectrum) R^{-1} = Q^* (P diag(spectrum) P^{-1}) Q is
+    upper triangular with the spectrum on its diagonal: the same family up
+    to a unitary change of basis, with the same spectra and cond(R) =
+    cond(P), but without the rounding of a dense non-normal basis. Every
+    catalogued identity is similarity-covariant, so it checks the same
+    thing on either form.
     """
     names = d.kind.parameter_names
     needs_clearance = d.direction == DIRECTION_DECREMENT
     for _ in range(100):
         family = random_commuting_family(order, names, rng.randrange(2**31))
-        if not needs_clearance:
-            return family
-        eigenvalues = family.spectra[d.shifted_parameter]
-        if all(
+        if not needs_clearance or all(
             abs(z - k) >= _SHIFT_CLEARANCE
-            for z in eigenvalues
+            for z in family.spectra[d.shifted_parameter]
             for k in range(0, s_eff + 1)
         ):
-            return family
+            upper = np.linalg.qr(family.transform, mode="r")
+            return CommutingFamily(order, upper, linalg.inverse(upper), family.spectra)
     raise GenerationFailed(
         f"could not sample spectra clearing shifts 0..{s_eff} for {d.id}"
     )

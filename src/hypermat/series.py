@@ -52,15 +52,18 @@ sum over m per diagonal, then lead @ sum @ trail once per diagonal and
 member. Every product runs left to right, and no factor ever changes its
 place relative to another. 2F1 has no m- or n-indexed factor and one pair
 per diagonal, so all its factors stay in the middle, multiplied per pair as
-printed. The kernel is chosen by order. Up to order 2 a block holds up to
+printed. The kernel is chosen by order. Up to order 3 a block holds up to
 calculus.CHAIN_BLOCK diagonals, the length the chains grow by, so a full
 block grows each chain once; it stops short where its pairs x members x r^2
 would pass an entry budget. Its entries are laid out entries-first so that
 each product is r multiply-adds over long vectors; each diagonal's sum
 starts from its own first pair, so a member's result is bitwise the same in
 any batch and any block, and from run to run, but rounds differently from a
-per-matrix BLAS product. From order 3 on a block is one diagonal, multiplied
-by ``@`` over zero-copy views of the runs, with BLAS per-matrix products. At
+per-matrix BLAS product. From order 4 on a block is one diagonal, multiplied
+by ``@`` over zero-copy views of the runs, with BLAS per-matrix products:
+the entries-first kernel's r multiply-adds per product cost r^3 elementwise
+passes, so its lead shrinks with the order (eval cost per order at b = 1:
+-20 % at order 3, a tie at order 5, +73 to +79 % at order 8). At
 every order the Appell values round differently from a per-pair product of
 all the factors, while 2F1 values are bitwise that product. A verification
 batches its left-hand side with every inner series of its right-hand side,
@@ -155,12 +158,12 @@ _CONSECUTIVE_SMALL = 3
 #: At orders up to _ENTRIES_FIRST_ORDER, one turn of _diagonals forms
 #: up to calculus.CHAIN_BLOCK consecutive diagonals, as long as the block's
 #: index pairs x members x r^2 stay within _BLOCK_ENTRIES; above it a turn is
-#: one diagonal. Order 3 stays with BLAS: the entries-first kernel is faster
-#: there too, but its rounding moved an ill-conditioned order-3 campaign
-#: trial (non-normal parameters, residual 8.7e-9 with BLAS products and the
-#: hoisted end factors) past the 1e-8 campaign gate in every variant tried.
+#: one diagonal. The crossover is measured: against the one-diagonal BLAS
+#: kernel, eval cost per order at b = 1 is -20 % at order 3, a tie at order 5
+#: (-1 to +5 %), +73 to +79 % at order 8 and x4.5 at order 16 (the benchmark's
+#: seed-0 eval cases of passes 0-3, best of 5 per case, one BLAS thread).
 _BLOCK_ENTRIES = 1 << 13
-_ENTRIES_FIRST_ORDER = 2
+_ENTRIES_FIRST_ORDER = 3
 
 
 @dataclass(frozen=True, eq=False)

@@ -429,6 +429,44 @@ def test_the_benchmarks_near_gate_campaign_trial_passes():
     assert report.residual <= recursions.DEFAULT_CAMPAIGN_TOL
 
 
+def test_the_near_gate_campaign_trial_is_far_below_the_gate():
+    # Drawn in Schur form, the near-gate trial's family has a triangular
+    # basis, which removes the rounding of the dense non-normal one.
+    (report,) = run_campaign(
+        ids=["F2-C-s-sum"], trials=1, orders=(3,), s_values=(3,), seed=1499463640
+    )
+    assert report.residual <= 1e-12
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5])
+@pytest.mark.parametrize("identity_id", ["G-A+s-sum", "F2-C-s-sum", "F3-Ap-s-binom"])
+def test_campaign_families_are_drawn_in_schur_form(identity_id, order):
+    d = get(identity_id)
+    names = d.kind.parameter_names
+    for seed in range(4):
+        family = draw_family(d, order, 3, random.Random(seed))
+        # Replay the draws to the accepted dense family, known by its spectra.
+        rng = random.Random(seed)
+        dense = random_commuting_family(order, names, rng.randrange(2**31))
+        while dense.spectra != family.spectra:
+            dense = random_commuting_family(order, names, rng.randrange(2**31))
+        q = dense.transform @ np.linalg.inv(family.transform)  # P = QR
+        assert np.linalg.cond(family.transform) <= 1e3
+        members = {name: family.realize(name) for name in names}
+        for name, member in members.items():
+            assert not np.tril(member, -1).any()
+            spectrum = np.array(family.spectra[name])
+            assert np.all(abs(np.diag(member) - spectrum) <= 1e-15 * abs(spectrum))
+            conjugated = q.conj().T @ dense.realize(name) @ q
+            error = linalg.frobenius_norm(member - conjugated)
+            assert error <= 1e-12 * linalg.frobenius_norm(member)
+        norms = {name: linalg.frobenius_norm(member) for name, member in members.items()}
+        for a in names:
+            for b in names:
+                defect = linalg.commutator_norm(members[a], members[b])
+                assert defect <= recursions.COMMUTATION_RTOL * max(1.0, norms[a] * norms[b])
+
+
 def test_contiguous_entries_pin_shift_to_one():
     d = get("F1-A+1-contig")
     assert d.effective_shift(3) == 1

@@ -618,14 +618,15 @@ def test_an_exit_inside_a_block_matches_a_per_degree_loop(kind, order, exit):
     assert ((degree or shift) + 1) % CHAIN_BLOCK
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3, 5])
 @pytest.mark.parametrize("kind", [FunctionKind.GAUSS_2F1, FunctionKind.APPELL_F2])
 def test_each_inverse_chain_grows_once_per_turn(kind, order, monkeypatch):
     # A turn of the degree loop reads each chain once, through the end of its
     # block, and a chain grows by at least CHAIN_BLOCK entries past the last it
-    # holds. At orders 1 and 2 a turn forms CHAIN_BLOCK diagonals, so every
-    # turn grows each inverse chain exactly once. From order 3 on a turn is
-    # one diagonal, and a growth covers CHAIN_BLOCK of them past entry 0.
+    # holds. Up to order _ENTRIES_FIRST_ORDER a turn forms CHAIN_BLOCK
+    # diagonals, so every turn grows each inverse chain exactly once. Above it
+    # a turn is one diagonal, and a growth covers CHAIN_BLOCK of them past
+    # entry 0.
     growths, turns = {}, []
     shift_inverses, block_sums = linalg.shift_inverses, series._block_sums
 
@@ -643,7 +644,7 @@ def test_each_inverse_chain_grows_once_per_turn(kind, order, monkeypatch):
     names = kind.parameter_names
     params = ParameterSet(kind, {name: non_commuting_matrix(rng, order) for name in names})
     degrees = evaluate(params, ORDER_POINTS[kind]).degrees_used
-    if order <= 2:
+    if order <= series._ENTRIES_FIRST_ORDER:
         expected = len(turns)
         assert expected == math.ceil((degrees + 1) / CHAIN_BLOCK)
     else:
