@@ -56,8 +56,10 @@ _GENERATION_ATTEMPTS = 100
 #: Chains grow by blocks of at least this many indices. Every series sums at
 #: least three diagonals and most need 15 to 40, so shorter blocks would pay
 #: the fixed cost of a batched call (rcond test, inverse, shift stack) per index.
-#: This is the one block length: the series engine forms up to this many
-#: diagonals per turn at orders 1-3, so a full turn grows each chain once.
+#: This is the one block length: at orders 1-3 each turn of the series engine
+#: after the first forms this many diagonals, and the first runs on to the
+#: predicted stopping degree; a chain grows by at least the block it is read
+#: through, so every turn grows each chain once.
 CHAIN_BLOCK = 8
 
 

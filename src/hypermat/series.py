@@ -52,22 +52,31 @@ sum over m per diagonal, then lead @ sum @ trail once per diagonal and
 member. Every product runs left to right, and no factor ever changes its
 place relative to another. 2F1 has no m- or n-indexed factor and one pair
 per diagonal, so all its factors stay in the middle, multiplied per pair as
-printed. The kernel is chosen by order. Up to order 3 a block holds up to
-calculus.CHAIN_BLOCK diagonals, the length the chains grow by, so a full
-block grows each chain once; it stops short where its pairs x members x r^2
-would pass an entry budget. Its entries are laid out entries-first so that
-each product is r multiply-adds over long vectors; each diagonal's sum
-starts from its own first pair, so a member's result is bitwise the same in
-any batch and any block, and from run to run, but rounds differently from a
-per-matrix BLAS product. From order 4 on a block is one diagonal, multiplied
-by ``@`` over zero-copy views of the runs, with BLAS per-matrix products:
-the entries-first kernel's r multiply-adds per product cost r^3 elementwise
-passes, so its lead shrinks with the order (eval cost per order at b = 1:
--20 % at order 3, a tie at order 5, +73 to +79 % at order 8). At
-every order the Appell values round differently from a per-pair product of
-all the factors, while 2F1 values are bitwise that product. A verification
-batches its left-hand side with every inner series of its right-hand side,
-so they share every product, rcond test and block inverse.
+printed. The kernel is chosen by order. Up to order 3 the first block runs
+to the degree N at which rho^N first falls to tol, rho the kind's decay rate
+per diagonal at the point (the gauge check_domain reads: |x|, max(|x|, |y|),
+|x| + |y| or (sqrt|x| + sqrt|y|)^2), and holds at least calculus.CHAIN_BLOCK
+diagonals; each later block holds CHAIN_BLOCK, the length the chains grow
+by. A chain grows by at least the block it is read through, so every turn
+grows each chain once. Any block stops short at max_degree or where its
+pairs x members x r^2 would pass an entry budget. The rate only sizes
+blocks: the stopping rule alone decides where a member stops, and for
+rho = 0 or rho >= 1 (domain guard off) the first block is CHAIN_BLOCK long
+too.
+Entries are laid out entries-first so that each product is r multiply-adds
+over long vectors; each diagonal's sum starts from its own first pair, and
+no product takes numpy's scalar path for one-element arrays, so a member's
+result is bitwise the same in any batch and any block, and from run to run,
+but rounds differently from a per-matrix BLAS product. From order 4 on a
+block is one diagonal, multiplied by ``@`` over zero-copy views of the runs,
+with BLAS per-matrix products: the entries-first kernel's r multiply-adds
+per product cost r^3 elementwise passes, so its lead shrinks with the order
+(eval cost per order at b = 1: -20 % at order 3, a tie at order 5, +73 to
++79 % at order 8). At every order the Appell values round differently from a
+per-pair product of all the factors, while 2F1 values are bitwise that
+product. A verification batches its left-hand side with every inner series
+of its right-hand side, so they share every product, rcond test and block
+inverse.
 
 Series are summed diagonal by diagonal, and each member stops once three
 consecutive diagonal sums of its own fall below tol * (1 + ||partial sum||_F);
@@ -155,13 +164,15 @@ _TERMS = {
 #: Truncation stops after this many consecutive small diagonals.
 _CONSECUTIVE_SMALL = 3
 
-#: At orders up to _ENTRIES_FIRST_ORDER, one turn of _diagonals forms
-#: up to calculus.CHAIN_BLOCK consecutive diagonals, as long as the block's
-#: index pairs x members x r^2 stay within _BLOCK_ENTRIES; above it a turn is
-#: one diagonal. The crossover is measured: against the one-diagonal BLAS
-#: kernel, eval cost per order at b = 1 is -20 % at order 3, a tie at order 5
-#: (-1 to +5 %), +73 to +79 % at order 8 and x4.5 at order 16 (the benchmark's
-#: seed-0 eval cases of passes 0-3, best of 5 per case, one BLAS thread).
+#: At orders up to _ENTRIES_FIRST_ORDER, the first turn of _diagonals forms
+#: the diagonals through the predicted stopping degree, at least
+#: calculus.CHAIN_BLOCK of them, and each later turn CHAIN_BLOCK, as long as
+#: the block's index pairs x members x r^2 stay within _BLOCK_ENTRIES; above
+#: it a turn is one diagonal. The crossover is measured: against the
+#: one-diagonal BLAS kernel, eval cost per order at b = 1 is -20 % at order 3,
+#: a tie at order 5 (-1 to +5 %), +73 to +79 % at order 8 and x4.5 at order 16
+#: (the benchmark's seed-0 eval cases of passes 0-3, best of 5 per case, one
+#: BLAS thread).
 _BLOCK_ENTRIES = 1 << 13
 _ENTRIES_FIRST_ORDER = 3
 
@@ -279,19 +290,40 @@ def check_domain(kind: FunctionKind, point: EvalPoint) -> bool:
 
     A point with y for 2F1, or without y for an Appell kind, raises ValueError.
     """
-    ax = abs(point.x)
+    return _decay_rate(kind, point.x, point.y) < 1.0
+
+
+def _decay_rate(kind: FunctionKind, x, y) -> float:
+    """The rate rho per diagonal at which the kind's terms fall at (x, y).
+
+    |x| for 2F1, max(|x|, |y|) for F1 and F3, |x| + |y| for F2 and
+    (sqrt|x| + sqrt|y|)^2 for F4: the classical region is rho < 1, its
+    boundary excluded, and a NaN coordinate gives NaN. A y for 2F1, or none
+    for an Appell kind, raises ValueError.
+    """
+    ax = abs(x)
     if kind is FunctionKind.GAUSS_2F1:
-        if point.y is not None:
+        if y is not None:
             raise ValueError("2F1 takes a single variable")
-        return ax < 1.0
-    if point.y is None:
+        return ax
+    if y is None:
         raise ValueError(f"{kind.value} needs a second variable")
-    ay = abs(point.y)
+    ay = abs(y)
     if kind in (FunctionKind.APPELL_F1, FunctionKind.APPELL_F3):
-        return ax < 1.0 and ay < 1.0
+        return float(np.maximum(ax, ay))
     if kind is FunctionKind.APPELL_F2:
-        return ax + ay < 1.0
-    return math.sqrt(ax) + math.sqrt(ay) < 1.0
+        return ax + ay
+    return (math.sqrt(ax) + math.sqrt(ay)) ** 2
+
+
+def _predicted_degree(kind: FunctionKind, x, y, tol: float) -> int:
+    """The degree N at which rho^N first falls to tol, or 0 outside 0 < rho < 1.
+
+    It only sizes the first turn of _diagonals; the stopping rule alone
+    decides where a member stops.
+    """
+    rate = _decay_rate(kind, x, y)
+    return math.ceil(math.log(tol) / math.log(rate)) if 0.0 < rate < 1.0 else 0
 
 
 def _pair_picks(lo: int, hi: int, two_variable: bool):
@@ -310,10 +342,16 @@ def _pair_picks(lo: int, hi: int, two_variable: bool):
 
 
 def _entries_first_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left @ right for stacks laid out entries-first, (r, r, ...): r multiply-adds."""
-    out = left[:, 0, np.newaxis] * right[0]
+    """left @ right for stacks laid out entries-first, (r, r, ...): r multiply-adds.
+
+    Both operands of each product keep all their axes: numpy multiplies a
+    one-element array by one of fewer axes, or in place, by a scalar path
+    that rounds unlike its vector loop, which would give a lone order-1
+    member's one-diagonal block a rounding of its own.
+    """
+    out = left[:, 0, np.newaxis] * right[np.newaxis, 0]
     for k in range(1, len(right)):
-        out += left[:, k, np.newaxis] * right[k]
+        out += left[:, k, np.newaxis] * right[np.newaxis, k]
     return out
 
 
@@ -330,8 +368,8 @@ def _block_sums(runs, indices, middle: slice, lo: int, hi: int, rows: list, two_
     multiplied once, lead @ sum @ trail, left to right, so no factor
     changes its place relative to another. For 2F1 lead and trail are
     empty, so every factor is multiplied per pair. Up to order
-    _ENTRIES_FIRST_ORDER the block holds at most calculus.CHAIN_BLOCK
-    diagonals, and the picked entries are laid out entries-first,
+    _ENTRIES_FIRST_ORDER the block holds one or more diagonals within the
+    entry budget, and the picked entries are laid out entries-first,
     (r, r, pairs, members), so each product is r multiply-adds over long
     vectors. Above it the block is one diagonal (lo == hi), multiplied by
     ``@`` over zero-copy views of the runs: entry N for index N, entries
@@ -350,7 +388,7 @@ def _block_sums(runs, indices, middle: slice, lo: int, hi: int, rows: list, two_
     term = reduce(_entries_first_product, (
         np.ascontiguousarray(run.transpose(2, 3, 0, 1))[:, :, picks[index]] for run, index in factors
     ))
-    term *= np.concatenate(rows)[:, np.newaxis]
+    term = term * np.concatenate(rows).reshape(1, 1, -1, 1)
     # reduceat starts each diagonal's sum from its own first pair, so a
     # member's sum depends neither on the block nor on the batch around it.
     sums = np.add.reduceat(term, offsets, axis=2)
@@ -359,7 +397,7 @@ def _block_sums(runs, indices, middle: slice, lo: int, hi: int, rows: list, two_
     return np.moveaxis(sums, (0, 1), (2, 3))
 
 
-def _diagonals(param_sets: list[ParameterSet], x, y, max_degree: int):
+def _diagonals(param_sets: list[ParameterSet], x, y, max_degree: int, tol: float):
     """Yield (degree, stack, reach) for the degrees 0..max_degree in order.
 
     ``stack`` is the (b, r, r) sum of diagonal ``degree`` for the b members,
@@ -369,6 +407,10 @@ def _diagonals(param_sets: list[ParameterSet], x, y, max_degree: int):
     denominator's, stacked parameter-major. Each turn forms a block of
     consecutive diagonals (_block_sums) from one read of each chain, then
     yields them in order; a consumer that stops drawing forms no later block.
+    Up to order _ENTRIES_FIRST_ORDER the first turn runs through degree
+    max(CHAIN_BLOCK - 1, _predicted_degree(..., tol)) and each later one
+    CHAIN_BLOCK diagonals; above it every turn is one diagonal. The entry
+    budget and max_degree cut any turn short.
     """
     kind, order, size = param_sets[0].kind, param_sets[0].order, len(param_sets)
     # A factor's members are the slots j*size .. (j+1)*size - 1 of its chain,
@@ -388,13 +430,16 @@ def _diagonals(param_sets: list[ParameterSet], x, y, max_degree: int):
         True: PochhammerChain.for_inverses([p[n] for n in stacked[True] for p in param_sets]),
     }
     two_variable = kind.is_two_variable
+    # Diagonals per turn; at the entries-first orders the first turn runs on
+    # to the predicted stopping degree.
+    step = CHAIN_BLOCK if order <= _ENTRIES_FIRST_ORDER else 1
+    diagonals = max(step, _predicted_degree(kind, x, y, tol) + 1) if step > 1 else 1
     x, y = complex(x), complex(y) if two_variable else 0j
     # p of the weights x^m y^n C(N, m)^p: the N-indexed products minus inverses
     power = sum(-1 if inverse else 1 for _, inverse, index in _TERMS[kind] if index == "N")
     # The weights of diagonal N's pairs (m, N - m), m = 0..N; 2F1 carries x^N.
     row = np.ones(1, dtype=complex)
-    # Diagonals per turn, and the entries a pair costs.
-    diagonals = CHAIN_BLOCK if order <= _ENTRIES_FIRST_ORDER else 1
+    # The entries a pair costs.
     pair_entries = size * order * order
     lo = 0
     while lo <= max_degree:
@@ -420,7 +465,7 @@ def _diagonals(param_sets: list[ParameterSet], x, y, max_degree: int):
         reach = chains[True].reach.reshape(-1, size).min(axis=0)
         for degree, diagonal in zip(range(lo, hi + 1), block):
             yield degree, diagonal, reach
-        lo = hi + 1
+        lo, diagonals = hi + 1, step
 
 
 def evaluate_many(
@@ -464,7 +509,8 @@ def evaluate_many(
     flat = sums.reshape(2 * size, -1).view(np.float64)
     increment, total = sums
     with np.errstate(over="ignore", invalid="ignore"):
-        for degree, diagonal, reach in _diagonals(param_sets, point.x, point.y, cfg.max_degree):
+        diagonals = _diagonals(param_sets, point.x, point.y, cfg.max_degree, cfg.tol)
+        for degree, diagonal, reach in diagonals:
             increment[...] = diagonal
             total += increment
             norms = linalg.row_norms(flat)

@@ -453,6 +453,45 @@ def test_check_domain_refuses_a_second_variable_for_2f1():
         evaluate(params, EvalPoint(0.5, 0.1), SeriesConfig(enforce_domain=False))
 
 
+def classical_region(kind, point):
+    """Each kind's region as its scalar theory states it, boundary excluded."""
+    ax, ay = abs(point.x), abs(point.y or 0)
+    if kind is FunctionKind.GAUSS_2F1:
+        return ax < 1.0
+    if kind in (FunctionKind.APPELL_F1, FunctionKind.APPELL_F3):
+        return ax < 1.0 and ay < 1.0
+    if kind is FunctionKind.APPELL_F2:
+        return ax + ay < 1.0
+    return math.sqrt(ax) + math.sqrt(ay) < 1.0
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_one_gauge_decides_the_region_and_sizes_the_first_turn(kind):
+    # check_domain keeps the region's boundary and a NaN coordinate outside,
+    # on the edge and one ulp to either side of it; the predicted stopping
+    # degree reads the same gauge inside and is 0 outside.
+    edges = {
+        FunctionKind.GAUSS_2F1: [(1.0, None), (0.6, None)],
+        FunctionKind.APPELL_F1: [(1.0, 0.3), (0.3, 1.0), (0.6, 0.2)],
+        FunctionKind.APPELL_F2: [(0.5, 0.5), (0.75, 0.25), (0.4, 0.2)],
+        FunctionKind.APPELL_F3: [(1.0, 0.3), (0.3, 1.0), (0.6, 0.2)],
+        FunctionKind.APPELL_F4: [(0.25, 0.25), (0.5625, 0.0625), (0.1, 0.2)],
+    }[kind]
+    tol = DEFAULT_CONFIG.tol
+    for x, y in edges:
+        for dx in (math.nextafter(x, 0.0), x, math.nextafter(x, 2.0)):
+            for point in (EvalPoint(dx, y), EvalPoint(-1j * dx, y and -y), EvalPoint(math.nan, y)):
+                inside = check_domain(kind, point)
+                assert inside is classical_region(kind, point)
+                degree = series._predicted_degree(kind, point.x, point.y, tol)
+                rate = series._decay_rate(kind, point.x, point.y)
+                assert (degree > 0) is (inside and rate > 0.0)
+                if 0 < degree < 1000:
+                    assert rate ** degree <= tol < rate ** (degree - 1)
+    if kind.is_two_variable:
+        assert not check_domain(kind, EvalPoint(0.1, math.nan))
+
+
 def assert_same_report(batched, alone):
     # A member's sum depends neither on its batch nor on the blocks of
     # diagonals the batch is formed in, so the two agree to the last bit.
@@ -531,24 +570,58 @@ def test_batch_members_fail_alone(kind):
         assert_same_report(batch[index], evaluate(members[index], point, cfg))
 
 
+def recorded_turns(monkeypatch):
+    """The (lo, hi) degrees of every block the engine forms, in order."""
+    turns, block_sums = [], series._block_sums
+
+    def recorded(runs, indices, middle, lo, hi, *rest):
+        turns.append((lo, hi))
+        return block_sums(runs, indices, middle, lo, hi, *rest)
+
+    monkeypatch.setattr(series, "_block_sums", recorded)
+    return turns
+
+
+def turn_of(turns, degree):
+    (turn,) = [(lo, hi) for lo, hi in turns if lo <= degree <= hi]
+    return turn
+
+
+# Points whose predicted stopping degree is 7, so the first turn is the
+# CHAIN_BLOCK diagonals 0..7.
+SHORT_TURN_POINTS = {
+    FunctionKind.GAUSS_2F1: EvalPoint(0.015j),
+    FunctionKind.APPELL_F1: EvalPoint(0.015, -0.01),
+    FunctionKind.APPELL_F2: EvalPoint(0.008, 0.007j),
+    FunctionKind.APPELL_F3: EvalPoint(-0.015, 0.01j),
+    FunctionKind.APPELL_F4: EvalPoint(0.004, 0.003),
+}
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_singular_members_keep_their_own_reach_across_blocks(kind):
-    # At order 2 a block is CHAIN_BLOCK diagonals, and the inverse chain grows
-    # once per block. C + 2I stops one member in block 0; C + 10I stops the
-    # other in block 1, whose reach is known only once the chain has grown
-    # again for that block. Read before that growth, it would be 8, not 10.
-    assert (3 // CHAIN_BLOCK, 11 // CHAIN_BLOCK) == (0, 1)
+def test_singular_members_keep_their_own_reach_across_blocks(kind, monkeypatch):
+    # At order 2 the first turn at these points is CHAIN_BLOCK diagonals, and
+    # the inverse chain grows once per turn. C + 2I stops one member in the
+    # first turn; C + 10I stops the other in a later one, whose reach is known
+    # only once the chain has grown again for that turn. Read before that
+    # growth, it would be 8, not 10. Numerators moved by 12I keep every member
+    # moving past degree 11.
+    point = SHORT_TURN_POINTS[kind]
+    assert series._predicted_degree(kind, point.x, point.y, DEFAULT_CONFIG.tol) == CHAIN_BLOCK - 1
     rng = np.random.default_rng(27)
     names = kind.parameter_names
     plain = ParameterSet(kind, {name: non_commuting_matrix(rng, 2) for name in names})
+    plain = plain.moved({name: 12 for name in kind.numerator_names})
     members = [
         ParameterSet(kind, {**plain.matrices, "C": np.diag([-2.0, 1.5]).astype(complex)}),
         ParameterSet(kind, {**plain.matrices, "C": np.diag([-10.0, 1.5]).astype(complex)}),
         plain,
     ]
-    point = ORDER_POINTS[kind]
+    turns = recorded_turns(monkeypatch)
     batch = evaluate_many(members, point)
     assert [getattr(outcome, "shift", None) for outcome in batch] == [3, 11, None]
+    assert turn_of(turns, 3) == (0, CHAIN_BLOCK - 1)
+    assert turn_of(turns, 11)[0] > CHAIN_BLOCK - 1
     for member, outcome in zip(members[:2], batch[:2]):
         alone = raised(member, point, DEFAULT_CONFIG)
         assert (type(outcome), str(outcome)) == (type(alone), str(alone))
@@ -567,12 +640,24 @@ EDGE_POINTS = {
 }
 
 
+# Points where, at orders 1-3, the stopping degree of block_exit_case's member
+# falls strictly inside a turn: the long first turn for F2 and for F4 at
+# order 1, a later CHAIN_BLOCK turn otherwise.
+STOP_POINTS = {
+    FunctionKind.GAUSS_2F1: EvalPoint(0.25 + 0.1j),
+    FunctionKind.APPELL_F1: EvalPoint(0.25, 0.25),
+    FunctionKind.APPELL_F2: EvalPoint(0.25, 0.2j),
+    FunctionKind.APPELL_F3: EvalPoint(-0.2, 0.2),
+    FunctionKind.APPELL_F4: EvalPoint(0.1, 0.06 - 0.03j),
+}
+
+
 def block_exit_case(kind, order, exit):
     """Inputs whose one member ends by ``exit``, and the degree it must end at."""
     rng = np.random.default_rng(8)
     matrices = {name: non_commuting_matrix(rng, order) for name in kind.parameter_names}
     if exit == "stop":
-        return matrices, ORDER_POINTS[kind], SeriesConfig()
+        return matrices, STOP_POINTS[kind], SeriesConfig()
     if exit == "cap":
         return matrices, EDGE_POINTS[kind], SeriesConfig(max_degree=21)
     if exit == "singular":
@@ -588,12 +673,12 @@ def block_exit_case(kind, order, exit):
 @pytest.mark.parametrize("exit", ["stop", "cap", "singular", "overflow"])
 @pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_an_exit_inside_a_block_matches_a_per_degree_loop(kind, order, exit):
-    # The engine forms up to CHAIN_BLOCK diagonals per turn (orders 1
-    # and 2) or one (order 3); a member that ends inside a block reports what
-    # a loop over one diagonal at a time reports: the same degree, text and
-    # shift.
+def test_an_exit_inside_a_block_matches_a_per_degree_loop(kind, order, exit, monkeypatch):
+    # At orders 1-3 the engine forms several diagonals per turn; a member
+    # that ends inside a block reports what a loop over one diagonal at a
+    # time reports: the same degree, text and shift.
     matrices, point, cfg = block_exit_case(kind, order, exit)
+    turns = recorded_turns(monkeypatch)
     (outcome,) = evaluate_many([ParameterSet(kind, matrices)], point, cfg)
     if isinstance(outcome, SingularShift):
         got = (str(outcome), None, outcome.shift)
@@ -614,8 +699,15 @@ def test_an_exit_inside_a_block_matches_a_per_degree_loop(kind, order, exit):
         "overflow": text == f"{label} overflowed at degree 26",
     }
     assert verdicts[exit]
-    # Not the last diagonal of a block the budget left whole.
-    assert ((degree or shift) + 1) % CHAIN_BLOCK
+    # Strictly inside the recorded turn that formed it: the member saw
+    # earlier diagonals of that block, and later ones were formed and
+    # discarded. The cap is the exception, as no turn reaches past it.
+    lo, hi = turn_of(turns, degree or shift)
+    assert lo < (degree or shift)
+    if exit == "cap":
+        assert degree == hi == cfg.max_degree
+    else:
+        assert (degree or shift) < hi
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 5])
@@ -623,35 +715,130 @@ def test_an_exit_inside_a_block_matches_a_per_degree_loop(kind, order, exit):
 def test_each_inverse_chain_grows_once_per_turn(kind, order, monkeypatch):
     # A turn of the degree loop reads each chain once, through the end of its
     # block, and a chain grows by at least CHAIN_BLOCK entries past the last it
-    # holds. Up to order _ENTRIES_FIRST_ORDER a turn forms CHAIN_BLOCK
-    # diagonals, so every turn grows each inverse chain exactly once. Above it
-    # a turn is one diagonal, and a growth covers CHAIN_BLOCK of them past
-    # entry 0.
-    growths, turns = {}, []
-    shift_inverses, block_sums = linalg.shift_inverses, series._block_sums
+    # holds. Up to order _ENTRIES_FIRST_ORDER the first turn runs to the
+    # predicted stopping degree and each later one is CHAIN_BLOCK diagonals,
+    # so every turn grows each inverse chain exactly once. Above it a turn is
+    # one diagonal, and a growth covers CHAIN_BLOCK of them past entry 0.
+    growths = {}
+    shift_inverses = linalg.shift_inverses
 
     def counted_growth(base, shifts):
         growths[id(base)] = growths.get(id(base), 0) + 1
         return shift_inverses(base, shifts)
 
-    def counted_turn(*args):
-        turns.append(args)
-        return block_sums(*args)
-
     monkeypatch.setattr(linalg, "shift_inverses", counted_growth)
-    monkeypatch.setattr(series, "_block_sums", counted_turn)
+    turns = recorded_turns(monkeypatch)
     rng = np.random.default_rng(5)
     names = kind.parameter_names
     params = ParameterSet(kind, {name: non_commuting_matrix(rng, order) for name in names})
-    degrees = evaluate(params, ORDER_POINTS[kind]).degrees_used
+    # A second member whose numerators are moved by 4I stops later, so the
+    # batch runs past its first turn.
+    slow = params.moved({name: 4 for name in kind.numerator_names})
+    point = ORDER_POINTS[kind]
+    degrees = max(report.degrees_used for report in evaluate_many([params, slow], point))
+    # The turns cover the degrees 0..degrees in order, the last one holding
+    # the last stopping degree.
+    assert [lo for lo, _ in turns] == [0] + [hi + 1 for _, hi in turns[:-1]]
+    assert turns[-1][0] <= degrees <= turns[-1][1]
     if order <= series._ENTRIES_FIRST_ORDER:
+        predicted = series._predicted_degree(kind, point.x, point.y, DEFAULT_CONFIG.tol)
+        assert turns[0] == (0, max(CHAIN_BLOCK - 1, predicted))
+        assert all(hi - lo + 1 == CHAIN_BLOCK for lo, hi in turns[1:])
+        assert len(turns) > 1
         expected = len(turns)
-        assert expected == math.ceil((degrees + 1) / CHAIN_BLOCK)
     else:
         assert len(turns) == degrees + 1
         expected = math.ceil(degrees / CHAIN_BLOCK)
     assert sorted(growths.values()) == [expected]
 
+
+def outcome_bits(outcome):
+    """What a batch member's outcome says, with every float as its bytes."""
+    report = outcome if isinstance(outcome, series.EvalReport) else getattr(outcome, "report", None)
+    text = str(outcome) if isinstance(outcome, Exception) else None
+    if report is None:
+        return type(outcome), text, getattr(outcome, "shift", None), None
+    fields = (report.degrees_used, report.converged, report.value.tobytes(),
+              np.float64(report.last_increment_norm).tobytes())
+    return type(outcome), text, getattr(outcome, "shift", None), fields
+
+
+@pytest.mark.parametrize("prediction", ["zero", "cap", "random"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_turn_sizing_never_changes_a_result(kind, order, prediction, monkeypatch):
+    # The predicted stopping degree only sizes the first turn. Replaced by 0
+    # (every turn CHAIN_BLOCK long), by max_degree (one turn as far as the
+    # entry budget allows) or by a random degree per call, it leaves every
+    # member's outcome bitwise as it was: converging, singular at C + 2I and
+    # C + 10I, capped and overflowing members alike.
+    rng = np.random.default_rng(31)
+    names = kind.parameter_names
+    plain = ParameterSet(kind, {name: non_commuting_matrix(rng, order) for name in names})
+    point = ORDER_POINTS[kind]
+    cfg = SeriesConfig(max_degree=evaluate(plain, point).degrees_used + 2)
+    # Numerators moved by 4I keep the singular members moving past degree 11.
+    moving = plain.moved({name: 4 for name in kind.numerator_names})
+    singular = [
+        ParameterSet(kind, {**moving.matrices, "C": np.diag([-k] + [1.5] * (order - 1)) + 0j})
+        for k in (2.0, 10.0)
+    ]
+    members = [
+        plain,
+        plain.moved({"A": 1}),
+        *singular,
+        plain.moved({name: 8 for name in kind.numerator_names}),
+        ParameterSet(kind, {**plain.matrices, "A": 1e100 * plain["A"]}),
+    ]
+    label = "double series" if kind.is_two_variable else "series"
+    expected = [outcome_bits(outcome) for outcome in evaluate_many(members, point, cfg)]
+    assert [bits[:3] for bits in expected[2:]] == [
+        (SingularShift, "base + 2*I is singular", 3),
+        (SingularShift, "base + 10*I is singular", 11),
+        (NotConverged, f"{label} still moving at degree {cfg.max_degree}", None),
+        (NotConverged, f"{label} overflowed at degree {expected[5][3][0]}", None),
+    ]
+    assert expected[0][3][1] and expected[1][3][1]
+    draw, calls = random.Random(f"{kind.value}/{order}"), []
+
+    def predicted(*args):
+        calls.append(args)
+        if prediction == "random":
+            return draw.randint(0, cfg.max_degree)
+        return {"zero": 0, "cap": cfg.max_degree}[prediction]
+
+    monkeypatch.setattr(series, "_predicted_degree", predicted)
+    for batch in (members, members[::-1], *[[member] for member in members]):
+        got = [outcome_bits(outcome) for outcome in evaluate_many(batch, point, cfg)]
+        assert got == [expected[members.index(member)] for member in batch]
+    assert calls
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_lone_one_diagonal_turn_rounds_like_any_other(kind, monkeypatch):
+    # A lone order-1 member whose last turn max_degree cuts to one diagonal
+    # multiplies one-element arrays, which numpy rounds by a scalar path
+    # unless every product keeps its operands' axes and none is in place.
+    # Its report is still bitwise what it gives beside another member. The
+    # two paths round apart for some values and not for others, so five
+    # draws are each cut at the starts of the three turns after the first.
+    # Numerators moved by 8I keep the members moving past those turns.
+    point = ORDER_POINTS[kind]
+    predicted = series._predicted_degree(kind, point.x, point.y, DEFAULT_CONFIG.tol)
+    turns = recorded_turns(monkeypatch)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        names = kind.parameter_names
+        members = [
+            ParameterSet(kind, {name: non_commuting_matrix(rng, 1) for name in names})
+            .moved({name: 8 for name in kind.numerator_names})
+            for _ in range(2)
+        ]
+        for later in range(3):
+            cfg = SeriesConfig(max_degree=max(CHAIN_BLOCK, predicted + 1) + later * CHAIN_BLOCK)
+            (alone,) = evaluate_many(members[:1], point, cfg)
+            assert turns[-1] == (cfg.max_degree, cfg.max_degree)
+            assert outcome_bits(alone) == outcome_bits(evaluate_many(members, point, cfg)[0])
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
